@@ -20,8 +20,6 @@ from .linalg import (
     quotient_dim,
     rank,
     rref,
-    subspace_contains,
-    subspace_equal,
     vector,
 )
 from .pairing import (
@@ -48,7 +46,6 @@ from .gluing import (
     ExtensionVerdict,
     IncidenceDatum,
     RealizedSpace,
-    ambient_dim,
     check_membership,
     classify_extension_side,
     realized_space,

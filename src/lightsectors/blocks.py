@@ -287,15 +287,16 @@ def surviving_dimension(part: BlockDecomposition) -> int:
 def relation_lattice_from_blocks(part: BlockDecomposition) -> Subspace:
     """Span of the within-block differences e_i - e_j, canonicalized.
 
-    Chained differences along each block generate the full pairwise set.
-    The quotient of QQ^r by this lattice has one dimension per block.
+    The star differences e_a - e_last within each block generate the full
+    pairwise set and are already reduced up to row order, so canonicalizing
+    them clears nothing.  The quotient of QQ^r by this lattice has one
+    dimension per block.
     """
-    generators = []
-    for block in part.blocks:
-        for a, b in zip(block, block[1:]):
-            generators.append(
-                vec_sub(basis_vector(part.r, a), basis_vector(part.r, b))
-            )
+    generators = [
+        vec_sub(basis_vector(part.r, a), basis_vector(part.r, block[-1]))
+        for block in part.blocks
+        for a in block[:-1]
+    ]
     return Subspace.spanned_by(generators, part.r)
 
 

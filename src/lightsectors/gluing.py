@@ -29,13 +29,6 @@ class ExtensionVerdict(enum.Enum):
     AMBIENT_DEFAULT = "Ambient-default"
 
 
-def ambient_dim(r: int) -> int:
-    """Dimension of the free nodewise coefficient space: one direction per node."""
-    if r < 0:
-        raise ValueError("node count must be nonnegative")
-    return r
-
-
 @dataclass(frozen=True)
 class IncidenceDatum:
     """r x |A| incidence matrix; columns are the images of the labeled generators."""

@@ -258,9 +258,22 @@ class Subspace:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise DimensionMismatchError("basis vector has wrong length")
-        canonical = Subspace._canonical_basis(self.basis, self.ambient_dim)
-        if canonical != self.basis:
+        if not Subspace._is_canonical(self.basis):
             raise ValueError("basis is not in canonical reduced-echelon form")
+
+    @staticmethod
+    def _is_canonical(rows: Sequence[Vector]) -> bool:
+        """Whether rows are a reduced row-echelon form without zero rows,
+        i.e. exactly what _canonical_basis makes of them."""
+        pivots: list[int] = []
+        for row in rows:
+            lead = next((j for j, x in enumerate(row) if x != 0), None)
+            if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+                return False
+            pivots.append(lead)
+        return all(
+            row[p] == 0 for i, row in enumerate(rows) for k, p in enumerate(pivots) if i != k
+        )
 
     @staticmethod
     def _canonical_basis(vectors: Sequence[Vector], ambient_dim: int) -> tuple[Vector, ...]:
@@ -315,10 +328,6 @@ def column_space(m: Matrix) -> Subspace:
     return Subspace.spanned_by(m.columns(), m.rows)
 
 
-def row_space(m: Matrix) -> Subspace:
-    return Subspace.spanned_by(m.entries, m.cols)
-
-
 def kernel(m: Matrix) -> Subspace:
     """Canonical subspace of all v with m v = 0 (rank-nullity holds exactly)."""
     reduced, rk = rref(m)
@@ -338,18 +347,6 @@ def kernel(m: Matrix) -> Subspace:
             v[p] = -reduced.entries[i][f]
         generators.append(tuple(v))
     return Subspace.spanned_by(generators, m.cols)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    return a.basis == b.basis
-
-
-def subspace_contains(a: Subspace, v: Sequence[object]) -> bool:
-    return a.contains(v)
 
 
 def quotient_dim(ambient: int, sub: Subspace) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, Vector, format_rational, parse_rational
-from .pairing import NotSkewSymmetricError, NotSquareError, make_pairing_space
+from .pairing import NotSkewSymmetricError, NotSquareError, make_pairing_space, standard_symplectic
 from .gluing import CorrectedClass, IncidenceDatum
 from .blocks import BlockDecomposition
 from .package import LightSectorPackage, assemble
@@ -32,6 +32,7 @@ BUILTIN_NAMES = ("a1xa1", "a2", "three_node", "quintic_orbits")
 _SCALAR_FIELDS = ("format_version", "name", "dim", "corrected_class", "notes")
 _GRID_FIELDS = ("gram", "cycles", "incidence", "partition")
 _FIELD_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:(.*)$")
+_DIM = re.compile(r"[0-9]+")
 
 
 class ScenarioError(ValueError):
@@ -139,10 +140,14 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         raise ScenarioError("name must be nonempty", line=name_line, field="name")
 
     dim_line, dim_text = scalars["dim"]
-    if not dim_text.isdigit():
+    if not _DIM.fullmatch(dim_text):
         raise ScenarioError(f"dim must be a nonnegative integer, got {dim_text!r}",
                             line=dim_line, field="dim")
-    dim = int(dim_text)
+    try:
+        dim = int(dim_text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise ScenarioError(f"dim is too large ({len(dim_text)} digits)",
+                            line=dim_line, field="dim") from exc
 
     gram_rows = [
         _rational_row(tokens, ln, "gram")
@@ -282,12 +287,6 @@ def to_package(s: ScenarioFile) -> LightSectorPackage:
                     partition=partition, corrected_class=corrected)
 
 
-def _symplectic_gram(g: int) -> Matrix:
-    from .pairing import standard_symplectic
-
-    return standard_symplectic(g).gram
-
-
 def builtin_scenario(
     name: str,
     coupling: object | None = None,
@@ -311,7 +310,7 @@ def builtin_scenario(
         return ScenarioFile(
             name="a1xa1",
             dim=4,
-            gram=_symplectic_gram(2),
+            gram=standard_symplectic(2).gram,
             cycles=(
                 (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
                 (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
@@ -330,7 +329,7 @@ def builtin_scenario(
         return ScenarioFile(
             name="a2",
             dim=2,
-            gram=_symplectic_gram(1),
+            gram=standard_symplectic(1).gram,
             cycles=(
                 (Fraction(1), Fraction(0)),
                 (Fraction(0), c),
@@ -349,7 +348,7 @@ def builtin_scenario(
         return ScenarioFile(
             name="three_node",
             dim=4,
-            gram=_symplectic_gram(2),
+            gram=standard_symplectic(2).gram,
             cycles=(
                 (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
                 (Fraction(0), c, Fraction(0), Fraction(0)),
@@ -396,7 +395,7 @@ def builtin_scenario(
         return ScenarioFile(
             name="quintic_orbits",
             dim=2,
-            gram=_symplectic_gram(1),
+            gram=standard_symplectic(1).gram,
             cycles=tuple(cycles),
             incidence=Matrix.from_columns(indicator_columns, rows=r),
             partition=tuple(partition),

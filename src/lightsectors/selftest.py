@@ -4,6 +4,8 @@ Seeded and deterministic: reruns exercise identical instances.  Covers the
 model regressions, transport operator invariants, the block-structure
 checks on generated separated configurations, the criterion equivalences
 on a small exhaustive pool, and scenario/report round-trip determinism.
+The acceptance suite runs the same check bodies with its own seeds and
+counts.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from .linalg import Matrix, rank, vector
+from .linalg import Matrix, quotient_dim, rank, vector
 from .pairing import CycleConfiguration, PairingSpace, make_pairing_space, pair, standard_symplectic
 from .transport import commutator, commutes_all, interaction_matrix, pl_operator
 from .atoms import atom_splitting
+from .blocks import relation_lattice_from_blocks
 from .package import classify, verify_block_structure
 from .gluing import ExtensionVerdict
 from .report import analysis_document, render_report
@@ -53,8 +56,7 @@ def _check_builtin_regressions() -> str:
     return "a1xa1 / a2 / three_node verdicts"
 
 
-def _check_transport_invariants(n_cases: int = 200) -> str:
-    rng = random.Random(SELFTEST_SEED + 1)
+def _check_transport_invariants(rng: random.Random, n_cases: int) -> str:
     for _ in range(n_cases):
         dim = rng.randint(1, 8)
         space = _random_skew_space(rng, dim)
@@ -63,7 +65,7 @@ def _check_transport_invariants(n_cases: int = 200) -> str:
         op = pl_operator(cfg, 0)
         n = op.n_matrix
         assert (n @ n).is_zero()
-        assert rank(n) <= 1
+        assert rank(n) == op.nilpotent_rank <= 1
         assert op.t_matrix @ op.inverse() == Matrix.identity(dim)
         alpha = vector([Fraction(rng.randint(-4, 4)) for _ in range(dim)])
         expected = tuple(pair(space, alpha, delta) * d for d in delta)
@@ -71,13 +73,14 @@ def _check_transport_invariants(n_cases: int = 200) -> str:
     return f"{n_cases} random transport operators"
 
 
-def _check_block_structure(n_cases: int = 60) -> str:
-    rng = random.Random(SELFTEST_SEED + 2)
+def _check_block_structure(rng: random.Random, n_cases: int, **gen_kwargs: int) -> str:
     for i in range(n_cases):
-        scenario = random_block_scenario(rng, name=f"selftest_{i}")
-        pkg = to_package(scenario)
+        pkg = to_package(random_block_scenario(rng, name=f"block_{i}", **gen_kwargs))
+        assert pkg.separation_holds
         report = verify_block_structure(pkg)
         assert report.overall, [f.name for f in report.failures]
+        lattice = relation_lattice_from_blocks(pkg.partition)
+        assert quotient_dim(pkg.r, lattice) == pkg.partition.count
     return f"{n_cases} generated block-separated configurations"
 
 
@@ -118,8 +121,9 @@ def _check_determinism() -> str:
 
 GROUPS = (
     ("model regressions", _check_builtin_regressions),
-    ("transport invariants", _check_transport_invariants),
-    ("block structure", _check_block_structure),
+    ("transport invariants",
+     lambda: _check_transport_invariants(random.Random(SELFTEST_SEED + 1), 200)),
+    ("block structure", lambda: _check_block_structure(random.Random(SELFTEST_SEED + 2), 60)),
     ("criterion equivalences", _check_criterion_equivalences),
     ("determinism", _check_determinism),
 )

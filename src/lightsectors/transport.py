@@ -2,9 +2,11 @@
 
 Each cycle delta induces the transport T(a) = a + <a, delta> delta with
 nilpotent part N = T - Id, so N(a) = <a, delta> delta and N^2 = 0 (the
-self-pairing vanishes by skew symmetry).  The interaction matrix collects
-the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its off-diagonal
-vanishing is exactly pairwise commutativity of the transports.
+self-pairing vanishes by skew symmetry).  N is the rank-one map
+delta (x) G delta, so a TransportOperator stores only delta and the weights
+G delta and builds the dense N and T on request.  The interaction matrix
+collects the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its
+off-diagonal vanishing is exactly pairwise commutativity of the transports.
 
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
@@ -20,40 +22,42 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import DimensionMismatchError, Matrix, Vector, rank
+from .linalg import DimensionMismatchError, Matrix, Vector, is_zero_vector
 from .pairing import CycleConfiguration, PairingSpace, pair
 
 
 @dataclass(frozen=True)
 class TransportOperator:
-    """A transport matrix T = Id + N with N the rank-at-most-one nilpotent part.
+    """T = Id + N for one node, with N = delta (x) weights and weights = G delta.
 
-    node_index is 0-based.  rank(N) is 1 unless the cycle is zero or pairs
-    trivially with everything, in which case T is the identity.
+    Entry (j, k) of N is weights[k] * delta[j]; node_index is 0-based.  N has
+    rank 1 unless the cycle is zero or pairs trivially, when T is the identity.
     """
 
     node_index: int
-    t_matrix: Matrix
-    n_matrix: Matrix
+    delta: Vector
+    weights: Vector
 
     def __post_init__(self) -> None:
-        if not self.n_matrix.is_square():
-            raise DimensionMismatchError("transport matrices must be square")
-        ok = self.t_matrix.rows == self.n_matrix.rows and all(
-            t == (n + 1 if i == j else n)
-            for i, (trow, nrow) in enumerate(zip(self.t_matrix.entries, self.n_matrix.entries))
-            for j, (t, n) in enumerate(zip(trow, nrow))
-        )
-        if not ok:
-            raise ValueError("t_matrix must equal identity + n_matrix")
+        if len(self.delta) != len(self.weights):
+            raise DimensionMismatchError("delta and weights differ in length")
 
     @property
     def dim(self) -> int:
-        return self.n_matrix.rows
+        return len(self.delta)
+
+    @property
+    def nilpotent_rank(self) -> int:
+        return 0 if is_zero_vector(self.delta) or is_zero_vector(self.weights) else 1
 
     @cached_property
-    def nilpotent_rank(self) -> int:
-        return rank(self.n_matrix)
+    def n_matrix(self) -> Matrix:
+        grid = tuple(tuple(w * d for w in self.weights) for d in self.delta)
+        return Matrix(self.dim, self.dim, grid)
+
+    @cached_property
+    def t_matrix(self) -> Matrix:
+        return Matrix.identity(self.dim) + self.n_matrix
 
     def inverse(self) -> Matrix:
         # (Id + N)(Id - N) = Id because N^2 = 0.
@@ -65,15 +69,8 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
     if not 0 <= i < cfg.r:
         raise IndexError(f"node index {i} out of range for {cfg.r} nodes")
     delta = cfg.cycles[i]
-    n = cfg.space.dim
     # Column k of N is <e_k, delta> delta, and <e_k, delta> = (G delta)[k].
-    weights = cfg.space.gram.apply(delta)
-    n_grid = tuple(tuple(weights[k] * delta[j] for k in range(n)) for j in range(n))
-    t_grid = tuple(
-        tuple(x + 1 if j == k else x for k, x in enumerate(row))
-        for j, row in enumerate(n_grid)
-    )
-    return TransportOperator(i, Matrix(n, n, t_grid), Matrix(n, n, n_grid))
+    return TransportOperator(i, delta, cfg.space.gram.apply(delta))
 
 
 @dataclass(frozen=True)

@@ -5,32 +5,19 @@ lines.  All checks are exact (tolerance zero); time bounds are asserted
 where stated.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from lightsectors.linalg import Matrix, quotient_dim, rank, vector
-from lightsectors.pairing import (
-    CycleConfiguration,
-    make_pairing_space,
-    pair,
-    standard_symplectic,
-)
-from lightsectors.transport import (
-    commutator,
-    commutator_closed_form,
-    commutes_all,
-    interaction_matrix,
-    pl_operator,
-)
+from lightsectors.linalg import Matrix, quotient_dim, vector
+from lightsectors.pairing import pair
+from lightsectors.transport import commutator, commutator_closed_form
 from lightsectors.gluing import CorrectedClass, ExtensionVerdict, check_membership
 from lightsectors.blocks import (
     BlockSeparationViolation,
     relation_lattice_from_blocks,
 )
-from lightsectors.atoms import atom_splitting
 from lightsectors.package import AtomVerdict, TransportVerdict, classify, verify_block_structure
 from lightsectors.report import analysis_document, render_report
 from lightsectors.scenarios import (
@@ -40,7 +27,11 @@ from lightsectors.scenarios import (
     serialize_scenario,
     to_package,
 )
-from lightsectors.modelgen import random_block_scenario
+from lightsectors.selftest import (
+    _check_block_structure,
+    _check_criterion_equivalences,
+    _check_transport_invariants,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,17 +120,7 @@ def test_criterion_3_three_node_regression():
 def test_criterion_4_block_structure_property_suite():
     def body():
         start = time.monotonic()
-        rng = random.Random(600613)
-        for i in range(500):
-            scenario = random_block_scenario(rng, max_nodes=12, max_genus=6,
-                                             name=f"prop_{i}")
-            pkg = to_package(scenario)
-            assert pkg.separation_holds
-            report = verify_block_structure(pkg)
-            assert report.overall, [f.name for f in report.failures]
-            assert quotient_dim(
-                pkg.r, relation_lattice_from_blocks(pkg.partition)
-            ) == pkg.partition.count
+        _check_block_structure(random.Random(600613), 500, max_nodes=12, max_genus=6)
         assert time.monotonic() - start < 30.0
 
     _criterion(4, "block-structure property suite (500 cases)", body)
@@ -148,50 +129,14 @@ def test_criterion_4_block_structure_property_suite():
 def test_criterion_5_transport_invariant_fuzz():
     def body():
         start = time.monotonic()
-        rng = random.Random(271828)
-        for _ in range(1000):
-            dim = rng.randint(1, 8)
-            grid = [
-                [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-                for _ in range(dim)
-            ]
-            a = Matrix.from_rows(grid, cols=dim)
-            space = make_pairing_space(a - a.transpose())
-            delta = vector(
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
-            )
-            op = pl_operator(CycleConfiguration(space, (delta,)), 0)
-            n = op.n_matrix
-            assert (n @ n).is_zero()
-            assert rank(n) <= 1
-            assert op.t_matrix @ op.inverse() == Matrix.identity(dim)
-            alpha = vector([Fraction(rng.randint(-4, 4)) for _ in range(dim)])
-            weight = pair(space, alpha, delta)
-            assert n.apply(alpha) == tuple(weight * d for d in delta)
+        _check_transport_invariants(random.Random(271828), 1000)
         assert time.monotonic() - start < 10.0
 
     _criterion(5, "transport invariant fuzz (1000 cases)", body)
 
 
 def test_criterion_6_criterion_equivalences_brute_force():
-    def body():
-        space = standard_symplectic(1)
-        pool = [vector(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1), (2, -1)]]
-        for r in range(5):
-            for combo in itertools.product(pool, repeat=r):
-                cfg = CycleConfiguration(space, combo)
-                lam = interaction_matrix(cfg)
-                ops = [pl_operator(cfg, i) for i in range(r)]
-                brute = all(
-                    commutator(ops[i], ops[j]).is_zero()
-                    for i in range(r)
-                    for j in range(i + 1, r)
-                )
-                report = atom_splitting(lam)
-                singles = all(len(c) == 1 for c in report.clusters)
-                assert commutes_all(lam) == brute == report.is_split == singles
-
-    _criterion(6, "criterion equivalences on the r<=4 pool", body)
+    _criterion(6, "criterion equivalences on the r<=4 pool", _check_criterion_equivalences)
 
 
 def test_criterion_7_quintic_scale():

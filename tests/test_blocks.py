@@ -8,7 +8,9 @@ from lightsectors.linalg import (
     DimensionMismatchError,
     Matrix,
     Subspace,
+    basis_vector,
     quotient_dim,
+    vec_sub,
     vector,
 )
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
@@ -207,6 +209,24 @@ def test_lattice_quotient_counts_blocks(data):
         groups.setdefault(owner, []).append(node)
     part = BlockDecomposition.from_blocks(r, list(groups.values()))
     assert quotient_dim(r, relation_lattice_from_blocks(part)) == part.count
+
+
+def test_lattice_matches_chained_differences():
+    """The star generators span the lattice of the chained e_a - e_next."""
+    rng = random.Random(31337)
+    for _ in range(300):
+        r = rng.randint(1, 14)
+        b = rng.randint(1, r)
+        groups: dict[int, list[int]] = {}
+        for node in range(r):
+            groups.setdefault(rng.randrange(b), []).append(node)
+        part = BlockDecomposition.from_blocks(r, list(groups.values()))
+        chained = [
+            vec_sub(basis_vector(r, a), basis_vector(r, c))
+            for block in part.blocks
+            for a, c in zip(block, block[1:])
+        ]
+        assert relation_lattice_from_blocks(part) == Subspace.spanned_by(chained, r)
 
 
 # -- inference from incidence -------------------------------------------------

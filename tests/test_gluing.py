@@ -9,7 +9,6 @@ from lightsectors.linalg import (
     Matrix,
     basis_vector,
     rank,
-    subspace_equal,
     vector,
 )
 from lightsectors.gluing import (
@@ -17,7 +16,6 @@ from lightsectors.gluing import (
     ExtensionVerdict,
     IncidenceDatum,
     RealizedSpace,
-    ambient_dim,
     check_membership,
     classify_extension_side,
     realized_space,
@@ -32,14 +30,6 @@ def incidence_data(draw, max_r=5, max_cols=5):
     cols = draw(st.integers(0, max_cols))
     grid = [[draw(rationals) for _ in range(cols)] for _ in range(r)]
     return IncidenceDatum.from_matrix(Matrix.from_rows(grid, cols=cols))
-
-
-def test_ambient_dim():
-    assert ambient_dim(2) == 2
-    assert ambient_dim(0) == 0
-    assert ambient_dim(125) == 125
-    with pytest.raises(ValueError):
-        ambient_dim(-1)
 
 
 def test_realized_space_full():
@@ -108,7 +98,7 @@ def test_realized_space_invariant_under_column_permutation(inc, data):
     columns = list(inc.matrix_c.columns())
     perm = data.draw(st.permutations(range(len(columns))))
     shuffled = IncidenceDatum.from_columns(inc.r, [columns[p] for p in perm])
-    assert subspace_equal(realized_space(inc).v_geom, realized_space(shuffled).v_geom)
+    assert realized_space(inc).v_geom == realized_space(shuffled).v_geom
 
 
 def test_realized_space_invariant_under_recombination():
@@ -116,7 +106,7 @@ def test_realized_space_invariant_under_recombination():
     recombined = IncidenceDatum.from_columns(
         3, [(1, 1, 2), (2, 2, -1), (1, 1, 1)]
     )
-    assert subspace_equal(realized_space(inc).v_geom, realized_space(recombined).v_geom)
+    assert realized_space(inc).v_geom == realized_space(recombined).v_geom
 
 
 def test_incidence_shape_validation():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,6 @@ from lightsectors.linalg import (
     quotient_dim,
     rank,
     rref,
-    subspace_contains,
-    subspace_equal,
     vector,
 )
 
@@ -157,7 +156,7 @@ def test_column_space_invariant_under_invertible_recombination(data, m):
         p = Matrix.identity(0)
     else:
         p = data.draw(invertible_matrices(m.cols))
-    assert subspace_equal(column_space(m), column_space(m @ p))
+    assert column_space(m) == column_space(m @ p)
 
 
 @given(m=matrices(max_dim=4))
@@ -172,14 +171,13 @@ def test_kernel_vectors_annihilate(m):
 def test_subspace_canonical_uniqueness():
     a = Subspace.spanned_by([(1, 1, 0), (0, 0, 1)], 3)
     b = Subspace.spanned_by([(1, 1, 1), (0, 0, 2), (1, 1, 3)], 3)
-    assert subspace_equal(a, b)
     assert a == b  # structural equality of canonical bases
 
 
 def test_subspace_contains_scalar_multiple():
     sub = Subspace.spanned_by([(1, 1)], 2)
-    assert subspace_contains(sub, (2, 2))
-    assert not subspace_contains(sub, (1, 0))
+    assert sub.contains((2, 2))
+    assert not sub.contains((1, 0))
 
 
 def test_quotient_dim():
@@ -192,11 +190,6 @@ def test_quotient_dim_ambient_mismatch():
         quotient_dim(3, Subspace.zero(2))
 
 
-def test_subspace_equal_ambient_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        subspace_equal(Subspace.zero(2), Subspace.zero(3))
-
-
 def test_contains_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         Subspace.full(2).contains((1, 2, 3))
@@ -205,6 +198,37 @@ def test_contains_length_mismatch():
 def test_non_canonical_basis_rejected():
     with pytest.raises(ValueError):
         Subspace(2, (vector([2, 0]),))
+
+
+def test_canonical_basis_check_matches_rref():
+    """Subspace(n, basis) raises exactly when rref would change the basis."""
+    rng = random.Random(4242)
+    pool = [0, 0, 0, 1, 1, -1, 2, Fraction(1, 2)]
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(0, 4)
+        basis = tuple(
+            vector([rng.choice(pool) for _ in range(n)]) for _ in range(rng.randint(0, 3))
+        )
+        if rng.random() < 0.5:
+            # Start from an rref basis, then maybe break one entry of it.
+            basis = Subspace.spanned_by(basis, n).basis
+            if basis and rng.random() < 0.5:
+                i, j = rng.randrange(len(basis)), rng.randrange(n)
+                row = list(basis[i])
+                row[j] = rng.choice(pool)
+                basis = basis[:i] + (tuple(row),) + basis[i + 1:]
+        reduced, rk = rref(Matrix.from_rows(basis, cols=n))
+        canonical = reduced.entries[:rk] == basis
+        try:
+            Subspace(n, basis)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == canonical, basis
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
 
 
 def test_matmul_shape_mismatch():

@@ -131,6 +131,19 @@ def test_flags_for_trivial_node():
     assert any("ambient default" in f for f in doc["flags"])
 
 
+def test_flags_for_cycle_in_radical():
+    from lightsectors.linalg import Matrix
+    from lightsectors.package import assemble
+    from lightsectors.pairing import make_pairing_space
+
+    space = make_pairing_space(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    pkg = assemble(space, [(0, 0, 2), (0, 0, 0), (1, 0, 0)])
+    doc = analysis_document(pkg, "radical")
+    assert doc["transport"]["nilpotent_ranks"] == [0, 0, 1]
+    trivial = [f for f in doc["flags"] if "pairs trivially" in f]
+    assert trivial == ["node 1: cycle pairs trivially (identity transport)"]
+
+
 def test_unknown_render_format():
     with pytest.raises(ValueError):
         render_report(_doc("a2"), "pdf")

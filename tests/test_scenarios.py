@@ -174,6 +174,16 @@ def test_parse_rejects_missing_required():
     assert info.value.field == "cycles"
 
 
+@pytest.mark.parametrize("dim", ["\u00b2", "\u0663", "9" * 4301])
+def test_parse_rejects_non_ascii_or_oversized_dim(dim):
+    # Superscript two and Arabic-Indic three pass str.isdigit(); 4301 digits
+    # is one past the interpreter's default limit for int() on a string.
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(_minimal_text(dim=dim))
+    assert (info.value.line, info.value.field) == (3, "dim")
+    assert len(str(info.value)) < 200
+
+
 def test_parse_rejects_wrong_version():
     with pytest.raises(ScenarioError):
         parse_scenario(_minimal_text(format_version="2"))

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightsectors.linalg import DimensionMismatchError, Matrix, rank, vector
+from lightsectors.linalg import (
+    DimensionMismatchError,
+    Matrix,
+    basis_vector,
+    is_zero_vector,
+    rank,
+    vector,
+)
 from lightsectors.pairing import (
     CycleConfiguration,
     make_pairing_space,
@@ -14,6 +21,7 @@ from lightsectors.pairing import (
     standard_symplectic,
 )
 from lightsectors.transport import (
+    TransportOperator,
     commutator,
     commutator_closed_form,
     commutes_all,
@@ -91,6 +99,49 @@ def test_nilpotent_action_matches_pairing_formula():
 def test_pl_operator_index_range():
     with pytest.raises(IndexError):
         pl_operator(_a2_config(), 2)
+
+
+def test_rank_one_factor_matches_dense_reference():
+    """The lazy matrices and nilpotent_rank agree with the entrywise grid."""
+    rng = random.Random(5150)
+    # Radical spanned by e3: a cycle there pairs trivially with everything.
+    degenerate = make_pairing_space(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    cases = [
+        (standard_symplectic(1), vector([0, 0])),
+        (degenerate, vector([0, 0, 2])),
+        (degenerate, vector([1, 0, 5])),
+    ]
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        a = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)])
+        delta = vector(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else 0
+             for _ in range(dim)]
+        )
+        cases.append((make_pairing_space(a - a.transpose()), delta))
+    kinds = set()
+    for space, delta in cases:
+        op = pl_operator(CycleConfiguration(space, (delta,)), 0)
+        weights = [pair(space, basis_vector(space.dim, k), delta) for k in range(space.dim)]
+        n_grid = tuple(
+            tuple(weights[k] * delta[j] for k in range(space.dim)) for j in range(space.dim)
+        )
+        t_grid = tuple(
+            tuple(x + 1 if j == k else x for k, x in enumerate(row))
+            for j, row in enumerate(n_grid)
+        )
+        reference = Matrix(space.dim, space.dim, n_grid)
+        assert op.n_matrix == reference
+        assert op.t_matrix == Matrix(space.dim, space.dim, t_grid)
+        assert op.nilpotent_rank == rank(reference)
+        kinds.add("zero cycle" if is_zero_vector(delta)
+                  else "pairs trivially" if op.nilpotent_rank == 0 else "rank one")
+    assert kinds == {"zero cycle", "pairs trivially", "rank one"}
+
+
+def test_transport_factor_length_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        TransportOperator(0, vector([1, 0]), vector([0, 1, 0]))
 
 
 @settings(max_examples=150)
