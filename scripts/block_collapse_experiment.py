@@ -43,8 +43,8 @@ def main() -> int:
         residual_counts[residual] += 1
         all_verified &= report.overall
         verdict = "pass" if report.overall else "FAIL"
-        collapse = f"{pkg.r}->{pkg.reduced.b}"
-        print(f"{i:>4}  {pkg.r:>3}  {pkg.reduced.b:>3}  {collapse:>9}  {residual:>9}  {verdict}")
+        collapse = f"{pkg.r}->{pkg.reduced.r}"
+        print(f"{i:>4}  {pkg.r:>3}  {pkg.reduced.r:>3}  {collapse:>9}  {residual:>9}  {verdict}")
 
     print()
     print(f"residual coupling: {residual_counts['coupled']} coupled, "

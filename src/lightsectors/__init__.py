@@ -9,6 +9,7 @@ and splitting verdicts across all three realizations.
 
 from .linalg import (
     DimensionMismatchError,
+    InvariantError,
     Matrix,
     Rational,
     Subspace,
@@ -56,14 +57,12 @@ from .blocks import (
     BlockSeparationViolation,
     Check,
     NotBlockAdapted,
-    ReducedInteractionMatrix,
     VerificationReport,
     block_commutator_check,
     check_block_separation,
     infer_blocks_from_incidence,
     reduced_matrix,
     relation_lattice_from_blocks,
-    surviving_dimension,
     verify_block_consistency,
 )
 from .atoms import AtomSplittingReport, atom_splitting, blockwise_atom_splitting

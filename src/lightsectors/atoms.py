@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
-from .blocks import ReducedInteractionMatrix
+from .linalg import InvariantError
 from .transport import InteractionMatrix
 
 
@@ -33,16 +32,21 @@ class AtomSplittingReport:
     def __post_init__(self) -> None:
         singletons = all(len(c) == 1 for c in self.clusters)
         if self.is_split != (not self.mixing_edges) or self.is_split != singletons:
-            raise ValueError("splitting verdict inconsistent with mixing structure")
+            raise InvariantError("splitting verdict inconsistent with mixing structure")
 
 
-def _splitting_from_skew(entries: Matrix) -> AtomSplittingReport:
-    r = entries.rows
+def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
+    """Classify a package: split iff all off-diagonal entries vanish.
+
+    The same classification serves the nodewise matrix and the reduced block
+    matrix; blockwise_atom_splitting is this function under its block name.
+    """
+    r = lam.r
     edges = tuple(
         (i, j)
         for i in range(r)
         for j in range(i + 1, r)
-        if entries.entries[i][j] != 0
+        if lam.entries.entries[i][j] != 0
     )
     parent = list(range(r))
 
@@ -63,11 +67,4 @@ def _splitting_from_skew(entries: Matrix) -> AtomSplittingReport:
     return AtomSplittingReport(r, not edges, edges, clusters)
 
 
-def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
-    """Classify the nodewise package: split iff all off-diagonal entries vanish."""
-    return _splitting_from_skew(lam.entries)
-
-
-def blockwise_atom_splitting(lam_blk: ReducedInteractionMatrix) -> AtomSplittingReport:
-    """Same classification applied to the surviving block sectors."""
-    return _splitting_from_skew(lam_blk.entries)
+blockwise_atom_splitting = atom_splitting

@@ -16,13 +16,10 @@ from typing import Sequence, Union
 
 from .linalg import (
     DimensionMismatchError,
-    Matrix,
     Subspace,
     Vector,
-    basis_vector,
     column_space,
     format_rational,
-    vec_sub,
 )
 from .gluing import IncidenceDatum
 from .pairing import CycleConfiguration, PairingSpace
@@ -30,6 +27,7 @@ from .transport import (
     InteractionMatrix,
     commutator,
     commutator_closed_form,
+    commutes_all,
     interaction_matrix,
     pl_operator,
 )
@@ -142,30 +140,13 @@ def check_block_separation(
     return BlockClasses(part, tuple(classes))
 
 
-@dataclass(frozen=True)
-class ReducedInteractionMatrix:
-    """Block-level interaction matrix; skew with zero diagonal like the full one."""
+def reduced_matrix(space: PairingSpace, bc: BlockClasses) -> InteractionMatrix:
+    """Pairings of the block classes: entry (beta, gamma) is <v_beta, v_gamma>.
 
-    b: int
-    entries: Matrix
-
-    def __post_init__(self) -> None:
-        if self.entries.rows != self.b or self.entries.cols != self.b:
-            raise DimensionMismatchError(f"reduced matrix must be {self.b}x{self.b}")
-        for i in range(self.b):
-            for j in range(i, self.b):
-                if self.entries.entries[i][j] != -self.entries.entries[j][i]:
-                    raise ValueError(f"reduced matrix not skew at ({i + 1},{j + 1})")
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.entries[i][j]
-
-
-def reduced_matrix(space: PairingSpace, bc: BlockClasses) -> ReducedInteractionMatrix:
-    """Pairings of the block classes: entry (beta, gamma) is <v_beta, v_gamma>."""
-    block_cfg = CycleConfiguration(space, bc.classes)
-    lam = interaction_matrix(block_cfg)
-    return ReducedInteractionMatrix(bc.decomposition.count, lam.entries)
+    It is the interaction matrix of the configuration of block classes, so
+    its size r is the block count.
+    """
+    return interaction_matrix(CycleConfiguration(space, bc.classes))
 
 
 @dataclass(frozen=True)
@@ -188,12 +169,9 @@ class VerificationReport:
     def failures(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def merged_with(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.checks + other.checks)
-
 
 def verify_block_consistency(
-    lam: InteractionMatrix, bc: BlockClasses, lam_blk: ReducedInteractionMatrix
+    lam: InteractionMatrix, bc: BlockClasses, lam_blk: InteractionMatrix
 ) -> VerificationReport:
     """Check lambda_ij == mu_(block i, block j) for every node pair.
 
@@ -205,9 +183,9 @@ def verify_block_consistency(
         raise DimensionMismatchError(
             f"interaction matrix of size {lam.r} against partition of {part.r}"
         )
-    if lam_blk.b != part.count:
+    if lam_blk.r != part.count:
         raise DimensionMismatchError(
-            f"reduced matrix of size {lam_blk.b} against {part.count} blocks"
+            f"reduced matrix of size {lam_blk.r} against {part.count} blocks"
         )
     owner = [0] * part.r
     for b, block in enumerate(part.blocks):
@@ -235,16 +213,20 @@ def verify_block_consistency(
     return VerificationReport(tuple(checks))
 
 
-def block_commutator_check(space: PairingSpace, bc: BlockClasses) -> VerificationReport:
+def block_commutator_check(
+    space: PairingSpace, bc: BlockClasses, lam_blk: InteractionMatrix
+) -> VerificationReport:
     """Cross-check block transport commutators against the closed form.
 
     For every block pair the dense commutator of the block operators must
     match the rank-one closed form columnwise, and the pairwise-commuting
-    verdict must coincide with all off-diagonal reduced entries vanishing.
+    verdict must coincide with all off-diagonal entries of the reduced matrix
+    lam_blk vanishing.
     """
+    b = bc.decomposition.count
+    if lam_blk.r != b:
+        raise DimensionMismatchError(f"reduced matrix of size {lam_blk.r} against {b} blocks")
     block_cfg = CycleConfiguration(space, bc.classes)
-    lam_blk = reduced_matrix(space, bc)
-    b = lam_blk.b
     ops = [pl_operator(block_cfg, i) for i in range(b)]
     checks = []
     all_zero = True
@@ -262,9 +244,7 @@ def block_commutator_check(space: PairingSpace, bc: BlockClasses) -> Verificatio
             )
             if not dense.is_zero():
                 all_zero = False
-    off_diag_zero = all(
-        lam_blk.entry(i, j) == 0 for i in range(b) for j in range(b) if i != j
-    )
+    off_diag_zero = commutes_all(lam_blk)
     checks.append(
         Check(
             name="commutation criterion",
@@ -279,25 +259,23 @@ def block_commutator_check(space: PairingSpace, bc: BlockClasses) -> Verificatio
     return VerificationReport(tuple(checks))
 
 
-def surviving_dimension(part: BlockDecomposition) -> int:
-    """Number of block-level directions left after relation collapse."""
-    return part.count
-
-
 def relation_lattice_from_blocks(part: BlockDecomposition) -> Subspace:
-    """Span of the within-block differences e_i - e_j, canonicalized.
+    """Span of the within-block differences e_i - e_j, in canonical form.
 
     The star differences e_a - e_last within each block generate the full
-    pairwise set and are already reduced up to row order, so canonicalizing
-    them clears nothing.  The quotient of QQ^r by this lattice has one
+    pairwise set.  Each has its leading 1 at a and its only other entry, -1,
+    at the block's largest member, which is never a pivot; sorted by a they
+    are the reduced-echelon basis itself, so they are built directly and no
+    elimination runs.  The quotient of QQ^r by this lattice has one
     dimension per block.
     """
-    generators = [
-        vec_sub(basis_vector(part.r, a), basis_vector(part.r, block[-1]))
-        for block in part.blocks
-        for a in block[:-1]
-    ]
-    return Subspace.spanned_by(generators, part.r)
+    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+    rows = []
+    for a, last in sorted((a, block[-1]) for block in part.blocks for a in block[:-1]):
+        row = [zero] * part.r
+        row[a], row[last] = one, minus_one
+        rows.append(tuple(row))
+    return Subspace(part.r, tuple(rows))
 
 
 def infer_blocks_from_incidence(

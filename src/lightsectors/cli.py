@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .linalg import DimensionMismatchError, parse_rational
+from .linalg import DimensionMismatchError, InvariantError, parse_rational
 from .pairing import NotSkewSymmetricError, NotSquareError
 from .package import BlockSeparationRequiredError, verify_block_structure
 from .report import (
@@ -154,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except (
         ScenarioError,
         NotSkewSymmetricError,

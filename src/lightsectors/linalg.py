@@ -28,6 +28,10 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes or ambient dimensions."""
 
 
+class InvariantError(ValueError):
+    """An internal invariant failed: a bug in the package, not bad input."""
+
+
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -137,9 +141,6 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -167,10 +168,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(vec_scale(Fraction(-1), r) for r in self.entries))
-
-    def scale(self, c: object) -> "Matrix":
-        cq = _q(c)
-        return Matrix(self.rows, self.cols, tuple(vec_scale(cq, r) for r in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -209,6 +206,17 @@ class Matrix:
             raise DimensionMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
+    """First (i, j) with i <= j in row-major scan where m[i][j] != -m[j][i],
+    or None when the square matrix m is skew with zero diagonal."""
+    grid = m.entries
+    for i in range(m.rows):
+        for j in range(i, m.rows):
+            if grid[i][j] != -grid[j][i]:
+                return i, j
+    return None
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

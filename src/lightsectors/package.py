@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .linalg import DimensionMismatchError, quotient_dim
+from .linalg import DimensionMismatchError, InvariantError, quotient_dim
 from .pairing import CycleConfiguration, PairingSpace
 from .transport import InteractionMatrix, TransportOperator, commutes_all, interaction_matrix, pl_operator
 from .gluing import (
@@ -35,14 +35,12 @@ from .blocks import (
     BlockSeparationViolation,
     Check,
     NotBlockAdapted,
-    ReducedInteractionMatrix,
     VerificationReport,
     block_commutator_check,
     blocks_from_indicator_basis,
     check_block_separation,
     reduced_matrix,
     relation_lattice_from_blocks,
-    surviving_dimension,
     verify_block_consistency,
 )
 from .atoms import AtomSplittingReport, atom_splitting, blockwise_atom_splitting
@@ -71,7 +69,7 @@ class BlockSeparationRequiredError(ValueError):
 class ResidualInteraction:
     """Block-level coupling data available once separation holds."""
 
-    reduced: ReducedInteractionMatrix
+    reduced: InteractionMatrix
     blockwise: AtomSplittingReport
 
 
@@ -94,7 +92,7 @@ class Classification:
         if (self.transport_side is TransportVerdict.COMMUTING) != (
             self.atom_side is AtomVerdict.SPLIT
         ):
-            raise ValueError("transport and atom verdicts must coincide")
+            raise InvariantError("transport and atom verdicts must coincide")
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ class LightSectorPackage:
     blocks_incidence: Union[BlockDecomposition, NotBlockAdapted, None]
     partition: BlockDecomposition | None
     block_classes: Union[BlockClasses, BlockSeparationViolation, None]
-    reduced: ReducedInteractionMatrix | None
+    reduced: InteractionMatrix | None
     atom: AtomSplittingReport
     corrected_class: CorrectedClass | None
     corrected_member: bool | None
@@ -176,7 +174,7 @@ def assemble(
         blocks_incidence = None
 
     block_classes: Union[BlockClasses, BlockSeparationViolation, None] = None
-    reduced: ReducedInteractionMatrix | None = None
+    reduced: InteractionMatrix | None = None
     if partition is not None:
         if partition.r != r:
             raise DimensionMismatchError(
@@ -269,8 +267,8 @@ def verify_block_structure(pkg: LightSectorPackage) -> VerificationReport:
         Check(
             name="surviving dimension equals block count",
             expected=str(b),
-            actual=str(surviving_dimension(part)),
-            passed=surviving_dimension(part) == b,
+            actual=str(part.count),
+            passed=part.count == b,
         )
     )
     if pkg.incidence is not None:
@@ -284,24 +282,17 @@ def verify_block_structure(pkg: LightSectorPackage) -> VerificationReport:
             )
         )
 
-    report = VerificationReport(tuple(checks))
-    report = report.merged_with(
-        verify_block_consistency(pkg.interaction, pkg.block_classes, pkg.reduced)
-    )
-    report = report.merged_with(block_commutator_check(pkg.space, pkg.block_classes))
-
-    full_split = atom_splitting(pkg.interaction).is_split
+    full_split = pkg.atom.is_split
     block_split = blockwise_atom_splitting(pkg.reduced).is_split
-    report = report.merged_with(
-        VerificationReport(
-            (
-                Check(
-                    name="atom verdict agreement (full vs reduced)",
-                    expected="agree",
-                    actual="agree" if full_split == block_split else "disagree",
-                    passed=full_split == block_split,
-                ),
-            )
-        )
+    agreement = Check(
+        name="atom verdict agreement (full vs reduced)",
+        expected="agree",
+        actual="agree" if full_split == block_split else "disagree",
+        passed=full_split == block_split,
     )
-    return report
+    return VerificationReport(
+        tuple(checks)
+        + verify_block_consistency(pkg.interaction, pkg.block_classes, pkg.reduced).checks
+        + block_commutator_check(pkg.space, pkg.block_classes, pkg.reduced).checks
+        + (agreement,)
+    )

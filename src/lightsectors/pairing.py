@@ -16,6 +16,7 @@ from .linalg import (
     DimensionMismatchError,
     Matrix,
     Vector,
+    first_skew_violation,
     is_zero_vector,
     vector,
 )
@@ -52,10 +53,9 @@ class PairingSpace:
             raise DimensionMismatchError(
                 f"gram matrix size {self.gram.rows} does not match dim {self.dim}"
             )
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.gram.entries[i][j] != -self.gram.entries[j][i]:
-                    raise NotSkewSymmetricError(i, j)
+        bad = first_skew_violation(self.gram)
+        if bad is not None:
+            raise NotSkewSymmetricError(*bad)
 
 
 def make_pairing_space(gram: Matrix) -> PairingSpace:

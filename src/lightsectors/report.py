@@ -52,6 +52,18 @@ def _collapse_text(c: Classification) -> str:
     return f"collapsed to dimension {c.collapsed_dim}"
 
 
+def _verification_summary(report: VerificationReport) -> dict:
+    return {
+        "overall": report.overall,
+        "checks_total": len(report.checks),
+        "checks_failed": len(report.failures),
+        "failures": [
+            {"name": f.name, "expected": f.expected, "actual": f.actual}
+            for f in report.failures
+        ],
+    }
+
+
 def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocument:
     """Assemble the full analysis report for one package."""
     c = classify(pkg)
@@ -99,16 +111,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
 
     verification = None
     if pkg.separation_holds:
-        vr = verify_block_structure(pkg)
-        verification = {
-            "overall": vr.overall,
-            "checks_total": len(vr.checks),
-            "checks_failed": len(vr.failures),
-            "failures": [
-                {"name": f.name, "expected": f.expected, "actual": f.actual}
-                for f in vr.failures
-            ],
-        }
+        verification = _verification_summary(verify_block_structure(pkg))
 
     doc: ReportDocument = {
         "report_format": "lightsectors.analysis",
@@ -153,7 +156,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
             "partition_matches_incidence": pkg.partition_matches_incidence,
             "separation": separation,
             "separation_violation": violation_text,
-            "block_count": None if pkg.reduced is None else pkg.reduced.b,
+            "block_count": None if pkg.reduced is None else pkg.reduced.r,
             "reduced_matrix": (
                 None if pkg.reduced is None else _matrix_cells(pkg.reduced.entries)
             ),
@@ -176,13 +179,7 @@ def verification_document(
         "report_format": "lightsectors.verification",
         "report_version": REPORT_VERSION,
         "scenario": scenario_name,
-        "overall": report.overall,
-        "checks_total": len(report.checks),
-        "checks_failed": len(report.failures),
-        "failures": [
-            {"name": f.name, "expected": f.expected, "actual": f.actual}
-            for f in report.failures
-        ],
+        **_verification_summary(report),
     }
 
 
@@ -215,6 +212,18 @@ def _cluster_text(clusters: Sequence[Sequence[int]]) -> str:
     if not clusters:
         return "(none)"
     return " ".join("{" + ",".join(str(k) for k in c) + "}" for c in clusters)
+
+
+def _verification_lines(summary: dict) -> list[str]:
+    status = "PASS" if summary["overall"] else "FAIL"
+    return [
+        f"verification: {status} "
+        f"({summary['checks_total']} checks, {summary['checks_failed']} failed)",
+        *(
+            f"  FAIL {f['name']}: expected {f['expected']}, got {f['actual']}"
+            for f in summary["failures"]
+        ),
+    ]
 
 
 def _render_analysis_text(doc: ReportDocument) -> str:
@@ -297,17 +306,8 @@ def _render_analysis_text(doc: ReportDocument) -> str:
                 f"({blocks['separation_violation']})"
             )
     if doc["verification"] is not None:
-        v = doc["verification"]
         lines += ["", "-- block-structure verification --"]
-        status = "PASS" if v["overall"] else "FAIL"
-        lines.append(
-            f"verification: {status} "
-            f"({v['checks_total']} checks, {v['checks_failed']} failed)"
-        )
-        for f in v["failures"]:
-            lines.append(
-                f"  FAIL {f['name']}: expected {f['expected']}, got {f['actual']}"
-            )
+        lines += _verification_lines(doc["verification"])
     if doc["flags"]:
         lines += ["", "-- flags --"]
         lines.extend(f"* {flag}" for flag in doc["flags"])
@@ -319,13 +319,7 @@ def _render_verification_text(doc: ReportDocument) -> str:
     if "not_applicable" in doc:
         lines.append(f"not applicable: {doc['not_applicable']}")
         return "\n".join(lines) + "\n"
-    status = "PASS" if doc["overall"] else "FAIL"
-    lines.append(
-        f"verification: {status} "
-        f"({doc['checks_total']} checks, {doc['checks_failed']} failed)"
-    )
-    for f in doc["failures"]:
-        lines.append(f"  FAIL {f['name']}: expected {f['expected']}, got {f['actual']}")
+    lines += _verification_lines(doc)
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,7 @@ BUILTIN_NAMES = ("a1xa1", "a2", "three_node", "quintic_orbits")
 _SCALAR_FIELDS = ("format_version", "name", "dim", "corrected_class", "notes")
 _GRID_FIELDS = ("gram", "cycles", "incidence", "partition")
 _FIELD_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:(.*)$")
-_DIM = re.compile(r"[0-9]+")
+_UINT = re.compile(r"[0-9]+")
 
 
 class ScenarioError(ValueError):
@@ -81,6 +81,19 @@ def _rational_row(tokens: list[str], line: int, field: str) -> Vector:
         except ValueError as exc:
             raise ScenarioError(str(exc), line=line, field=field) from exc
     return tuple(out)
+
+
+def _uint(text: str, line: int, field: str, what: str) -> int:
+    # int() alone also takes signs, underscores and non-ASCII digits.
+    if not _UINT.fullmatch(text):
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ScenarioError(f"{what} must be a nonnegative integer, got {shown!r}",
+                            line=line, field=field)
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise ScenarioError(f"{what} is too large ({len(text)} digits)",
+                            line=line, field=field) from exc
 
 
 def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
@@ -140,14 +153,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         raise ScenarioError("name must be nonempty", line=name_line, field="name")
 
     dim_line, dim_text = scalars["dim"]
-    if not _DIM.fullmatch(dim_text):
-        raise ScenarioError(f"dim must be a nonnegative integer, got {dim_text!r}",
-                            line=dim_line, field="dim")
-    try:
-        dim = int(dim_text)
-    except ValueError as exc:  # past the interpreter's digit limit
-        raise ScenarioError(f"dim is too large ({len(dim_text)} digits)",
-                            line=dim_line, field="dim") from exc
+    dim = _uint(dim_text, dim_line, "dim", "dim")
 
     gram_rows = [
         _rational_row(tokens, ln, "gram")
@@ -197,11 +203,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     if "partition" in grids:
         raw_blocks = []
         for ln, tokens in _parse_grid(grids["partition"]):
-            try:
-                block = tuple(int(t) for t in tokens)
-            except ValueError as exc:
-                raise ScenarioError("partition entries must be integers",
-                                    line=ln, field="partition") from exc
+            block = tuple(_uint(t, ln, "partition", "partition entry") for t in tokens)
             if any(k < 1 for k in block):
                 raise ScenarioError("node indices are 1-based", line=ln, field="partition")
             raw_blocks.append(block)

@@ -22,7 +22,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import DimensionMismatchError, Matrix, Vector, is_zero_vector
+from .linalg import (
+    DimensionMismatchError,
+    InvariantError,
+    Matrix,
+    Vector,
+    first_skew_violation,
+    is_zero_vector,
+)
 from .pairing import CycleConfiguration, PairingSpace, pair
 
 
@@ -75,7 +82,11 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """The r x r matrix of pairwise cycle pairings; skew with zero diagonal."""
+    """The r x r matrix of pairwise cycle pairings; skew with zero diagonal.
+
+    One type serves both layers: the nodewise matrix of a configuration and
+    the reduced block matrix, whose r is the block count.
+    """
 
     r: int
     entries: Matrix
@@ -85,12 +96,17 @@ class InteractionMatrix:
             raise DimensionMismatchError(
                 f"interaction matrix must be {self.r}x{self.r}"
             )
-        for i in range(self.r):
-            for j in range(i, self.r):
-                if self.entries.entries[i][j] != -self.entries.entries[j][i]:
-                    raise ValueError(
-                        f"interaction matrix not skew at ({i + 1},{j + 1})"
-                    )
+        bad = first_skew_violation(self.entries)
+        if bad is not None:
+            i, j = bad
+            raise InvariantError(f"interaction matrix not skew at ({i + 1},{j + 1})")
+
+    @property
+    def b(self) -> int:
+        """The size r under its block-count name.  Kept only because the
+        benchmark's known-answer check (perfbench/workloads.py) reads
+        pkg.reduced.b; package code reads r."""
+        return self.r
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries.entries[i][j]

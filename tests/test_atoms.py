@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from lightsectors.linalg import Matrix
 from lightsectors.pairing import CycleConfiguration, make_pairing_space, standard_symplectic
-from lightsectors.transport import commutes_all, interaction_matrix
-from lightsectors.blocks import ReducedInteractionMatrix
+from lightsectors.transport import InteractionMatrix, commutes_all, interaction_matrix
 from lightsectors.atoms import atom_splitting, blockwise_atom_splitting
 from lightsectors.scenarios import to_package
 from lightsectors.modelgen import random_block_scenario
@@ -55,11 +54,11 @@ def test_partially_coupled_triple():
 
 
 def test_blockwise_verdicts():
-    coupled = ReducedInteractionMatrix(2, Matrix.from_rows([[0, 1], [-1, 0]]))
+    coupled = InteractionMatrix(2, Matrix.from_rows([[0, 1], [-1, 0]]))
     assert not blockwise_atom_splitting(coupled).is_split
-    flat = ReducedInteractionMatrix(2, Matrix.zero(2, 2))
+    flat = InteractionMatrix(2, Matrix.zero(2, 2))
     assert blockwise_atom_splitting(flat).is_split
-    single = ReducedInteractionMatrix(1, Matrix.zero(1, 1))
+    single = InteractionMatrix(1, Matrix.zero(1, 1))
     assert blockwise_atom_splitting(single).is_split
 
 

@@ -26,7 +26,6 @@ from lightsectors.blocks import (
     infer_blocks_from_incidence,
     reduced_matrix,
     relation_lattice_from_blocks,
-    surviving_dimension,
     verify_block_consistency,
 )
 from lightsectors.scenarios import to_package
@@ -118,7 +117,7 @@ def test_reduced_matrix_single_block():
     part = BlockDecomposition.from_blocks(3, [(0, 1, 2)])
     bc = BlockClasses(part, (vector([1, 1]),))
     lam_blk = reduced_matrix(space, bc)
-    assert lam_blk.b == 1 and lam_blk.entries.is_zero()
+    assert lam_blk.r == 1 and lam_blk.entries.is_zero()
 
 
 # -- consistency report ------------------------------------------------------
@@ -158,7 +157,7 @@ def test_block_commutators_orthogonal_classes_commute():
     space = standard_symplectic(2)
     part = BlockDecomposition.from_blocks(2, [(0,), (1,)])
     bc = BlockClasses(part, (vector([1, 0, 0, 0]), vector([0, 0, 1, 0])))
-    report = block_commutator_check(space, bc)
+    report = block_commutator_check(space, bc, reduced_matrix(space, bc))
     assert report.overall
     verdict = [c for c in report.checks if c.name == "commutation criterion"]
     assert "all zero" in verdict[0].actual
@@ -167,7 +166,7 @@ def test_block_commutators_orthogonal_classes_commute():
 def test_block_commutators_coupled_classes():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
-    report = block_commutator_check(space, bc)
+    report = block_commutator_check(space, bc, reduced_matrix(space, bc))
     assert report.overall
     verdict = [c for c in report.checks if c.name == "commutation criterion"]
     assert "nonzero" in verdict[0].actual
@@ -177,7 +176,7 @@ def test_block_commutators_single_block_vacuous():
     space = standard_symplectic(1)
     part = BlockDecomposition.from_blocks(2, [(0, 1)])
     bc = BlockClasses(part, (vector([1, 1]),))
-    report = block_commutator_check(space, bc)
+    report = block_commutator_check(space, bc, reduced_matrix(space, bc))
     assert report.overall
 
 
@@ -186,7 +185,7 @@ def test_block_commutators_single_block_vacuous():
 
 def test_lattice_two_blocks():
     part = BlockDecomposition.from_blocks(3, [(0, 1), (2,)])
-    assert surviving_dimension(part) == 2
+    assert part.count == 2
     lattice = relation_lattice_from_blocks(part)
     assert lattice == Subspace.spanned_by([(1, -1, 0)], 3)
     assert quotient_dim(3, lattice) == 2
@@ -287,4 +286,4 @@ def test_random_separated_configurations_verify():
                     assert lam.entry(a, b) == 0
         report = verify_block_consistency(lam, pkg.block_classes, pkg.reduced)
         assert report.overall
-        assert block_commutator_check(pkg.space, pkg.block_classes).overall
+        assert block_commutator_check(pkg.space, pkg.block_classes, pkg.reduced).overall

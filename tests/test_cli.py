@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import lightsectors.package
 from lightsectors.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +56,14 @@ def test_analyze_invalid_scenario(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 2
     assert "skew" in err
+
+
+def test_invariant_failure_is_internal_error(capsys, monkeypatch, a2_file):
+    commutes_all = lightsectors.package.commutes_all
+    monkeypatch.setattr(lightsectors.package, "commutes_all", lambda lam: not commutes_all(lam))
+    code, out, err = run_cli(capsys, "analyze", str(a2_file))
+    assert code == 3 and out == ""
+    assert "internal error" in err and "verdicts must coincide" in err
 
 
 def test_verify_four_node_fixture(capsys):

@@ -51,7 +51,7 @@ def test_assemble_coupled_pair():
 def test_assemble_four_node_blocks():
     pkg = _four_node_package()
     assert pkg.separation_holds
-    assert pkg.reduced.b == 2
+    assert pkg.reduced.r == 2
     assert pkg.reduced.entries == Matrix.from_rows([[0, 1], [-1, 0]])
     c = classify(pkg)
     assert c.residual is not None
@@ -91,7 +91,7 @@ def test_partition_incidence_discrepancy_flagged():
     assert pkg.partition_matches_incidence is False
     # The user partition drives block analysis: singletons always separate.
     assert pkg.separation_holds
-    assert pkg.reduced.b == 3
+    assert pkg.reduced.r == 3
 
 
 def test_corrected_class_rejection_recorded():

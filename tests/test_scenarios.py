@@ -184,6 +184,16 @@ def test_parse_rejects_non_ascii_or_oversized_dim(dim):
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("token", ["+3", "1_0", "\u0663", "9" * 4301, "x" * 4301])
+def test_parse_rejects_signed_non_ascii_or_oversized_partition_entry(token):
+    # int() would read +3 and Arabic-Indic three as 3, and 1_0 as 10.
+    text = _minimal_text(cycles="1 0\n0 1\n1 1") + f"partition:\n1 2\n{token}\n"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.field) == (13, "partition")
+    assert len(str(info.value)) < 200
+
+
 def test_parse_rejects_wrong_version():
     with pytest.raises(ScenarioError):
         parse_scenario(_minimal_text(format_version="2"))

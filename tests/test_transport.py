@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lightsectors.linalg import (
     DimensionMismatchError,
+    InvariantError,
     Matrix,
     basis_vector,
     is_zero_vector,
@@ -20,7 +22,9 @@ from lightsectors.pairing import (
     pair,
     standard_symplectic,
 )
+from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.transport import (
+    InteractionMatrix,
     TransportOperator,
     commutator,
     commutator_closed_form,
@@ -184,6 +188,32 @@ def test_interaction_matrix_skew_zero_diagonal(cfg):
     lam = interaction_matrix(cfg)
     assert lam.entries.transpose() == -lam.entries
     assert all(lam.entry(i, i) == 0 for i in range(cfg.r))
+
+
+@pytest.mark.parametrize(
+    "rows, entry",
+    [
+        ([[0, 1], [1, 0]], "(1,2)"),
+        ([[0, 0], [0, 1]], "(2,2)"),
+        ([[0, 1, 2], [-1, 0, 5], [-2, 3, 1]], "(2,3)"),
+    ],
+)
+def test_non_skew_interaction_matrix_names_first_entry(rows, entry):
+    with pytest.raises(InvariantError) as info:
+        InteractionMatrix(len(rows), Matrix.from_rows(rows))
+    assert str(info.value) == f"interaction matrix not skew at {entry}"
+
+
+@pytest.mark.parametrize("name", ["four_node_blocks", "quintic_orbits"])
+def test_reduced_matrix_is_an_interaction_matrix(name):
+    if name == "quintic_orbits":
+        scenario = builtin_scenario(name)
+    else:
+        path = Path(__file__).parent / "data" / f"{name}.scenario"
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+    pkg = to_package(scenario)
+    assert isinstance(pkg.reduced, InteractionMatrix)
+    assert pkg.reduced.r == pkg.reduced.b == pkg.partition.count
 
 
 # -- commutators -----------------------------------------------------------
