@@ -49,9 +49,15 @@ def _emit(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
-def _load_scenario(path: str, lax: bool):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_scenario(text, strict=not lax)
+def _load_package(path: Path, lax: bool):
+    """Parse and assemble one scenario file; an input error names the file."""
+    try:
+        scenario = parse_scenario(path.read_text(encoding="utf-8"), strict=not lax)
+        return scenario, to_package(scenario)
+    except InvariantError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -62,9 +68,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"no .scenario files in {directory}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         chunks = []
+        # The first bad file stops the batch: exit 2, nothing on stdout.
         for path in files:
-            scenario = parse_scenario(path.read_text(encoding="utf-8"), strict=not args.lax)
-            doc = analysis_document(to_package(scenario), scenario.name)
+            scenario, pkg = _load_package(path, args.lax)
+            doc = analysis_document(pkg, scenario.name)
             chunks.append(render_report(doc, args.format))
         if args.format == "machine":
             body = b"[\n" + b",\n".join(c.rstrip(b"\n") for c in chunks) + b"\n]\n"
@@ -72,8 +79,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             body = b"\n".join(chunks)
         _emit(body, args.out)
         return EXIT_OK
-    scenario = _load_scenario(args.file, args.lax)
-    doc = analysis_document(to_package(scenario), scenario.name)
+    scenario, pkg = _load_package(Path(args.file), args.lax)
+    doc = analysis_document(pkg, scenario.name)
     _emit(render_report(doc, args.format), args.out)
     return EXIT_OK
 
@@ -94,8 +101,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.file, args.lax)
-    pkg = to_package(scenario)
+    scenario, pkg = _load_package(Path(args.file), args.lax)
     try:
         report = verify_block_structure(pkg)
     except BlockSeparationRequiredError as exc:
@@ -124,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--lax", action="store_true", help="ignore unknown scenario fields")
     p.add_argument("--batch", action="store_true",
-                   help="treat FILE as a directory of .scenario files (name-sorted)")
+                   help="treat FILE as a directory of .scenario files (name-sorted); "
+                        "the first bad file stops the run with exit 2 and no output")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("scenario", help="emit a built-in scenario")

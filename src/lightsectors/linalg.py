@@ -6,6 +6,15 @@ to exact zero tests, so this module never touches floating point.  Scalars are
 are immutable row-major grids, and subspaces are stored in a canonical
 reduced-echelon basis so that structural equality *is* subspace equality.
 
+Every dense product (``@`` and ``apply`` here; the pairing, the interaction
+matrix and the rank-one transport grids in ``pairing`` and ``transport``)
+runs on integers: ``cleared`` scales a vector by the least common multiple
+of its denominators, the dot products are plain ``int`` sums, and each
+result entry becomes one ``Fraction`` of the integer sum over the product of
+the two denominators.  Fraction reduces it
+to lowest terms, so results equal the entrywise Fraction arithmetic exactly.
+Elimination (``rref``, ``kernel``, ``Subspace``) stays on Fractions.
+
 Pivoting is deterministic (leftmost nonzero in scan order); identical inputs
 produce bit-identical outputs regardless of platform or scheduling.
 """
@@ -15,6 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 # The scalar field.  Fraction already guarantees lowest terms and a
@@ -22,6 +34,9 @@ from typing import Iterable, Sequence
 Rational = Fraction
 
 Vector = tuple[Fraction, ...]
+
+# A vector v as integers over one denominator: (ints, den), v[i] == ints[i] / den.
+Cleared = tuple[tuple[int, ...], int]
 
 
 class DimensionMismatchError(ValueError):
@@ -96,6 +111,23 @@ def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
+def cleared(v: Sequence[Fraction]) -> Cleared:
+    """v over the least common multiple of its denominators."""
+    den = lcm(*(x.denominator for x in v))
+    if den == 1:
+        return tuple(x.numerator for x in v), 1
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
+def cleared_products(
+    rows: Iterable[Cleared], cols: Sequence[Cleared]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Grid of the dot products of cleared rows with cleared columns."""
+    return tuple(
+        tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols) for a, da in rows
+    )
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix of Fractions, row-major."""
@@ -141,6 +173,11 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
 
+    @cached_property
+    def cleared_rows(self) -> tuple[Cleared, ...]:
+        """Each row cleared once, for every product that reads it."""
+        return tuple(map(cleared, self.entries))
+
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -174,16 +211,8 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Fraction(0)
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(other.entries[k]):
-                        if b:
-                            acc[j] = acc[j] + a * b
-        return Matrix(self.rows, other.cols, tuple(tuple(r) for r in out))
+        grid = cleared_products(self.cleared_rows, [cleared(c) for c in other.columns()])
+        return Matrix(self.rows, other.cols, grid)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, v treated as a column vector."""
@@ -191,15 +220,7 @@ class Matrix:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} does not fit {self.rows}x{self.cols}"
             )
-        zero = Fraction(0)
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return cleared_products((cleared(v),), self.cleared_rows)[0]
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:

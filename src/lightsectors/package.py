@@ -111,6 +111,7 @@ class LightSectorPackage:
     partition: BlockDecomposition | None
     block_classes: Union[BlockClasses, BlockSeparationViolation, None]
     reduced: InteractionMatrix | None
+    blockwise: AtomSplittingReport | None
     atom: AtomSplittingReport
     corrected_class: CorrectedClass | None
     corrected_member: bool | None
@@ -175,6 +176,7 @@ def assemble(
 
     block_classes: Union[BlockClasses, BlockSeparationViolation, None] = None
     reduced: InteractionMatrix | None = None
+    blockwise: AtomSplittingReport | None = None
     if partition is not None:
         if partition.r != r:
             raise DimensionMismatchError(
@@ -183,6 +185,7 @@ def assemble(
         block_classes = check_block_separation(cfg, partition)
         if isinstance(block_classes, BlockClasses):
             reduced = reduced_matrix(space, block_classes)
+            blockwise = blockwise_atom_splitting(reduced)
 
     corrected_member: bool | None = None
     if corrected_class is not None:
@@ -201,6 +204,7 @@ def assemble(
         partition=partition,
         block_classes=block_classes,
         reduced=reduced,
+        blockwise=blockwise,
         atom=atom,
         corrected_class=corrected_class,
         corrected_member=corrected_member,
@@ -220,7 +224,8 @@ def classify(pkg: LightSectorPackage) -> Classification:
     atom_side = AtomVerdict.SPLIT if pkg.atom.is_split else AtomVerdict.NON_SPLIT
     residual = None
     if pkg.reduced is not None:
-        residual = ResidualInteraction(pkg.reduced, blockwise_atom_splitting(pkg.reduced))
+        assert pkg.blockwise is not None
+        residual = ResidualInteraction(pkg.reduced, pkg.blockwise)
     return Classification(
         extension_side=extension,
         transport_side=transport_side,
@@ -248,7 +253,7 @@ def verify_block_structure(pkg: LightSectorPackage) -> VerificationReport:
             violation=pkg.block_classes,
         )
     assert isinstance(pkg.block_classes, BlockClasses)
-    assert pkg.reduced is not None
+    assert pkg.reduced is not None and pkg.blockwise is not None
     part = pkg.partition
     b = part.count
 
@@ -283,7 +288,7 @@ def verify_block_structure(pkg: LightSectorPackage) -> VerificationReport:
         )
 
     full_split = pkg.atom.is_split
-    block_split = blockwise_atom_splitting(pkg.reduced).is_split
+    block_split = pkg.blockwise.is_split
     agreement = Check(
         name="atom verdict agreement (full vs reduced)",
         expected="agree",

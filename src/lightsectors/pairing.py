@@ -16,6 +16,8 @@ from .linalg import (
     DimensionMismatchError,
     Matrix,
     Vector,
+    cleared,
+    cleared_products,
     first_skew_violation,
     is_zero_vector,
     vector,
@@ -82,8 +84,7 @@ def pair(space: PairingSpace, a: Sequence[object], b: Sequence[object]) -> Fract
         raise DimensionMismatchError(
             f"vectors of lengths {len(av)}, {len(bv)} in pairing space of dim {space.dim}"
         )
-    gb = space.gram.apply(bv)
-    return sum((x * y for x, y in zip(av, gb)), Fraction(0))
+    return cleared_products((cleared(av),), (cleared(space.gram.apply(bv)),))[0][0]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from .linalg import (
     InvariantError,
     Matrix,
     Vector,
+    cleared,
+    cleared_products,
     first_skew_violation,
     is_zero_vector,
 )
@@ -59,7 +61,9 @@ class TransportOperator:
 
     @cached_property
     def n_matrix(self) -> Matrix:
-        grid = tuple(tuple(w * d for w in self.weights) for d in self.delta)
+        (d_ints, dd), (w_ints, dw) = cleared(self.delta), cleared(self.weights)
+        den = dd * dw
+        grid = tuple(tuple(Fraction(w * d, den) for w in w_ints) for d in d_ints)
         return Matrix(self.dim, self.dim, grid)
 
     @cached_property
@@ -114,19 +118,9 @@ class InteractionMatrix:
 
 def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     """Matrix of pairings <delta_i, delta_j> over all cycle pairs."""
-    zero = Fraction(0)
-    weighted = [cfg.space.gram.apply(b) for b in cfg.cycles]
-    grid = []
-    for a in cfg.cycles:
-        row = []
-        for w in weighted:
-            acc = zero
-            for x, y in zip(a, w):
-                if x and y:
-                    acc = acc + x * y
-            row.append(acc)
-        grid.append(tuple(row))
-    return InteractionMatrix(cfg.r, Matrix(cfg.r, cfg.r, tuple(grid)))
+    weighted = [cleared(cfg.space.gram.apply(b)) for b in cfg.cycles]
+    grid = cleared_products(map(cleared, cfg.cycles), weighted)
+    return InteractionMatrix(cfg.r, Matrix(cfg.r, cfg.r, grid))
 
 
 def commutator(a: TransportOperator, b: TransportOperator) -> Matrix:
@@ -146,15 +140,19 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
     product so the two routes can cross-check each other.
     """
     lam_ab = pair(space, delta_a, delta_b)
-    lam_ba = -lam_ab
-    wa = space.gram.apply(delta_a)  # <e_k, delta_a> = wa[k]
-    wb = space.gram.apply(delta_b)
-    n = space.dim
+    # lambda_ba = -lambda_ab and <e_k, delta> = (G delta)[k], so entry (j, k)
+    # is -lambda_ab (wb[k] delta_a[j] + wa[k] delta_b[j]); with every factor
+    # cleared, both terms share the denominator den.
+    (da, dda), (db, ddb) = cleared(delta_a), cleared(delta_b)
+    (wa, dwa), (wb, dwb) = cleared(space.gram.apply(delta_a)), cleared(space.gram.apply(delta_b))
+    p, q = lam_ab.numerator, lam_ab.denominator
+    ua = tuple(-p * dwa * ddb * x for x in da)
+    ub = tuple(-p * dwb * dda * x for x in db)
+    den = q * dwb * dda * dwa * ddb
     grid = tuple(
-        tuple(wb[k] * lam_ba * delta_a[j] - wa[k] * lam_ab * delta_b[j] for k in range(n))
-        for j in range(n)
+        tuple(Fraction(y * a + z * b, den) for y, z in zip(wb, wa)) for a, b in zip(ua, ub)
     )
-    return Matrix(n, n, grid)
+    return Matrix(space.dim, space.dim, grid)
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

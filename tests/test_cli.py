@@ -125,3 +125,22 @@ def test_quintic_scenario_emit(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
     assert "verification: PASS" in out
+
+
+def test_input_errors_name_file_line_and_field(capsys, tmp_path):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text("format_version: 1\nname: x\ndim: 2\ngram:\n0 1\n-1 0\ncycles:\n1 0\n"
+                   "partition:\n1 x\n")
+    for verb in ("analyze", "verify"):
+        code, out, err = run_cli(capsys, verb, str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: line 10, field 'partition': "), err
+
+
+def test_batch_names_failing_file_and_stops(tmp_path, capsys):
+    assert main(["scenario", "a2", "--emit", str(tmp_path / "a.scenario")]) == 0
+    missing_gram = tmp_path / "b.scenario"
+    missing_gram.write_text("format_version: 1\nname: b\ndim: 2\ncycles:\n1 0\n")
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--batch", "--format", "machine")
+    assert code == 2 and out == ""
+    assert err == f"error: {missing_gram}: field 'gram': required field missing\n"

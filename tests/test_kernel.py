@@ -1,0 +1,181 @@
+"""The integer product kernel against the entrywise Fraction reference.
+
+Every dense product clears denominators (``linalg.cleared``), multiplies in
+``int`` and builds each entry as one Fraction; ``reference`` keeps the plain
+Fraction loops.  The two must agree exactly, entry by entry and in the text
+form of each entry, on every shape including empty ones, on zero rows and
+columns, on pairwise-coprime denominators, on negative entries and on
+numerators past Python's 4300-digit string limit.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from lightsectors.linalg import Matrix, cleared, vector
+from lightsectors.pairing import CycleConfiguration, make_pairing_space, pair
+from lightsectors.transport import TransportOperator, commutator_closed_form, interaction_matrix
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+HUGE = 10 ** 4301  # 4302 digits, past the default int-to-str limit of 4300
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+coprime = st.builds(Fraction, st.integers(-60, 60), st.sampled_from(PRIMES))
+huge = st.builds(
+    lambda n, d, sign: Fraction(sign * (HUGE + n), d),
+    st.integers(0, 10 ** 6),
+    st.sampled_from((1,) + PRIMES),
+    st.sampled_from((1, -1)),
+)
+entries = st.one_of(st.just(Fraction(0)), small, coprime, huge)
+
+kernel_settings = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@pytest.fixture(autouse=True)
+def unlimited_int_text():
+    """str() of the huge entries needs the int-to-str digit limit lifted."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_dim=4):
+    """A matrix with some rows and columns forced to zero."""
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim)) if cols is None else cols
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols))
+    grid = [
+        [Fraction(0) if i in zero_rows or j in zero_cols else draw(entries) for j in range(cols)]
+        for i in range(rows)
+    ]
+    return Matrix.from_rows(grid, cols=cols)
+
+
+def vectors(n):
+    return st.lists(entries, min_size=n, max_size=n).map(vector)
+
+
+@st.composite
+def spaces(draw, max_dim=4):
+    n = draw(st.integers(0, max_dim))
+    a = draw(matrices(rows=n, cols=n))
+    return make_pairing_space(a - a.transpose())
+
+
+def assert_same_entries(got, want):
+    """Equal entry by entry, each a Fraction with the same text form."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is Fraction
+        assert x == y and str(x) == str(y)
+
+
+def assert_same_matrix(got: Matrix, want: Matrix):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert len(got.entries) == len(want.entries)
+    for row_got, row_want in zip(got.entries, want.entries):
+        assert_same_entries(row_got, row_want)
+
+
+# -- the helper ----------------------------------------------------------------
+
+
+@kernel_settings
+@given(v=st.lists(entries, max_size=6).map(vector))
+def test_cleared_scales_by_least_common_denominator(v):
+    ints, den = cleared(v)
+    assert all(type(x) is int for x in ints) and type(den) is int and den >= 1
+    assert tuple(Fraction(x, den) for x in ints) == v
+    # Least: no common factor of den divides every scaled entry as well.
+    for p in PRIMES:
+        if den % p == 0:
+            assert any(x % p for x in ints)
+
+
+def test_cleared_empty_and_coprime():
+    assert cleared(()) == ((), 1)
+    assert cleared(vector(["1/2", "-1/3", "1/5", "0", "7"])) == ((15, -10, 6, 0, 210), 30)
+
+
+# -- products ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m,k,n", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 3), (3, 0, 0)])
+def test_matmul_empty_shapes(m, k, n):
+    a = Matrix.from_rows([[Fraction(i + j + 1, 2) for j in range(k)] for i in range(m)], cols=k)
+    b = Matrix.from_rows([[Fraction(-i - j, 3) for j in range(n)] for i in range(k)], cols=n)
+    if k == 0:
+        b = Matrix(0, n, ())
+    got = a @ b
+    assert_same_matrix(got, reference.matmul(a, b))
+    assert (got.rows, got.cols) == (m, n) and got.is_zero()
+
+
+def test_matmul_coprime_denominators_and_zero_lines():
+    a = Matrix.from_rows([["1/2", "-1/3", "1/5", "1/7"], [0, 0, 0, 0], ["-1/11", 0, "1/13", 0]])
+    b = Matrix.from_rows([["1/17", 0, "-1/19"], ["1/23", 0, 0], ["-1/29", 0, "1/31"],
+                          ["1/37", 0, "-1/41"]])
+    got = a @ b
+    assert_same_matrix(got, reference.matmul(a, b))
+    assert got.column(1) == (0, 0, 0) and got.entries[1] == (0, 0, 0)
+
+
+@kernel_settings
+@given(data=st.data())
+def test_matmul_matches_reference(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    assert_same_matrix(a @ b, reference.matmul(a, b))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_apply_matches_reference(data):
+    m = data.draw(matrices())
+    v = data.draw(vectors(m.cols))
+    assert_same_entries(m.apply(v), reference.apply(m, v))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_pair_matches_reference(data):
+    space = data.draw(spaces())
+    a, b = data.draw(vectors(space.dim)), data.draw(vectors(space.dim))
+    assert_same_entries((pair(space, a, b),), (reference.pair(space, a, b),))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_interaction_matrix_matches_reference(data):
+    space = data.draw(spaces())
+    cycles = data.draw(st.lists(vectors(space.dim), max_size=4))
+    lam = interaction_matrix(CycleConfiguration(space, tuple(cycles)))
+    assert_same_matrix(lam.entries, reference.interaction_grid(space, cycles))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_n_matrix_matches_reference(data):
+    n = data.draw(st.integers(0, 5))
+    delta, weights = data.draw(vectors(n)), data.draw(vectors(n))
+    op = TransportOperator(0, delta, weights)
+    assert_same_matrix(op.n_matrix, reference.n_matrix(delta, weights))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_closed_form_matches_reference(data):
+    space = data.draw(spaces())
+    a, b = data.draw(vectors(space.dim)), data.draw(vectors(space.dim))
+    assert_same_matrix(commutator_closed_form(space, a, b),
+                       reference.commutator_closed_form(space, a, b))
