@@ -14,7 +14,6 @@ import argparse
 import random
 from collections import Counter
 
-from lightsectors.atoms import blockwise_atom_splitting
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.package import verify_block_structure
 from lightsectors.scenarios import to_package
@@ -39,7 +38,7 @@ def main() -> int:
         )
         pkg = to_package(scenario)
         report = verify_block_structure(pkg)
-        residual = "coupled" if not blockwise_atom_splitting(pkg.reduced).is_split else "split"
+        residual = "coupled" if not pkg.blockwise.is_split else "split"
         residual_counts[residual] += 1
         all_verified &= report.overall
         verdict = "pass" if report.overall else "FAIL"

@@ -71,7 +71,6 @@ from .package import (
     BlockSeparationRequiredError,
     Classification,
     LightSectorPackage,
-    ResidualInteraction,
     TransportVerdict,
     assemble,
     classify,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -65,8 +66,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text form, e.g. '-3/7', '0', '5'."""
-    return str(q)
+    """Canonical text form, e.g. '-3/7', '0', '5', exact at any size."""
+    try:
+        return str(q)
+    except ValueError:
+        # Past the interpreter's int-to-str digit limit; Decimal prints an
+        # integer's every digit without that limit.
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def _q(x: object) -> Fraction:

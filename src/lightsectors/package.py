@@ -66,19 +66,13 @@ class BlockSeparationRequiredError(ValueError):
 
 
 @dataclass(frozen=True)
-class ResidualInteraction:
-    """Block-level coupling data available once separation holds."""
-
-    reduced: InteractionMatrix
-    blockwise: AtomSplittingReport
-
-
-@dataclass(frozen=True)
 class Classification:
     """Two-layer verdict: per-realization splitting plus relation collapse.
 
     collapsed_dim is None when no collapse occurs (realized space full, or
     no gluing data supplied); otherwise it is the surviving dimension.
+    residual is the block-level splitting report of the reduced matrix, None
+    unless block separation holds.
     Transport and atom verdicts share one criterion, so they always agree.
     """
 
@@ -86,7 +80,7 @@ class Classification:
     transport_side: TransportVerdict
     atom_side: AtomVerdict
     collapsed_dim: int | None
-    residual: ResidualInteraction | None
+    residual: AtomSplittingReport | None
 
     def __post_init__(self) -> None:
         if (self.transport_side is TransportVerdict.COMMUTING) != (
@@ -222,16 +216,12 @@ def classify(pkg: LightSectorPackage) -> Classification:
     commuting = commutes_all(pkg.interaction)
     transport_side = TransportVerdict.COMMUTING if commuting else TransportVerdict.NONCOMMUTING
     atom_side = AtomVerdict.SPLIT if pkg.atom.is_split else AtomVerdict.NON_SPLIT
-    residual = None
-    if pkg.reduced is not None:
-        assert pkg.blockwise is not None
-        residual = ResidualInteraction(pkg.reduced, pkg.blockwise)
     return Classification(
         extension_side=extension,
         transport_side=transport_side,
         atom_side=atom_side,
         collapsed_dim=collapsed,
-        residual=residual,
+        residual=pkg.blockwise,
     )
 
 
@@ -257,47 +247,26 @@ def verify_block_structure(pkg: LightSectorPackage) -> VerificationReport:
     part = pkg.partition
     b = part.count
 
-    checks: list[Check] = []
     lattice = relation_lattice_from_blocks(part)
-    qdim = quotient_dim(pkg.r, lattice)
-    checks.append(
-        Check(
-            name="relation lattice quotient dimension",
-            expected=str(b),
-            actual=str(qdim),
-            passed=qdim == b,
-        )
-    )
-    checks.append(
-        Check(
-            name="surviving dimension equals block count",
-            expected=str(b),
-            actual=str(part.count),
-            passed=part.count == b,
-        )
-    )
+    # Each of these comparisons passes iff its expected and actual texts agree.
+    head = [
+        ("relation lattice quotient dimension", str(b), str(quotient_dim(pkg.r, lattice))),
+        ("surviving dimension equals block count", str(b), str(part.count)),
+    ]
     if pkg.incidence is not None:
-        realized_dim = pkg.realized.v_geom.dim
-        checks.append(
-            Check(
-                name="realized dimension equals block count",
-                expected=str(b),
-                actual=str(realized_dim),
-                passed=realized_dim == b,
-            )
+        head.append(
+            ("realized dimension equals block count", str(b), str(pkg.realized.v_geom.dim))
         )
-
-    full_split = pkg.atom.is_split
-    block_split = pkg.blockwise.is_split
-    agreement = Check(
-        name="atom verdict agreement (full vs reduced)",
-        expected="agree",
-        actual="agree" if full_split == block_split else "disagree",
-        passed=full_split == block_split,
-    )
+    consistency = verify_block_consistency(pkg.interaction, pkg.block_classes, pkg.reduced)
+    commutators = block_commutator_check(pkg.space, pkg.block_classes, pkg.reduced)
+    agree = "agree" if pkg.atom.is_split == pkg.blockwise.is_split else "disagree"
+    tail = [("atom verdict agreement (full vs reduced)", "agree", agree)]
     return VerificationReport(
-        tuple(checks)
-        + verify_block_consistency(pkg.interaction, pkg.block_classes, pkg.reduced).checks
-        + block_commutator_check(pkg.space, pkg.block_classes, pkg.reduced).checks
-        + (agreement,)
+        len(head) + consistency.total + commutators.total + len(tail),
+        _failed(head) + consistency.failures + commutators.failures + _failed(tail),
     )
+
+
+def _failed(comparisons: Sequence[tuple[str, str, str]]) -> tuple[Check, ...]:
+    """The (name, expected, actual) comparisons whose two texts differ."""
+    return tuple(Check(*c) for c in comparisons if c[1] != c[2])

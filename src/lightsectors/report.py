@@ -55,7 +55,7 @@ def _collapse_text(c: Classification) -> str:
 def _verification_summary(report: VerificationReport) -> dict:
     return {
         "overall": report.overall,
-        "checks_total": len(report.checks),
+        "checks_total": report.total,
         "checks_failed": len(report.failures),
         "failures": [
             {"name": f.name, "expected": f.expected, "actual": f.actual}
@@ -163,7 +163,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
             "residual_verdict": (
                 None
                 if c.residual is None
-                else ("Split" if c.residual.blockwise.is_split else "NonSplit")
+                else ("Split" if c.residual.is_split else "NonSplit")
             ),
         },
         "verification": verification,

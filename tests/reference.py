@@ -1,18 +1,27 @@
-"""Entrywise Fraction arithmetic: the test oracle for the integer product kernel.
+"""Test oracles: entrywise Fraction arithmetic and eager verification records.
 
-These are the plain loops the package used before its dense products moved
-to cleared integers (``linalg.cleared``).  Every one multiplies and adds
-Fractions entry by entry, so a test can require the kernel's results to
-equal them exactly, entry by entry.
+The arithmetic functions are the plain loops the package used before its
+dense products moved to cleared integers (``linalg.cleared``).  Every one
+multiplies and adds Fractions entry by entry, so a test can require the
+kernel's results to equal them exactly, entry by entry.
+
+The ``*_checks`` functions are the verification builders the package used
+before its reports kept only a count and their failures: they record every
+comparison, passing or not, as an ``EagerCheck``.  They call the package's
+arithmetic through the ``blocks`` module, so a fault patched in there reaches
+both sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from lightsectors.linalg import DimensionMismatchError, Matrix, Vector
-from lightsectors.pairing import PairingSpace
+from lightsectors import blocks
+from lightsectors.linalg import DimensionMismatchError, Matrix, Vector, format_rational, quotient_dim
+from lightsectors.package import LightSectorPackage
+from lightsectors.pairing import CycleConfiguration, PairingSpace
+from lightsectors.transport import InteractionMatrix, commutes_all
 
 
 def matmul(left: Matrix, right: Matrix) -> Matrix:
@@ -85,3 +94,96 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
         for j in range(n)
     )
     return Matrix(n, n, grid)
+
+
+class EagerCheck(NamedTuple):
+    name: str
+    expected: str
+    actual: str
+    passed: bool
+
+
+def block_consistency_checks(
+    lam: InteractionMatrix, bc: blocks.BlockClasses, lam_blk: InteractionMatrix
+) -> list[EagerCheck]:
+    part = bc.decomposition
+    owner = [0] * part.r
+    for b, block in enumerate(part.blocks):
+        for k in block:
+            owner[k] = b
+    checks = []
+    for i in range(part.r):
+        for j in range(part.r):
+            if i == j:
+                continue
+            expected = lam_blk.entry(owner[i], owner[j])
+            actual = lam.entry(i, j)
+            tag = " [intra-block]" if owner[i] == owner[j] else ""
+            checks.append(
+                EagerCheck(
+                    name=f"lambda({i + 1},{j + 1}){tag}",
+                    expected=format_rational(expected),
+                    actual=format_rational(actual),
+                    passed=expected == actual,
+                )
+            )
+    return checks
+
+
+def block_commutator_checks(
+    space: PairingSpace, bc: blocks.BlockClasses, lam_blk: InteractionMatrix
+) -> list[EagerCheck]:
+    b = bc.decomposition.count
+    block_cfg = CycleConfiguration(space, bc.classes)
+    ops = [blocks.pl_operator(block_cfg, i) for i in range(b)]
+    checks = []
+    all_zero = True
+    for i in range(b):
+        for j in range(i + 1, b):
+            dense = blocks.commutator(ops[i], ops[j])
+            closed = blocks.commutator_closed_form(space, bc.classes[i], bc.classes[j])
+            checks.append(
+                EagerCheck(
+                    name=f"commutator closed form ({i + 1},{j + 1})",
+                    expected="matrix and closed form agree",
+                    actual="agree" if dense == closed else "disagree",
+                    passed=dense == closed,
+                )
+            )
+            if not dense.is_zero():
+                all_zero = False
+    off_diag_zero = commutes_all(lam_blk)
+    checks.append(
+        EagerCheck(
+            name="commutation criterion",
+            expected="commute iff off-diagonal reduced entries vanish",
+            actual=(
+                f"commutators {'all zero' if all_zero else 'nonzero'}; "
+                f"off-diagonal {'zero' if off_diag_zero else 'nonzero'}"
+            ),
+            passed=all_zero == off_diag_zero,
+        )
+    )
+    return checks
+
+
+def block_structure_checks(pkg: LightSectorPackage) -> list[EagerCheck]:
+    """Every comparison of ``verify_block_structure`` on a separated package."""
+    part = pkg.partition
+    b = part.count
+    qdim = quotient_dim(pkg.r, blocks.relation_lattice_from_blocks(part))
+    checks = [
+        EagerCheck("relation lattice quotient dimension", str(b), str(qdim), qdim == b),
+        EagerCheck("surviving dimension equals block count", str(b), str(part.count),
+                   part.count == b),
+    ]
+    if pkg.incidence is not None:
+        realized_dim = pkg.realized.v_geom.dim
+        checks.append(EagerCheck("realized dimension equals block count", str(b),
+                                 str(realized_dim), realized_dim == b))
+    checks += block_consistency_checks(pkg.interaction, pkg.block_classes, pkg.reduced)
+    checks += block_commutator_checks(pkg.space, pkg.block_classes, pkg.reduced)
+    agree = pkg.atom.is_split == pkg.blockwise.is_split
+    checks.append(EagerCheck("atom verdict agreement (full vs reduced)", "agree",
+                             "agree" if agree else "disagree", agree))
+    return checks

@@ -14,7 +14,13 @@ from lightsectors.linalg import (
     vector,
 )
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
-from lightsectors.transport import InteractionMatrix, interaction_matrix
+from lightsectors.transport import (
+    InteractionMatrix,
+    commutator,
+    commutes_all,
+    interaction_matrix,
+    pl_operator,
+)
 from lightsectors.gluing import IncidenceDatum
 from lightsectors.blocks import (
     BlockClasses,
@@ -131,10 +137,12 @@ def test_consistency_passes_on_derived_example():
     assert lam.entries == Matrix.from_rows(
         [[0, 0, 1, 1], [0, 0, 1, 1], [-1, -1, 0, 0], [-1, -1, 0, 0]]
     )
-    report = verify_block_consistency(lam, bc, reduced_matrix(space, bc))
-    assert report.overall
-    intra = [c for c in report.checks if "[intra-block]" in c.name]
-    assert intra and all(c.expected == "0" and c.passed for c in intra)
+    lam_blk = reduced_matrix(space, bc)
+    report = verify_block_consistency(lam, bc, lam_blk)
+    assert report.overall and report.total == 4 * 3
+    # Intra-block entries vanish, as do the reduced diagonal entries they equal.
+    assert all(lam.entry(i, j) == 0 for i, j in [(0, 1), (1, 0), (2, 3), (3, 2)])
+    assert lam_blk.entry(0, 0) == lam_blk.entry(1, 1) == 0
 
 
 def test_consistency_fault_injection_names_entry():
@@ -157,19 +165,24 @@ def test_block_commutators_orthogonal_classes_commute():
     space = standard_symplectic(2)
     part = BlockDecomposition.from_blocks(2, [(0,), (1,)])
     bc = BlockClasses(part, (vector([1, 0, 0, 0]), vector([0, 0, 1, 0])))
-    report = block_commutator_check(space, bc, reduced_matrix(space, bc))
-    assert report.overall
-    verdict = [c for c in report.checks if c.name == "commutation criterion"]
-    assert "all zero" in verdict[0].actual
+    lam_blk = reduced_matrix(space, bc)
+    report = block_commutator_check(space, bc, lam_blk)
+    # One block pair plus the commutation criterion.
+    assert report.overall and report.total == 2
+    ops = [pl_operator(CycleConfiguration(space, bc.classes), i) for i in range(2)]
+    assert commutator(ops[0], ops[1]).is_zero()
+    assert commutes_all(lam_blk)
 
 
 def test_block_commutators_coupled_classes():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
-    report = block_commutator_check(space, bc, reduced_matrix(space, bc))
-    assert report.overall
-    verdict = [c for c in report.checks if c.name == "commutation criterion"]
-    assert "nonzero" in verdict[0].actual
+    lam_blk = reduced_matrix(space, bc)
+    report = block_commutator_check(space, bc, lam_blk)
+    assert report.overall and report.total == 2
+    ops = [pl_operator(CycleConfiguration(space, bc.classes), i) for i in range(2)]
+    assert not commutator(ops[0], ops[1]).is_zero()
+    assert not commutes_all(lam_blk)
 
 
 def test_block_commutators_single_block_vacuous():

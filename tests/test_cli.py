@@ -137,6 +137,22 @@ def test_input_errors_name_file_line_and_field(capsys, tmp_path):
         assert err.startswith(f"error: {bad}: line 10, field 'partition': "), err
 
 
+def test_entries_past_int_text_limit_render_exactly(capsys, tmp_path):
+    # Each input entry has 3000 digits, within the parser's limit; their
+    # pairing (10**3000 - 1)**2 has 6000, past the interpreter's 4300-digit
+    # limit on int-to-str conversion.
+    nines = "9" * 3000
+    path = tmp_path / "big.scenario"
+    path.write_text("format_version: 1\nname: big\ndim: 2\ngram:\n0 1\n-1 0\n"
+                    f"cycles:\n{nines} 0\n0 {nines}\n")
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"
+    code, out, err = run_cli(capsys, "analyze", str(path), "--format", "machine")
+    assert code == 0, err
+    assert json.loads(out)["interaction_matrix"] == [["0", square], ["-" + square, "0"]]
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 0 and square in out, err
+
+
 def test_batch_names_failing_file_and_stops(tmp_path, capsys):
     assert main(["scenario", "a2", "--emit", str(tmp_path / "a.scenario")]) == 0
     missing_gram = tmp_path / "b.scenario"

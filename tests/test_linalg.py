@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,26 @@ def test_parse_rational_rejects(bad):
 @given(q=rationals)
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [(10**6000 + 7, 1), (-(10**6000) - 7, 3), (1, 10**4300 + 1), (-(10**4300) - 1, 10**4400 + 3)],
+    ids=["integer", "negative-over-3", "huge-denominator", "both-huge"],
+)
+def test_format_rational_past_int_text_limit(num, den):
+    # str(Fraction) raises past the interpreter's 4300-digit limit; the text
+    # must still be exact, and the limit itself must stay in force.
+    q = Fraction(num, den)
+    text = format_rational(q)
+    with pytest.raises(ValueError):
+        str(q)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == str(q)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # -- rref ----------------------------------------------------------------

@@ -55,7 +55,8 @@ def test_assemble_four_node_blocks():
     assert pkg.reduced.entries == Matrix.from_rows([[0, 1], [-1, 0]])
     c = classify(pkg)
     assert c.residual is not None
-    assert not c.residual.blockwise.is_split
+    assert c.residual is pkg.blockwise
+    assert not c.residual.is_split
 
 
 def test_ambient_default_when_no_incidence():
@@ -118,11 +119,10 @@ def test_degenerate_node_counts():
 
 def test_verify_block_structure_passes():
     report = verify_block_structure(_four_node_package())
-    assert report.overall
-    names = [c.name for c in report.checks]
-    assert "relation lattice quotient dimension" in names
-    assert "realized dimension equals block count" in names
-    assert "atom verdict agreement (full vs reduced)" in names
+    assert report.overall and report.failures == ()
+    # Lattice, surviving and realized dimension; 4 * 3 node pairs; one block
+    # pair and the commutation criterion; the atom verdict agreement.
+    assert report.total == 3 + 4 * 3 + 2 + 1
 
 
 def test_verify_requires_partition():
