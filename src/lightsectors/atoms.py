@@ -10,7 +10,9 @@ matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 from .linalg import InvariantError
 from .transport import InteractionMatrix
@@ -42,12 +44,6 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
     matrix; blockwise_atom_splitting is this function under its block name.
     """
     r = lam.r
-    edges = tuple(
-        (i, j)
-        for i in range(r)
-        for j in range(i + 1, r)
-        if lam.entries.entries[i][j] != 0
-    )
     parent = list(range(r))
 
     def find(x: int) -> int:
@@ -56,15 +52,32 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
             x = parent[x]
         return x
 
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    def join(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    # Nodes of one cycle class share a row object, scanned once at the first
+    # node k that has it.  A later node i with a nonzero row shares k's
+    # neighbours, so joining i to k links every edge (i, j), j > i.
+    first: dict[int, tuple[int, tuple[int, ...]]] = {}
+    edges: list[tuple[int, int]] = []
+    for i, row in enumerate(lam.entries.entries):
+        if id(row) not in first:
+            first[id(row)] = (i, tuple(j for j, x in enumerate(row) if x))
+        k, cols = first[id(row)]
+        later = cols[bisect_right(cols, i):]
+        if k == i:
+            for j in later:
+                join(i, j)
+        elif cols:
+            join(k, i)
+        edges.extend(zip(repeat(i), later))
     groups: dict[int, list[int]] = {}
     for k in range(r):
         groups.setdefault(find(k), []).append(k)
     clusters = tuple(tuple(groups[root]) for root in sorted(groups))
-    return AtomSplittingReport(r, not edges, edges, clusters)
+    return AtomSplittingReport(r, not edges, tuple(edges), clusters)
 
 
 blockwise_atom_splitting = atom_splitting

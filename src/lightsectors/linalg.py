@@ -48,7 +48,7 @@ class InvariantError(ValueError):
     """An internal invariant failed: a bug in the package, not bad input."""
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -58,11 +58,15 @@ def parse_rational(text: str) -> Fraction:
     reduced; signs in the denominator (``1/-2``), floats, and whitespace
     are rejected.
     """
-    if not _RATIONAL_RE.fullmatch(text):
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
         raise ValueError(f"malformed rational {text!r}")
-    if "/" in text and int(text.split("/", 1)[1]) == 0:
+    if m[2] is None:
+        return Fraction(int(m[1]))
+    den = int(m[2])
+    if den == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
-    return Fraction(text)
+    return Fraction(int(m[1]), den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -240,9 +244,11 @@ def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
     """First (i, j) with i <= j in row-major scan where m[i][j] != -m[j][i],
     or None when the square matrix m is skew with zero diagonal."""
     grid = m.entries
-    for i in range(m.rows):
+    for i, row in enumerate(grid):
         for j in range(i, m.rows):
-            if grid[i][j] != -grid[j][i]:
+            # Lowest terms make this equality test exact, with no negation built.
+            a, b = row[j], grid[j][i]
+            if a.numerator != -b.numerator or a.denominator != b.denominator:
                 return i, j
     return None
 

@@ -39,7 +39,11 @@ ReportDocument = dict
 
 
 def _matrix_cells(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.entries]
+    # Nodes of one cycle class share a row object: format it once, and give
+    # each document row its own list.
+    distinct = {id(row): row for row in m.entries}
+    text = {key: [format_rational(x) for x in row] for key, row in distinct.items()}
+    return [list(text[id(row)]) for row in m.entries]
 
 
 def _one_based(blocks: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -201,11 +205,12 @@ def verification_unavailable_document(
 def _render_matrix_text(cells: list[list[str]]) -> list[str]:
     if not cells or not cells[0]:
         return ["  (empty)"]
-    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
-    return [
-        "  " + "  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row))
-        for row in cells
-    ]
+    # Rows repeat when cycle classes do: measure and render each distinct row once.
+    distinct = dict.fromkeys(map(tuple, cells))
+    widths = [max(map(len, column)) for column in zip(*distinct)]
+    for row in distinct:
+        distinct[row] = "  " + "  ".join(map(str.rjust, row, widths))
+    return [distinct[tuple(row)] for row in cells]
 
 
 def _cluster_text(clusters: Sequence[Sequence[int]]) -> str:

@@ -201,19 +201,25 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
 
     partition: tuple[tuple[int, ...], ...] | None = None
     if "partition" in grids:
+        # Checked here so that each error names a 1-based node and its row's line.
         raw_blocks = []
+        seen: set[int] = set()
         for ln, tokens in _parse_grid(grids["partition"]):
             block = tuple(_uint(t, ln, "partition", "partition entry") for t in tokens)
-            if any(k < 1 for k in block):
-                raise ScenarioError("node indices are 1-based", line=ln, field="partition")
-            raw_blocks.append(block)
-        try:
-            decomposition = BlockDecomposition.from_blocks(
-                r, [[k - 1 for k in block] for block in raw_blocks]
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"not a partition of 1..{r}: {exc}", field="partition") from exc
-        partition = tuple(tuple(k + 1 for k in block) for block in decomposition.blocks)
+            for k in block:
+                if not 1 <= k <= r:
+                    raise ScenarioError(f"not a partition of 1..{r}: node {k} out of range",
+                                        line=ln, field="partition")
+                if k in seen:
+                    raise ScenarioError(f"not a partition of 1..{r}: node {k} appears "
+                                        "more than once", line=ln, field="partition")
+                seen.add(k)
+            raw_blocks.append(tuple(sorted(block)))
+        if len(seen) != r:
+            missing = [k for k in range(1, r + 1) if k not in seen]
+            raise ScenarioError(f"not a partition of 1..{r}: does not cover nodes {missing}",
+                                field="partition")
+        partition = tuple(sorted(raw_blocks))
 
     corrected_class: Vector | None = None
     if "corrected_class" in scalars:

@@ -7,6 +7,8 @@ delta (x) G delta, so a TransportOperator stores only delta and the weights
 G delta and builds the dense N and T on request.  The interaction matrix
 collects the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its
 off-diagonal vanishing is exactly pairwise commutativity of the transports.
+It is paired once per distinct cycle class, and the nodes of one class share
+one row tuple, so its Fraction work scales with the classes, not with r^2.
 
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
@@ -117,9 +119,17 @@ class InteractionMatrix:
 
 
 def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
-    """Matrix of pairings <delta_i, delta_j> over all cycle pairs."""
-    weighted = [cleared(cfg.space.gram.apply(b)) for b in cfg.cycles]
-    grid = cleared_products(map(cleared, cfg.cycles), weighted)
+    """Matrix of pairings <delta_i, delta_j> over all cycle pairs.
+
+    Equal cycles have equal cleared forms, so each distinct class is paired once.
+    """
+    keys = [cleared(c) for c in cfg.cycles]
+    classes = dict(zip(keys, cfg.cycles))
+    weighted = [cleared(cfg.space.gram.apply(c)) for c in classes.values()]
+    slot = {key: s for s, key in enumerate(classes)}
+    cols = [slot[key] for key in keys]
+    rows = [tuple(row[s] for s in cols) for row in cleared_products(classes, weighted)]
+    grid = tuple(rows[s] for s in cols)
     return InteractionMatrix(cfg.r, Matrix(cfg.r, cfg.r, grid))
 
 

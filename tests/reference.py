@@ -96,6 +96,14 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
     return Matrix(n, n, grid)
 
 
+def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
+    for i in range(m.rows):
+        for j in range(i, m.rows):
+            if m.entries[i][j] != -m.entries[j][i]:
+                return i, j
+    return None
+
+
 class EagerCheck(NamedTuple):
     name: str
     expected: str

@@ -8,6 +8,7 @@ columns, on pairwise-coprime denominators, on negative entries and on
 numerators past Python's 4300-digit string limit.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors.linalg import Matrix, cleared, vector
+from lightsectors.linalg import Matrix, cleared, first_skew_violation, vector, zero_vector
 from lightsectors.pairing import CycleConfiguration, make_pairing_space, pair
 from lightsectors.transport import TransportOperator, commutator_closed_form, interaction_matrix
 
@@ -154,13 +155,72 @@ def test_pair_matches_reference(data):
     assert_same_entries((pair(space, a, b),), (reference.pair(space, a, b),))
 
 
+@st.composite
+def coupled_spaces(draw):
+    """Dimension 2 to 4 with a dense Gram matrix, which is rarely zero."""
+    n = draw(st.integers(2, 4))
+    a = Matrix.from_rows([[draw(small) for _ in range(n)] for _ in range(n)])
+    return make_pairing_space(a - a.transpose())
+
+
+@st.composite
+def repeating_cycles(draw, dim):
+    """Cycles drawn from a pool of at most three vectors and the zero cycle,
+    so classes repeat.  Each pick is a separately built vector, either fresh
+    Fractions or parsed from unreduced text (2/4 for 1/2), equal in value."""
+    pool = draw(st.lists(vectors(dim), min_size=1, max_size=3)) + [zero_vector(dim)]
+    cycles = []
+    for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=7)):
+        if draw(st.booleans()):
+            cycles.append(vector(f"{2 * x.numerator}/{2 * x.denominator}" for x in pool[k]))
+        else:
+            cycles.append(tuple(Fraction(x.numerator, x.denominator) for x in pool[k]))
+    return cycles
+
+
 @kernel_settings
 @given(data=st.data())
 def test_interaction_matrix_matches_reference(data):
-    space = data.draw(spaces())
-    cycles = data.draw(st.lists(vectors(space.dim), max_size=4))
+    if data.draw(st.booleans()):
+        space = data.draw(spaces())
+        cycles = data.draw(st.lists(vectors(space.dim), max_size=4))
+    else:
+        space = data.draw(coupled_spaces())
+        cycles = data.draw(repeating_cycles(space.dim))
     lam = interaction_matrix(CycleConfiguration(space, tuple(cycles)))
     assert_same_matrix(lam.entries, reference.interaction_grid(space, cycles))
+    # Nodes of one class share their row object.
+    rows = lam.entries.entries
+    for i, j in itertools.combinations(range(len(cycles)), 2):
+        assert (rows[i] is rows[j]) == (cycles[i] == cycles[j])
+
+
+@st.composite
+def near_skew(draw, max_dim=5):
+    """A skew matrix with up to three entries disturbed, some on the diagonal,
+    some to 1/p against -1/q: negated numerators over different denominators."""
+    n = draw(st.integers(0, max_dim))
+    a = draw(matrices(rows=n, cols=n))
+    grid = [list(row) for row in (a - a.transpose()).entries]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            grid[i][j] = draw(entries)
+        else:
+            grid[i][j] = Fraction(1, draw(st.sampled_from(PRIMES)))
+            grid[j][i] = Fraction(-1, draw(st.sampled_from(PRIMES)))
+    return Matrix.from_rows(grid, cols=n)
+
+
+@kernel_settings
+@given(m=near_skew())
+def test_first_skew_violation_matches_reference(m):
+    assert first_skew_violation(m) == reference.first_skew_violation(m)
+
+
+def test_first_skew_violation_compares_denominators():
+    m = Matrix.from_rows([[0, "1/2"], ["-1/3", 0]])
+    assert first_skew_violation(m) == reference.first_skew_violation(m) == (0, 1)
 
 
 @kernel_settings

@@ -72,6 +72,26 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.sampled_from(["-0", "007", "0/5", "-0/3", "2/4", "-007/0014", "12/1"]),
+        st.from_regex(r"\A-?[0-9]{1,30}(/0*[1-9][0-9]{0,30})?\Z"),
+    )
+)
+def test_parse_rational_agrees_with_fraction_text(text):
+    got = parse_rational(text)
+    want = Fraction(text)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("text", ["9" * 4301, "1/" + "9" * 4301])
+def test_parse_rational_keeps_int_digit_limit(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
 @given(q=rationals)
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q

@@ -110,6 +110,17 @@ def test_machine_report_is_valid_json():
     assert payload["blocks"]["separation"] == "violated"
 
 
+def test_repeated_classes_render_like_separate_rows():
+    # quintic_orbits has 125 nodes and 5 cycle classes, so rows repeat.
+    doc = _doc("quintic_orbits")
+    cells = doc["interaction_matrix"]
+    assert len(cells) == 125 and len(set(map(id, cells))) == 125
+    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    lines = ["  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
+    text = render_report(doc, "text").decode()
+    assert "\ninteraction matrix:\n" + "\n".join(lines) + "\ntransport:" in text
+
+
 def test_verification_document_render():
     scenario = parse_scenario((DATA / "four_node_blocks.scenario").read_text())
     report = verify_block_structure(to_package(scenario))

@@ -153,6 +153,22 @@ def test_parse_rejects_bad_partition():
     assert info.value.field == "partition"
 
 
+@pytest.mark.parametrize(
+    "rows,line,message",
+    [
+        ("1 1\n2", 11, "not a partition of 1..2: node 1 appears more than once"),
+        ("1 2\n3", 12, "not a partition of 1..2: node 3 out of range"),
+        # An uncovered node has no row to point at.
+        ("1", None, "not a partition of 1..2: does not cover nodes [2]"),
+    ],
+)
+def test_partition_errors_name_nodes_one_based_with_their_row(rows, line, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(_minimal_text() + f"partition:\n{rows}\n")
+    assert (info.value.line, info.value.field) == (line, "partition")
+    assert str(info.value).endswith(f"field 'partition': {message}")
+
+
 def test_parse_rejects_shape_mismatch():
     with pytest.raises(ScenarioError):
         parse_scenario(_minimal_text(gram="0 1"))

@@ -24,7 +24,8 @@ from lightsectors.linalg import Matrix
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.package import verify_block_structure
 from lightsectors.scenarios import to_package
-from lightsectors.transport import InteractionMatrix
+from lightsectors.pairing import CycleConfiguration, standard_symplectic
+from lightsectors.transport import InteractionMatrix, interaction_matrix
 
 oracle_settings = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -126,3 +127,37 @@ def test_report_matches_eager_reference(fault, seed, data):
 
     # A fault always shows; a clean package always passes.
     assert report.overall == (fault == "none")
+
+
+@oracle_settings
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_shared_rows_read_like_copied_rows(seed, data):
+    """The readers that work once per row object give the same reports on
+    the package's shared-row matrix as on a twin whose rows are all copies,
+    with and without a fault in the reduced matrix."""
+    rng = random.Random(seed)
+    pkg = to_package(random_block_scenario(rng, max_nodes=9, max_genus=3))
+    lam, bc, lam_blk = pkg.interaction, pkg.block_classes, pkg.reduced
+    twin = InteractionMatrix(lam.r, Matrix.from_rows(lam.entries.entries, cols=lam.r))
+    assert not set(map(id, lam.entries.entries)) & set(map(id, twin.entries.entries))
+    if lam_blk.r >= 2 and data.draw(st.booleans()):
+        beta, gamma = data.draw(st.sampled_from(list(itertools.combinations(range(lam_blk.r), 2))))
+        lam_blk = _bumped(lam_blk, beta, gamma, data.draw(bumps))
+    assert atom_splitting(lam) == atom_splitting(twin)
+    assert (blocks.verify_block_consistency(lam, bc, lam_blk)
+            == blocks.verify_block_consistency(twin, bc, lam_blk))
+
+
+def test_shared_row_checked_against_each_block():
+    """Singleton blocks 1 and 2 have one class, so their nodes share a row
+    object; a fault in the reduced matrix gives the two blocks different
+    expected rows, and the row must be compared against each."""
+    space = standard_symplectic(1)
+    cfg = CycleConfiguration.from_vectors(space, [(1, 0), (1, 0), (0, 1)])
+    lam = interaction_matrix(cfg)
+    assert lam.entries.entries[0] is lam.entries.entries[1]
+    bc = blocks.check_block_separation(cfg, blocks.BlockDecomposition.singletons(3))
+    lam_blk = _bumped(blocks.reduced_matrix(space, bc), 1, 2, Fraction(1))
+    report = blocks.verify_block_consistency(lam, bc, lam_blk)
+    assert_same_record(report, reference.block_consistency_checks(lam, bc, lam_blk))
+    assert [f.name for f in report.failures] == ["lambda(2,3)", "lambda(3,2)"]
