@@ -43,8 +43,8 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
     The same classification serves the nodewise matrix and the reduced block
     matrix; blockwise_atom_splitting is this function under its block name.
     """
-    r = lam.r
-    parent = list(range(r))
+    rows, node_class = lam.pairings.entries, lam.node_class
+    parent = list(range(len(rows)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -52,32 +52,22 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
             x = parent[x]
         return x
 
-    def join(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    # Nodes of one cycle class share a row object, scanned once at the first
-    # node k that has it.  A later node i with a nonzero row shares k's
-    # neighbours, so joining i to k links every edge (i, j), j > i.
-    first: dict[int, tuple[int, tuple[int, ...]]] = {}
+    # Union-find over classes, each held by some node; partners[c] lists the
+    # nodes that class c pairs with, so node i's edges are (i, j), j > i there.
+    for c, row in enumerate(rows):
+        for d in range(c + 1, len(rows)):
+            if row[d]:
+                parent[find(c)] = find(d)
+    partners = [tuple(j for j, d in enumerate(node_class) if row[d]) for row in rows]
     edges: list[tuple[int, int]] = []
-    for i, row in enumerate(lam.entries.entries):
-        if id(row) not in first:
-            first[id(row)] = (i, tuple(j for j, x in enumerate(row) if x))
-        k, cols = first[id(row)]
-        later = cols[bisect_right(cols, i):]
-        if k == i:
-            for j in later:
-                join(i, j)
-        elif cols:
-            join(k, i)
-        edges.extend(zip(repeat(i), later))
     groups: dict[int, list[int]] = {}
-    for k in range(r):
-        groups.setdefault(find(k), []).append(k)
-    clusters = tuple(tuple(groups[root]) for root in sorted(groups))
-    return AtomSplittingReport(r, not edges, tuple(edges), clusters)
+    for i, c in enumerate(node_class):
+        cols = partners[c]
+        edges.extend(zip(repeat(i), cols[bisect_right(cols, i):]))
+        # A node whose class pairs with nothing is its own cluster.
+        groups.setdefault(find(c) if cols else -1 - i, []).append(i)
+    clusters = tuple(map(tuple, groups.values()))
+    return AtomSplittingReport(lam.r, not edges, tuple(edges), clusters)
 
 
 blockwise_atom_splitting = atom_splitting

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .linalg import Matrix, format_rational
+from .linalg import format_rational
 from .blocks import (
     BlockDecomposition,
     BlockSeparationViolation,
@@ -27,6 +27,7 @@ from .package import (
     classify,
     verify_block_structure,
 )
+from .transport import InteractionMatrix
 
 REPORT_VERSION = 1
 
@@ -38,12 +39,11 @@ WORD_CONVENTION = (
 ReportDocument = dict
 
 
-def _matrix_cells(m: Matrix) -> list[list[str]]:
-    # Nodes of one cycle class share a row object: format it once, and give
-    # each document row its own list.
-    distinct = {id(row): row for row in m.entries}
-    text = {key: [format_rational(x) for x in row] for key, row in distinct.items()}
-    return [list(text[id(row)]) for row in m.entries]
+def _matrix_cells(lam: InteractionMatrix) -> list[list[str]]:
+    # Format each class pairing once, and give each document row its own list.
+    text = [[format_rational(x) for x in row] for row in lam.pairings.entries]
+    rows = [[cells[d] for d in lam.node_class] for cells in text]
+    return [list(rows[c]) for c in lam.node_class]
 
 
 def _one_based(blocks: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -124,7 +124,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
         "nodes": pkg.r,
         "pairing_dim": pkg.space.dim,
         "word_convention": WORD_CONVENTION,
-        "interaction_matrix": _matrix_cells(pkg.interaction.entries),
+        "interaction_matrix": _matrix_cells(pkg.interaction),
         "extension": {
             "ambient_dim": pkg.r,
             "realized_dim": pkg.realized.v_geom.dim,
@@ -162,7 +162,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
             "separation_violation": violation_text,
             "block_count": None if pkg.reduced is None else pkg.reduced.r,
             "reduced_matrix": (
-                None if pkg.reduced is None else _matrix_cells(pkg.reduced.entries)
+                None if pkg.reduced is None else _matrix_cells(pkg.reduced)
             ),
             "residual_verdict": (
                 None

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, Vector, format_rational, parse_rational
-from .pairing import NotSkewSymmetricError, NotSquareError, make_pairing_space, standard_symplectic
+from .pairing import NotSkewSymmetricError, make_pairing_space, standard_symplectic
 from .gluing import CorrectedClass, IncidenceDatum
 from .blocks import BlockDecomposition
 from .package import LightSectorPackage, assemble
@@ -100,6 +100,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     """Parse scenario text, reporting the line and field of the first error."""
     scalars: dict[str, tuple[int, str]] = {}
     grids: dict[str, list[tuple[int, str]]] = {}
+    headers: dict[str, int] = {}  # line of each grid's "key:" line
     current_grid: str | None = None
     skipping_unknown = False
 
@@ -120,6 +121,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
                         "grid field takes rows on following lines", line=lineno, field=key
                     )
                 grids[key] = []
+                headers[key] = lineno
                 current_grid = key
             elif key in _SCALAR_FIELDS:
                 if key in scalars:
@@ -160,7 +162,8 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         for ln, tokens in _parse_grid(grids["gram"])
     ]
     if len(gram_rows) != dim:
-        raise ScenarioError(f"expected {dim} gram rows, found {len(gram_rows)}", field="gram")
+        raise ScenarioError(f"expected {dim} gram rows, found {len(gram_rows)}",
+                            line=headers["gram"], field="gram")
     for (ln, _), row in zip(grids["gram"], gram_rows):
         if len(row) != dim:
             raise ScenarioError(f"gram row has {len(row)} entries, expected {dim}",
@@ -168,8 +171,8 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     gram = Matrix.from_rows(gram_rows, cols=dim)
     try:
         make_pairing_space(gram)
-    except (NotSkewSymmetricError, NotSquareError) as exc:
-        raise ScenarioError(str(exc), field="gram") from exc
+    except NotSkewSymmetricError as exc:
+        raise ScenarioError(str(exc), line=grids["gram"][exc.i][0], field="gram") from exc
 
     cycle_rows = []
     for ln, tokens in _parse_grid(grids["cycles"]):
@@ -195,7 +198,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         if len(inc_rows) != r:
             raise ScenarioError(
                 f"expected {r} incidence rows (one per node), found {len(inc_rows)}",
-                field="incidence",
+                line=headers["incidence"], field="incidence",
             )
         incidence = Matrix.from_rows(inc_rows, cols=width or 0)
 

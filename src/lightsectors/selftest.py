@@ -37,7 +37,7 @@ def _random_skew_space(rng: random.Random, dim: int) -> PairingSpace:
 def _check_builtin_regressions() -> str:
     pkg = to_package(builtin_scenario("a1xa1"))
     c = classify(pkg)
-    assert pkg.interaction.entries.is_zero()
+    assert pkg.interaction.pairings.is_zero()
     assert pkg.realized.is_full
     assert c.extension_side is ExtensionVerdict.SPLIT
     assert c.atom_side.value == "Split" and c.transport_side.value == "Commuting"

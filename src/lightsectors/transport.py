@@ -7,8 +7,9 @@ delta (x) G delta, so a TransportOperator stores only delta and the weights
 G delta and builds the dense N and T on request.  The interaction matrix
 collects the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its
 off-diagonal vanishing is exactly pairwise commutativity of the transports.
-It is paired once per distinct cycle class, and the nodes of one class share
-one row tuple, so its Fraction work scales with the classes, not with r^2.
+It is stored in class form: the k x k pairings of the distinct cycle classes
+and each node's class, so lambda_ij = mu_(B(i) B(j)) and its work scales
+with the classes, not with r^2.
 
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
@@ -88,24 +89,29 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """The r x r matrix of pairwise cycle pairings; skew with zero diagonal.
+    """An r x r skew matrix with zero diagonal: entry (i, j) is
+    pairings[node_class[i]][node_class[j]], every class held by some node.
 
     One type serves both layers: the nodewise matrix of a configuration and
     the reduced block matrix, whose r is the block count.
     """
 
-    r: int
-    entries: Matrix
+    pairings: Matrix
+    node_class: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.entries.rows != self.r or self.entries.cols != self.r:
-            raise DimensionMismatchError(
-                f"interaction matrix must be {self.r}x{self.r}"
-            )
-        bad = first_skew_violation(self.entries)
-        if bad is not None:
-            i, j = bad
+        k = self.pairings.rows
+        if self.pairings.cols != k or set(self.node_class) != set(range(k)):
+            raise DimensionMismatchError("class pairings must be square, each class held by a node")
+        # Every class is held, so the matrix is skew iff pairings is; an error
+        # names the first offending node entry, as a dense scan would.
+        if first_skew_violation(self.pairings) is not None:
+            i, j = first_skew_violation(self.entries)
             raise InvariantError(f"interaction matrix not skew at ({i + 1},{j + 1})")
+
+    @property
+    def r(self) -> int:
+        return len(self.node_class)
 
     @property
     def b(self) -> int:
@@ -115,22 +121,28 @@ class InteractionMatrix:
         return self.r
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.entries[i][j]
+        return self.pairings.entries[self.node_class[i]][self.node_class[j]]
+
+    @cached_property
+    def entries(self) -> Matrix:
+        rows = [tuple(row[d] for d in self.node_class) for row in self.pairings.entries]
+        return Matrix(self.r, self.r, tuple(rows[c] for c in self.node_class))
 
 
 def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
-    """Matrix of pairings <delta_i, delta_j> over all cycle pairs.
+    """Matrix of pairings <delta_i, delta_j> over all cycle pairs, in class form.
 
-    Equal cycles have equal cleared forms, so each distinct class is paired once.
+    Equal cycles have equal cleared forms, so each distinct class is paired
+    once.  Classes are numbered in order of first occurrence: one form per
+    configuration.
     """
     keys = [cleared(c) for c in cfg.cycles]
     classes = dict(zip(keys, cfg.cycles))
     weighted = [cleared(cfg.space.gram.apply(c)) for c in classes.values()]
     slot = {key: s for s, key in enumerate(classes)}
-    cols = [slot[key] for key in keys]
-    rows = [tuple(row[s] for s in cols) for row in cleared_products(classes, weighted)]
-    grid = tuple(rows[s] for s in cols)
-    return InteractionMatrix(cfg.r, Matrix(cfg.r, cfg.r, grid))
+    k = len(classes)
+    pairings = Matrix(k, k, cleared_products(classes, weighted))
+    return InteractionMatrix(pairings, tuple(slot[key] for key in keys))
 
 
 def commutator(a: TransportOperator, b: TransportOperator) -> Matrix:
@@ -166,13 +178,9 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:
-    """True iff every off-diagonal entry vanishes (the diagonal always does)."""
-    return all(
-        lam.entries.entries[i][j] == 0
-        for i in range(lam.r)
-        for j in range(lam.r)
-        if i != j
-    )
+    """True iff every off-diagonal entry vanishes; nodes of one class meet
+    only on the zero diagonal of the class pairings."""
+    return lam.pairings.is_zero()
 
 
 def transport_word(cfg: CycleConfiguration, word: Sequence[int]) -> Matrix:

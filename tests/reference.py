@@ -5,6 +5,9 @@ dense products moved to cleared integers (``linalg.cleared``).  Every one
 multiplies and adds Fractions entry by entry, so a test can require the
 kernel's results to equal them exactly, entry by entry.
 
+``dense_grid``, ``commutes_all`` and ``atom_splitting`` read an interaction
+matrix one node entry at a time, so they do not depend on its class form.
+
 The ``*_checks`` functions are the verification builders the package used
 before its reports kept only a count and their failures: they record every
 comparison, passing or not, as an ``EagerCheck``.  They call the package's
@@ -18,10 +21,11 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from lightsectors import blocks
+from lightsectors.atoms import AtomSplittingReport
 from lightsectors.linalg import DimensionMismatchError, Matrix, Vector, format_rational, quotient_dim
 from lightsectors.package import LightSectorPackage
 from lightsectors.pairing import CycleConfiguration, PairingSpace
-from lightsectors.transport import InteractionMatrix, commutes_all
+from lightsectors.transport import InteractionMatrix
 
 
 def matmul(left: Matrix, right: Matrix) -> Matrix:
@@ -102,6 +106,43 @@ def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
             if m.entries[i][j] != -m.entries[j][i]:
                 return i, j
     return None
+
+
+def dense_grid(pairings: Matrix, node_class: Sequence[int]) -> Matrix:
+    """The r x r matrix a class form stands for, one lookup per entry."""
+    r = len(node_class)
+    grid = tuple(
+        tuple(pairings.entries[node_class[i]][node_class[j]] for j in range(r))
+        for i in range(r)
+    )
+    return Matrix(r, r, grid)
+
+
+def commutes_all(lam: InteractionMatrix) -> bool:
+    return all(lam.entry(i, j) == 0 for i in range(lam.r) for j in range(lam.r) if i != j)
+
+
+def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
+    """Every nonzero entry (i, j), i < j, is an edge; union-find over nodes."""
+    parent = list(range(lam.r))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = []
+    for i in range(lam.r):
+        for j in range(i + 1, lam.r):
+            if lam.entry(i, j) != 0:
+                edges.append((i, j))
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for k in range(lam.r):
+        groups.setdefault(find(k), []).append(k)
+    clusters = tuple(tuple(groups[root]) for root in sorted(groups))
+    return AtomSplittingReport(lam.r, not edges, tuple(edges), clusters)
 
 
 class EagerCheck(NamedTuple):

@@ -1,8 +1,9 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from lightsectors.linalg import Matrix
 from lightsectors.pairing import CycleConfiguration, make_pairing_space, standard_symplectic
 from lightsectors.transport import InteractionMatrix, commutes_all, interaction_matrix
@@ -54,11 +55,11 @@ def test_partially_coupled_triple():
 
 
 def test_blockwise_verdicts():
-    coupled = InteractionMatrix(2, Matrix.from_rows([[0, 1], [-1, 0]]))
+    coupled = InteractionMatrix(Matrix.from_rows([[0, 1], [-1, 0]]), (0, 1))
     assert not blockwise_atom_splitting(coupled).is_split
-    flat = InteractionMatrix(2, Matrix.zero(2, 2))
+    flat = InteractionMatrix(Matrix.zero(2, 2), (0, 1))
     assert blockwise_atom_splitting(flat).is_split
-    single = InteractionMatrix(1, Matrix.zero(1, 1))
+    single = InteractionMatrix(Matrix.zero(1, 1), (0,))
     assert blockwise_atom_splitting(single).is_split
 
 
@@ -94,3 +95,30 @@ def test_block_separated_verdict_agreement():
         full = atom_splitting(pkg.interaction)
         reduced = blockwise_atom_splitting(pkg.reduced)
         assert full.is_split == reduced.is_split
+
+
+@st.composite
+def class_forms(draw, max_classes=5, max_nodes=9):
+    """A skew k x k class pairing, some class rows zero, and a node map onto
+    every class: the identity, or classes held by several nodes."""
+    k = draw(st.integers(0, max_classes))
+    a = Matrix.from_rows([[draw(rationals) for _ in range(k)] for _ in range(k)], cols=k)
+    zero = draw(st.sets(st.integers(0, max(k - 1, 0)), max_size=k))
+    grid = [[0 if c in zero or d in zero else x for d, x in enumerate(row)]
+            for c, row in enumerate((a - a.transpose()).entries)]
+    node_class = list(range(k))
+    if k and draw(st.booleans()):
+        node_class += draw(st.lists(st.integers(0, k - 1), max_size=max_nodes - k))
+        node_class = draw(st.permutations(node_class))
+    return InteractionMatrix(Matrix.from_rows(grid, cols=k), tuple(node_class))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lam=class_forms())
+def test_class_form_readers_match_nodewise_reference(lam):
+    grid = reference.dense_grid(lam.pairings, lam.node_class)
+    assert lam.entries == grid
+    assert all(lam.entry(i, j) == grid.entries[i][j]
+               for i in range(lam.r) for j in range(lam.r))
+    assert commutes_all(lam) == reference.commutes_all(lam)
+    assert atom_splitting(lam) == reference.atom_splitting(lam)

@@ -152,7 +152,7 @@ def test_consistency_fault_injection_names_entry():
     corrupted = [[x for x in row] for row in interaction_matrix(cfg).entries.entries]
     corrupted[0][2] = corrupted[0][2] + 1
     corrupted[2][0] = -corrupted[0][2]
-    lam = InteractionMatrix(4, Matrix.from_rows(corrupted))
+    lam = InteractionMatrix(Matrix.from_rows(corrupted), tuple(range(4)))
     report = verify_block_consistency(lam, bc, lam_blk)
     assert not report.overall
     assert report.failures[0].name.startswith("lambda(1,3)")

@@ -189,10 +189,11 @@ def test_interaction_matrix_matches_reference(data):
         cycles = data.draw(repeating_cycles(space.dim))
     lam = interaction_matrix(CycleConfiguration(space, tuple(cycles)))
     assert_same_matrix(lam.entries, reference.interaction_grid(space, cycles))
-    # Nodes of one class share their row object.
-    rows = lam.entries.entries
+    # Nodes share a class exactly when their cycles are equal, and classes
+    # are numbered in order of first occurrence.
     for i, j in itertools.combinations(range(len(cycles)), 2):
-        assert (rows[i] is rows[j]) == (cycles[i] == cycles[j])
+        assert (lam.node_class[i] == lam.node_class[j]) == (cycles[i] == cycles[j])
+    assert list(dict.fromkeys(lam.node_class)) == list(range(lam.pairings.rows))
 
 
 @st.composite

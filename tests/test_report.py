@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from lightsectors.linalg import format_rational
 from lightsectors.package import verify_block_structure
 from lightsectors.report import (
     analysis_document,
@@ -119,6 +120,17 @@ def test_repeated_classes_render_like_separate_rows():
     lines = ["  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
     text = render_report(doc, "text").decode()
     assert "\ninteraction matrix:\n" + "\n".join(lines) + "\ntransport:" in text
+
+
+def test_analyze_path_never_builds_the_dense_grid():
+    pkg = to_package(builtin_scenario("quintic_orbits"))
+    doc = analysis_document(pkg, "quintic_orbits")
+    assert verify_block_structure(pkg).overall
+    assert "entries" not in vars(pkg.interaction)
+    # The cells still read like the dense grid, entry by entry.
+    assert doc["interaction_matrix"] == [
+        [format_rational(x) for x in row] for row in pkg.interaction.entries.entries
+    ]
 
 
 def test_verification_document_render():

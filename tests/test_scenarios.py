@@ -169,6 +169,27 @@ def test_partition_errors_name_nodes_one_based_with_their_row(rows, line, messag
     assert str(info.value).endswith(f"field 'partition': {message}")
 
 
+@pytest.mark.parametrize(
+    "text,line,field,message",
+    [
+        # A missing row has no line: the grid's header line is named.
+        (_minimal_text(gram="0 1"), 4, "gram", "expected 2 gram rows, found 1"),
+        (_minimal_text() + "incidence:\n1\n", 10, "incidence",
+         "expected 2 incidence rows (one per node), found 1"),
+        # A non-skew entry names the line of its gram row.
+        (_minimal_text(gram="0 1\n1 0"), 5, "gram",
+         "gram matrix is not skew-symmetric at entry (1,2)"),
+        (_minimal_text(dim="3", gram="0 1 0\n-1 0 0\n0 0 2", cycles="1 0 0"), 7, "gram",
+         "gram matrix is not skew-symmetric at entry (3,3)"),
+    ],
+)
+def test_grid_errors_name_line_and_field(text, line, field, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.field) == (line, field)
+    assert str(info.value).endswith(f"field '{field}': {message}")
+
+
 def test_parse_rejects_shape_mismatch():
     with pytest.raises(ScenarioError):
         parse_scenario(_minimal_text(gram="0 1"))

@@ -200,8 +200,30 @@ def test_interaction_matrix_skew_zero_diagonal(cfg):
 )
 def test_non_skew_interaction_matrix_names_first_entry(rows, entry):
     with pytest.raises(InvariantError) as info:
-        InteractionMatrix(len(rows), Matrix.from_rows(rows))
+        InteractionMatrix(Matrix.from_rows(rows), tuple(range(len(rows))))
     assert str(info.value) == f"interaction matrix not skew at {entry}"
+
+
+def test_class_form_names_first_node_entry():
+    # Class pair (0, 0) is the first failure in the class matrix, but the
+    # first node entry that holds it is (2,2).
+    with pytest.raises(InvariantError) as info:
+        InteractionMatrix(Matrix.from_rows([[1, 0], [0, 0]]), (1, 0))
+    assert str(info.value) == "interaction matrix not skew at (2,2)"
+
+
+@pytest.mark.parametrize(
+    "rows, node_class",
+    [
+        ([[0, 1, 0], [-1, 0, 0]], (0, 1)),  # pairings not square
+        ([[0, 1], [-1, 0]], (0, 0)),  # class 1 held by no node
+        ([[0, 1], [-1, 0]], (0, 1, 2)),  # class 2 out of range
+        ([[0, 1], [-1, 0]], (0, 1, -1)),
+    ],
+)
+def test_class_form_shape_errors(rows, node_class):
+    with pytest.raises(DimensionMismatchError):
+        InteractionMatrix(Matrix.from_rows(rows), node_class)
 
 
 @pytest.mark.parametrize("name", ["four_node_blocks", "quintic_orbits"])

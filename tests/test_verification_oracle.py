@@ -46,7 +46,7 @@ def _bumped(lam: InteractionMatrix, i: int, j: int, delta: Fraction) -> Interact
     grid = [list(row) for row in lam.entries.entries]
     grid[i][j] += delta
     grid[j][i] -= delta
-    return InteractionMatrix(lam.r, Matrix.from_rows(grid, cols=lam.r))
+    return InteractionMatrix(Matrix.from_rows(grid, cols=lam.r), tuple(range(lam.r)))
 
 
 def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
@@ -108,7 +108,7 @@ def test_report_matches_eager_reference(fault, seed, data):
         patched = _closed_form_off_at(bad_calls, n_pairs)
     elif fault == "blockwise_verdict":
         grid = [[0]] if not pkg.blockwise.is_split else [[0, 1], [-1, 0]]
-        opposite = InteractionMatrix(len(grid), Matrix.from_rows(grid))
+        opposite = InteractionMatrix(Matrix.from_rows(grid), tuple(range(len(grid))))
         pkg = dataclasses.replace(pkg, blockwise=atom_splitting(opposite))
 
     lam, bc, lam_blk = pkg.interaction, pkg.block_classes, pkg.reduced
@@ -132,14 +132,14 @@ def test_report_matches_eager_reference(fault, seed, data):
 @oracle_settings
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_shared_rows_read_like_copied_rows(seed, data):
-    """The readers that work once per row object give the same reports on
-    the package's shared-row matrix as on a twin whose rows are all copies,
+    """The readers that work once per cycle class give the same reports on
+    the package's class-form matrix as on a twin with one class per node,
     with and without a fault in the reduced matrix."""
     rng = random.Random(seed)
     pkg = to_package(random_block_scenario(rng, max_nodes=9, max_genus=3))
     lam, bc, lam_blk = pkg.interaction, pkg.block_classes, pkg.reduced
-    twin = InteractionMatrix(lam.r, Matrix.from_rows(lam.entries.entries, cols=lam.r))
-    assert not set(map(id, lam.entries.entries)) & set(map(id, twin.entries.entries))
+    twin = InteractionMatrix(lam.entries, tuple(range(lam.r)))
+    assert twin.pairings.rows == lam.r and twin.entries == lam.entries
     if lam_blk.r >= 2 and data.draw(st.booleans()):
         beta, gamma = data.draw(st.sampled_from(list(itertools.combinations(range(lam_blk.r), 2))))
         lam_blk = _bumped(lam_blk, beta, gamma, data.draw(bumps))
@@ -149,15 +149,16 @@ def test_shared_rows_read_like_copied_rows(seed, data):
 
 
 def test_shared_row_checked_against_each_block():
-    """Singleton blocks 1 and 2 have one class, so their nodes share a row
-    object; a fault in the reduced matrix gives the two blocks different
-    expected rows, and the row must be compared against each."""
+    """Singleton blocks 1 and 2 have one cycle class; a fault in the reduced
+    matrix gives the two blocks different expected rows, and the class must
+    be compared against each block, the first and the last that hold it."""
     space = standard_symplectic(1)
     cfg = CycleConfiguration.from_vectors(space, [(1, 0), (1, 0), (0, 1)])
     lam = interaction_matrix(cfg)
-    assert lam.entries.entries[0] is lam.entries.entries[1]
+    assert lam.node_class == (0, 0, 1)
     bc = blocks.check_block_separation(cfg, blocks.BlockDecomposition.singletons(3))
-    lam_blk = _bumped(blocks.reduced_matrix(space, bc), 1, 2, Fraction(1))
-    report = blocks.verify_block_consistency(lam, bc, lam_blk)
-    assert_same_record(report, reference.block_consistency_checks(lam, bc, lam_blk))
-    assert [f.name for f in report.failures] == ["lambda(2,3)", "lambda(3,2)"]
+    for block, names in [(0, ["lambda(1,3)", "lambda(3,1)"]), (1, ["lambda(2,3)", "lambda(3,2)"])]:
+        lam_blk = _bumped(blocks.reduced_matrix(space, bc), block, 2, Fraction(1))
+        report = blocks.verify_block_consistency(lam, bc, lam_blk)
+        assert_same_record(report, reference.block_consistency_checks(lam, bc, lam_blk))
+        assert [f.name for f in report.failures] == names
