@@ -43,7 +43,7 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
     The same classification serves the nodewise matrix and the reduced block
     matrix; blockwise_atom_splitting is this function under its block name.
     """
-    rows, node_class = lam.pairings.entries, lam.node_class
+    rows, node_class = lam.pairings.num, lam.node_class
     parent = list(range(len(rows)))
 
     def find(x: int) -> int:

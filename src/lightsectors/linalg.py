@@ -2,18 +2,17 @@
 
 Everything downstream (pairings, transport operators, block quotients) reduces
 to exact zero tests, so this module never touches floating point.  Scalars are
-``fractions.Fraction`` (always lowest terms, positive denominator), matrices
-are immutable row-major grids, and subspaces are stored in a canonical
-reduced-echelon basis so that structural equality *is* subspace equality.
+``fractions.Fraction`` (always lowest terms, positive denominator), and
+subspaces are stored in a canonical reduced-echelon basis so that structural
+equality *is* subspace equality.
 
-Every dense product (``@`` and ``apply`` here; the pairing, the interaction
-matrix and the rank-one transport grids in ``pairing`` and ``transport``)
-runs on integers: ``cleared`` scales a vector by the least common multiple
-of its denominators, the dot products are plain ``int`` sums, and each
-result entry becomes one ``Fraction`` of the integer sum over the product of
-the two denominators.  Fraction reduces it
-to lowest terms, so results equal the entrywise Fraction arithmetic exactly.
-Elimination (``rref``, ``kernel``, ``Subspace``) stays on Fractions.
+A ``Matrix`` is an ``int`` grid ``num`` over one positive denominator
+``den``, reduced to lowest terms on construction, so dataclass equality and
+hashing are value equality.  Sums, products, transposes and zero and skew
+tests run on the integers, as with FLINT's ``fmpq_mat_mul_cleared``.
+Fractions appear only at the boundaries: the cached ``Matrix.entries`` view,
+``apply`` and ``pairing.pair`` (vectors cleared by ``cleared``), and
+elimination (``rref``, ``kernel``, ``Subspace``).
 
 Pivoting is deterministic (leftmost nonzero in scan order); identical inputs
 produce bit-identical outputs regardless of platform or scheduling.
@@ -26,7 +25,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import compress, count
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -106,18 +106,6 @@ def basis_vector(n: int, k: int) -> Vector:
     return tuple(Fraction(1 if i == k else 0) for i in range(n))
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
@@ -130,64 +118,64 @@ def cleared(v: Sequence[Fraction]) -> Cleared:
     return tuple(x.numerator * (den // x.denominator) for x in v), den
 
 
-def cleared_products(
-    rows: Iterable[Cleared], cols: Sequence[Cleared]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Grid of the dot products of cleared rows with cleared columns."""
-    return tuple(
-        tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in cols) for a, da in rows
-    )
-
-
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense rational matrix: entry (i, j) is num[i][j] / den."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows:
+        if len(self.num) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
+        for row in self.num:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
+        if self.den < 1:
+            raise ValueError("matrix denominator must be positive")
+        g = gcd(self.den, *(x for row in self.num for x in row))
+        if g != 1:
+            object.__setattr__(self, "num", tuple(tuple(x // g for x in row) for row in self.num))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]], cols: int | None = None) -> "Matrix":
         grid = tuple(tuple(_q(x) for x in row) for row in rows)
-        n_rows = len(grid)
-        if n_rows == 0:
-            if cols is None:
-                cols = 0
-            return cls(0, cols, ())
-        n_cols = len(grid[0])
-        return cls(n_rows, n_cols, grid)
+        if cols is None:
+            cols = len(grid[0]) if grid else 0
+        if any(len(row) != cols for row in grid):
+            raise DimensionMismatchError(f"matrix rows do not all have {cols} entries")
+        den = lcm(*(x.denominator for row in grid for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid)
+        m = cls(len(grid), cols, num, den)
+        m.__dict__["entries"] = grid
+        return m
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]], rows: int | None = None) -> "Matrix":
         cols = [vector(c) for c in columns]
-        if not cols:
-            return cls(rows if rows is not None else 0, 0, tuple(() for _ in range(rows or 0)))
-        n_rows = len(cols[0])
-        grid = tuple(tuple(c[i] for c in cols) for i in range(n_rows))
-        return cls(n_rows, len(cols), grid)
+        if rows is None:
+            rows = len(cols[0]) if cols else 0
+        if any(len(c) != rows for c in cols):
+            raise DimensionMismatchError(f"matrix columns do not all have {rows} entries")
+        return cls.from_rows([tuple(c[i] for c in cols) for i in range(rows)], cols=len(cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(basis_vector(n, i) for i in range(n)))
+        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
+        return cls(rows, cols, ((0,) * cols,) * rows)
 
     @cached_property
-    def cleared_rows(self) -> tuple[Cleared, ...]:
-        """Each row cleared once, for every product that reads it."""
-        return tuple(map(cleared, self.entries))
+    def entries(self) -> tuple[Vector, ...]:
+        """The entries as Fractions, row-major."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -196,34 +184,45 @@ class Matrix:
         return tuple(self.column(j) for j in range(self.cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return Matrix(self.cols, self.rows, num, self.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other over the least common denominator."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatchError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        grid = tuple(
+            tuple(s * x + t * y for x, y in zip(a, b)) for a, b in zip(self.num, other.num)
+        )
+        return Matrix(self.rows, self.cols, grid, den)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        grid = tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, grid)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        grid = tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, grid)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(vec_scale(Fraction(-1), r) for r in self.entries))
+        return Matrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.num), self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        grid = cleared_products(self.cleared_rows, [cleared(c) for c in other.columns()])
-        return Matrix(self.rows, other.cols, grid)
+        cols = other.transpose().num
+        grid = tuple(tuple(sum(map(mul, a, b)) for b in cols) for a in self.num)
+        return Matrix(self.rows, other.cols, grid, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, v treated as a column vector."""
@@ -231,24 +230,18 @@ class Matrix:
             raise DimensionMismatchError(
                 f"vector of length {len(v)} does not fit {self.rows}x{self.cols}"
             )
-        return cleared_products((cleared(v),), self.cleared_rows)[0]
-
-    def _require_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatchError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+        ints, den = cleared(v)
+        den *= self.den
+        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
 
 
 def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
     """First (i, j) with i <= j in row-major scan where m[i][j] != -m[j][i],
     or None when the square matrix m is skew with zero diagonal."""
-    grid = m.entries
+    grid = m.num
     for i, row in enumerate(grid):
         for j in range(i, m.rows):
-            # Lowest terms make this equality test exact, with no negation built.
-            a, b = row[j], grid[j][i]
-            if a.numerator != -b.numerator or a.denominator != b.denominator:
+            if row[j] != -grid[j][i]:
                 return i, j
     return None
 
@@ -275,8 +268,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    reduced = Matrix(m.rows, m.cols, tuple(tuple(row) for row in grid))
-    return reduced, pivot_row
+    return Matrix.from_rows(grid, cols=m.cols), pivot_row
 
 
 def rank(m: Matrix) -> int:
@@ -307,15 +299,17 @@ class Subspace:
     def _is_canonical(rows: Sequence[Vector]) -> bool:
         """Whether rows are a reduced row-echelon form without zero rows,
         i.e. exactly what _canonical_basis makes of them."""
-        pivots: list[int] = []
+        leads, rest, last = set(), [], -1
         for row in rows:
-            lead = next((j for j, x in enumerate(row) if x != 0), None)
-            if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            support = list(compress(count(), row))
+            if not support or support[0] <= last or row[support[0]] != 1:
                 return False
-            pivots.append(lead)
-        return all(
-            row[p] == 0 for i, row in enumerate(rows) for k, p in enumerate(pivots) if i != k
-        )
+            last = support[0]
+            leads.add(last)
+            rest.extend(support[1:])
+        # Entries left of a row's lead are zero, so the pivot columns are clear
+        # outside their own rows iff no non-leading entry falls on a lead.
+        return leads.isdisjoint(rest)
 
     @staticmethod
     def _canonical_basis(vectors: Sequence[Vector], ambient_dim: int) -> tuple[Vector, ...]:

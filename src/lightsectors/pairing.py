@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -17,7 +18,6 @@ from .linalg import (
     Matrix,
     Vector,
     cleared,
-    cleared_products,
     first_skew_violation,
     is_zero_vector,
     vector,
@@ -84,7 +84,9 @@ def pair(space: PairingSpace, a: Sequence[object], b: Sequence[object]) -> Fract
         raise DimensionMismatchError(
             f"vectors of lengths {len(av)}, {len(bv)} in pairing space of dim {space.dim}"
         )
-    return cleared_products((cleared(av),), (cleared(space.gram.apply(bv)),))[0][0]
+    (a_ints, da), (b_ints, db) = cleared(av), cleared(bv)
+    gb = (sum(map(mul, row, b_ints)) for row in space.gram.num)
+    return Fraction(sum(map(mul, a_ints, gb)), da * db * space.gram.den)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -31,7 +32,6 @@ from .linalg import (
     Matrix,
     Vector,
     cleared,
-    cleared_products,
     first_skew_violation,
     is_zero_vector,
 )
@@ -65,9 +65,8 @@ class TransportOperator:
     @cached_property
     def n_matrix(self) -> Matrix:
         (d_ints, dd), (w_ints, dw) = cleared(self.delta), cleared(self.weights)
-        den = dd * dw
-        grid = tuple(tuple(Fraction(w * d, den) for w in w_ints) for d in d_ints)
-        return Matrix(self.dim, self.dim, grid)
+        grid = tuple(tuple(w * d for w in w_ints) for d in d_ints)
+        return Matrix(self.dim, self.dim, grid, dd * dw)
 
     @cached_property
     def t_matrix(self) -> Matrix:
@@ -125,24 +124,23 @@ class InteractionMatrix:
 
     @cached_property
     def entries(self) -> Matrix:
-        rows = [tuple(row[d] for d in self.node_class) for row in self.pairings.entries]
-        return Matrix(self.r, self.r, tuple(rows[c] for c in self.node_class))
+        rows = [tuple(row[d] for d in self.node_class) for row in self.pairings.num]
+        return Matrix(self.r, self.r, tuple(rows[c] for c in self.node_class), self.pairings.den)
 
 
 def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     """Matrix of pairings <delta_i, delta_j> over all cycle pairs, in class form.
 
-    Equal cycles have equal cleared forms, so each distinct class is paired
-    once.  Classes are numbered in order of first occurrence: one form per
+    Over one common denominator, equal cycles have equal integer rows, so the
+    distinct rows are the classes and the pairings are C G C^T over them.
+    Classes are numbered in order of first occurrence: one form per
     configuration.
     """
-    keys = [cleared(c) for c in cfg.cycles]
-    classes = dict(zip(keys, cfg.cycles))
-    weighted = [cleared(cfg.space.gram.apply(c)) for c in classes.values()]
-    slot = {key: s for s, key in enumerate(classes)}
-    k = len(classes)
-    pairings = Matrix(k, k, cleared_products(classes, weighted))
-    return InteractionMatrix(pairings, tuple(slot[key] for key in keys))
+    c = Matrix.from_rows(cfg.cycles, cols=cfg.space.dim)
+    slot = {row: s for s, row in enumerate(dict.fromkeys(c.num))}
+    classes = Matrix(len(slot), c.cols, tuple(slot), c.den)
+    pairings = classes @ cfg.space.gram @ classes.transpose()
+    return InteractionMatrix(pairings, tuple(slot[row] for row in c.num))
 
 
 def commutator(a: TransportOperator, b: TransportOperator) -> Matrix:
@@ -163,18 +161,14 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
     """
     lam_ab = pair(space, delta_a, delta_b)
     # lambda_ba = -lambda_ab and <e_k, delta> = (G delta)[k], so entry (j, k)
-    # is -lambda_ab (wb[k] delta_a[j] + wa[k] delta_b[j]); with every factor
-    # cleared, both terms share the denominator den.
+    # is -lambda_ab ((G delta_b)[k] delta_a[j] + (G delta_a)[k] delta_b[j]).
+    # With delta = d / dd and G = g / gd cleared, (G delta)[k] = (g d)[k] / (gd dd),
+    # so for lambda_ab = p / q the entry is an integer over q gd dda ddb.
     (da, dda), (db, ddb) = cleared(delta_a), cleared(delta_b)
-    (wa, dwa), (wb, dwb) = cleared(space.gram.apply(delta_a)), cleared(space.gram.apply(delta_b))
+    ga, gb = ([sum(map(mul, row, d)) for row in space.gram.num] for d in (da, db))
     p, q = lam_ab.numerator, lam_ab.denominator
-    ua = tuple(-p * dwa * ddb * x for x in da)
-    ub = tuple(-p * dwb * dda * x for x in db)
-    den = q * dwb * dda * dwa * ddb
-    grid = tuple(
-        tuple(Fraction(y * a + z * b, den) for y, z in zip(wb, wa)) for a, b in zip(ua, ub)
-    )
-    return Matrix(space.dim, space.dim, grid)
+    grid = tuple(tuple(-p * (y * a + z * b) for y, z in zip(gb, ga)) for a, b in zip(da, db))
+    return Matrix(space.dim, space.dim, grid, q * space.gram.den * dda * ddb)
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

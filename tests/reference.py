@@ -1,9 +1,10 @@
 """Test oracles: entrywise Fraction arithmetic and eager verification records.
 
-The arithmetic functions are the plain loops the package used before its
-dense products moved to cleared integers (``linalg.cleared``).  Every one
-multiplies and adds Fractions entry by entry, so a test can require the
-kernel's results to equal them exactly, entry by entry.
+The arithmetic functions are plain loops over ``Matrix.entries``, the
+Fraction view of a matrix the package stores as integers over one
+denominator.  Every one adds, negates and multiplies Fractions entry by
+entry and builds its result with ``Matrix.from_rows``, so a test can require
+the integer kernel's results to equal them exactly, entry by entry.
 
 ``dense_grid``, ``commutes_all`` and ``atom_splitting`` read an interaction
 matrix one node entry at a time, so they do not depend on its class form.
@@ -28,6 +29,34 @@ from lightsectors.pairing import CycleConfiguration, PairingSpace
 from lightsectors.transport import InteractionMatrix
 
 
+def add(left: Matrix, right: Matrix) -> Matrix:
+    _require_same_shape(left, right)
+    grid = [[x + y for x, y in zip(a, b)] for a, b in zip(left.entries, right.entries)]
+    return Matrix.from_rows(grid, cols=left.cols)
+
+
+def sub(left: Matrix, right: Matrix) -> Matrix:
+    _require_same_shape(left, right)
+    grid = [[x - y for x, y in zip(a, b)] for a, b in zip(left.entries, right.entries)]
+    return Matrix.from_rows(grid, cols=left.cols)
+
+
+def neg(m: Matrix) -> Matrix:
+    return Matrix.from_rows([[-x for x in row] for row in m.entries], cols=m.cols)
+
+
+def transpose(m: Matrix) -> Matrix:
+    grid = [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    return Matrix.from_rows(grid, cols=m.rows)
+
+
+def _require_same_shape(left: Matrix, right: Matrix) -> None:
+    if (left.rows, left.cols) != (right.rows, right.cols):
+        raise DimensionMismatchError(
+            f"shape mismatch: {left.rows}x{left.cols} vs {right.rows}x{right.cols}"
+        )
+
+
 def matmul(left: Matrix, right: Matrix) -> Matrix:
     if left.cols != right.rows:
         raise DimensionMismatchError(
@@ -42,7 +71,7 @@ def matmul(left: Matrix, right: Matrix) -> Matrix:
                 for j, b in enumerate(right.entries[k]):
                     if b:
                         acc[j] = acc[j] + a * b
-    return Matrix(left.rows, right.cols, tuple(tuple(r) for r in out))
+    return Matrix.from_rows(out, cols=right.cols)
 
 
 def apply(m: Matrix, v: Vector) -> Vector:
@@ -79,12 +108,17 @@ def interaction_grid(space: PairingSpace, cycles: Sequence[Vector]) -> Matrix:
                     acc = acc + x * y
             row.append(acc)
         grid.append(tuple(row))
-    return Matrix(len(cycles), len(cycles), tuple(grid))
+    return Matrix.from_rows(grid, cols=len(cycles))
 
 
 def n_matrix(delta: Vector, weights: Vector) -> Matrix:
     grid = tuple(tuple(w * d for w in weights) for d in delta)
-    return Matrix(len(delta), len(delta), grid)
+    return Matrix.from_rows(grid, cols=len(delta))
+
+
+def commutator(n_a: Matrix, n_b: Matrix) -> Matrix:
+    """N_a N_b - N_b N_a of two dense matrices."""
+    return sub(matmul(n_a, n_b), matmul(n_b, n_a))
 
 
 def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector) -> Matrix:
@@ -97,7 +131,7 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
         tuple(wb[k] * lam_ba * delta_a[j] - wa[k] * lam_ab * delta_b[j] for k in range(n))
         for j in range(n)
     )
-    return Matrix(n, n, grid)
+    return Matrix.from_rows(grid, cols=n)
 
 
 def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
@@ -115,7 +149,7 @@ def dense_grid(pairings: Matrix, node_class: Sequence[int]) -> Matrix:
         tuple(pairings.entries[node_class[i]][node_class[j]] for j in range(r))
         for i in range(r)
     )
-    return Matrix(r, r, grid)
+    return Matrix.from_rows(grid, cols=r)
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

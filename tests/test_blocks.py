@@ -10,7 +10,6 @@ from lightsectors.linalg import (
     Subspace,
     basis_vector,
     quotient_dim,
-    vec_sub,
     vector,
 )
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
@@ -234,7 +233,7 @@ def test_lattice_matches_chained_differences():
             groups.setdefault(rng.randrange(b), []).append(node)
         part = BlockDecomposition.from_blocks(r, list(groups.values()))
         chained = [
-            vec_sub(basis_vector(r, a), basis_vector(r, c))
+            tuple(x - y for x, y in zip(basis_vector(r, a), basis_vector(r, c)))
             for block in part.blocks
             for a, c in zip(block, block[1:])
         ]

@@ -109,6 +109,12 @@ def test_realized_space_invariant_under_recombination():
     assert realized_space(inc).v_geom == realized_space(recombined).v_geom
 
 
+def test_from_columns_keeps_the_stated_node_count():
+    with pytest.raises(DimensionMismatchError):
+        IncidenceDatum.from_columns(3, [(1, 1)])
+    assert IncidenceDatum.from_columns(2, []).r == 2
+
+
 def test_incidence_shape_validation():
     with pytest.raises(DimensionMismatchError):
         IncidenceDatum(3, ("g1",), Matrix.identity(2))

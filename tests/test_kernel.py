@@ -1,14 +1,18 @@
-"""The integer product kernel against the entrywise Fraction reference.
+"""The integer matrix kernel against the entrywise Fraction reference.
 
-Every dense product clears denominators (``linalg.cleared``), multiplies in
-``int`` and builds each entry as one Fraction; ``reference`` keeps the plain
-Fraction loops.  The two must agree exactly, entry by entry and in the text
-form of each entry, on every shape including empty ones, on zero rows and
-columns, on pairwise-coprime denominators, on negative entries and on
-numerators past Python's 4300-digit string limit.
+A ``Matrix`` is integer rows over one denominator in lowest terms, and its
+sums, differences, negation, transpose and products run on those integers;
+the vector products clear denominators (``linalg.cleared``) and return
+Fractions.  ``reference`` keeps the plain Fraction loops.  The two must agree
+exactly, entry by entry and in the text form of each entry, on every shape
+including empty ones, on zero rows and columns, on pairwise-coprime
+denominators, on negative entries and on numerators past Python's 4300-digit
+string limit; every result must be in lowest terms, so that equal values give
+equal, equally hashed matrices.
 """
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -19,7 +23,12 @@ from hypothesis import strategies as st
 import reference
 from lightsectors.linalg import Matrix, cleared, first_skew_violation, vector, zero_vector
 from lightsectors.pairing import CycleConfiguration, make_pairing_space, pair
-from lightsectors.transport import TransportOperator, commutator_closed_form, interaction_matrix
+from lightsectors.transport import (
+    TransportOperator,
+    commutator,
+    commutator_closed_form,
+    interaction_matrix,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 HUGE = 10 ** 4301  # 4302 digits, past the default int-to-str limit of 4300
@@ -83,6 +92,8 @@ def assert_same_entries(got, want):
 
 def assert_same_matrix(got: Matrix, want: Matrix):
     assert (got.rows, got.cols) == (want.rows, want.cols)
+    # Lowest terms: the one stored form of the value.
+    assert got.den >= 1 and math.gcd(got.den, *(x for row in got.num for x in row)) == 1
     assert len(got.entries) == len(want.entries)
     for row_got, row_want in zip(got.entries, want.entries):
         assert_same_entries(row_got, row_want)
@@ -137,6 +148,37 @@ def test_matmul_matches_reference(data):
     a = data.draw(matrices())
     b = data.draw(matrices(rows=a.cols))
     assert_same_matrix(a @ b, reference.matmul(a, b))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_add_sub_neg_transpose_match_reference(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.rows, cols=a.cols))
+    assert_same_matrix(a + b, reference.add(a, b))
+    assert_same_matrix(a - b, reference.sub(a, b))
+    assert_same_matrix(-a, reference.neg(a))
+    assert_same_matrix(a.transpose(), reference.transpose(a))
+    assert a.is_zero() == all(x == 0 for row in a.entries for x in row)
+
+
+@kernel_settings
+@given(data=st.data())
+def test_equal_values_give_equal_hashed_matrices(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.rows, cols=a.cols))
+    c = data.draw(matrices(rows=a.cols))
+    for got, want in (((a + b) - b, a), (a @ c, reference.matmul(a, c)),
+                      (-(-a), a), (a.transpose().transpose(), a)):
+        assert got == want and hash(got) == hash(want)
+
+
+def test_unreduced_text_gives_the_same_matrix():
+    half = Matrix.from_rows([["2/4"]])
+    assert half == Matrix.from_rows([["1/2"]]) == Matrix(1, 1, ((3,),), 6)
+    assert hash(half) == hash(Matrix(1, 1, ((3,),), 6))
+    assert (half.num, half.den) == (((1,),), 2)
+    assert Matrix(2, 2, ((0, 0), (0, 0)), 7) == Matrix.zero(2, 2)
 
 
 @kernel_settings
@@ -231,6 +273,32 @@ def test_n_matrix_matches_reference(data):
     delta, weights = data.draw(vectors(n)), data.draw(vectors(n))
     op = TransportOperator(0, delta, weights)
     assert_same_matrix(op.n_matrix, reference.n_matrix(delta, weights))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_commutator_matches_reference(data):
+    n = data.draw(st.integers(0, 5))
+    a, b = (TransportOperator(k, data.draw(vectors(n)), data.draw(vectors(n))) for k in (0, 1))
+    want = reference.commutator(reference.n_matrix(a.delta, a.weights),
+                                reference.n_matrix(b.delta, b.weights))
+    assert_same_matrix(commutator(a, b), want)
+
+
+def test_closed_form_never_multiplies_matrices(monkeypatch):
+    """The closed form is the independent route of the cross-check: it must
+    not reach the dense product it is compared with."""
+    space = make_pairing_space(Matrix.from_rows([[0, "1/2", 3], ["-1/2", 0, "-2/3"],
+                                                 [-3, "2/3", 0]]))
+    a, b = vector(["1/3", -1, 2]), vector([5, "1/7", "-1/2"])
+    want = reference.commutator_closed_form(space, a, b)
+
+    def refuse(*_):
+        raise AssertionError("closed form used the matrix product")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert_same_matrix(commutator_closed_form(space, a, b), want)
+    assert not want.is_zero()
 
 
 @kernel_settings

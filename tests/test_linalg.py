@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -20,6 +21,8 @@ from lightsectors.linalg import (
     rref,
     vector,
 )
+from lightsectors.blocks import relation_lattice_from_blocks
+from lightsectors.scenarios import builtin_scenario, to_package
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -241,11 +244,9 @@ def test_non_canonical_basis_rejected():
         Subspace(2, (vector([2, 0]),))
 
 
-def test_canonical_basis_check_matches_rref():
-    """Subspace(n, basis) raises exactly when rref would change the basis."""
+def _drawn_bases():
     rng = random.Random(4242)
     pool = [0, 0, 0, 1, 1, -1, 2, Fraction(1, 2)]
-    outcomes = set()
     for _ in range(3000):
         n = rng.randint(0, 4)
         basis = tuple(
@@ -259,6 +260,25 @@ def test_canonical_basis_check_matches_rref():
                 row = list(basis[i])
                 row[j] = rng.choice(pool)
                 basis = basis[:i] + (tuple(row),) + basis[i + 1:]
+        yield n, basis
+
+
+def _orbit_lattice_bases():
+    """The 125-node quintic_orbits relation lattice, then a copy with one
+    nonzero entry put into the pivot column of the next row."""
+    part = to_package(builtin_scenario("quintic_orbits")).partition
+    basis = relation_lattice_from_blocks(part).basis
+    yield part.r, basis
+    lead = next(j for j, x in enumerate(basis[1]) if x)
+    row = list(basis[0])
+    row[lead] = Fraction(3)
+    yield part.r, (tuple(row),) + basis[1:]
+
+
+def test_canonical_basis_check_matches_rref():
+    """Subspace(n, basis) raises exactly when rref would change the basis."""
+    outcomes = set()
+    for n, basis in itertools.chain(_drawn_bases(), _orbit_lattice_bases()):
         reduced, rk = rref(Matrix.from_rows(basis, cols=n))
         canonical = reduced.entries[:rk] == basis
         try:
@@ -270,6 +290,18 @@ def test_canonical_basis_check_matches_rref():
         assert accepted == canonical, basis
         outcomes.add(accepted)
     assert outcomes == {True, False}
+
+
+def test_from_rows_and_columns_reject_a_size_the_data_disagrees_with():
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_columns([(1, 1)], rows=3)
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_rows([[1, 2], [3]])
+    assert Matrix.from_rows([], cols=3) == Matrix.zero(0, 3)
+    assert Matrix.from_columns([], rows=2) == Matrix.zero(2, 0)
+    assert Matrix.from_columns([(1, 2), (3, 4)], rows=2) == Matrix.from_rows([[1, 3], [2, 4]])
 
 
 def test_matmul_shape_mismatch():

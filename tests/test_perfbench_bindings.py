@@ -1,7 +1,12 @@
-"""Every name the benchmark tracer wraps must still exist in the package.
+"""Every name the benchmark tracer wraps must still exist in the package,
+and the package must still reach the code through those names.
 
 perfbench/tracing.py replaces module attributes by name when a run asks for
---trace 1; a name dropped from the package would only surface there.
+--trace 1; a name dropped from the package would only surface there.  A
+rewrite that calls a private helper instead of ``linalg.rref`` or
+``Matrix.__matmul__`` would leave the names bound but never called: the
+exact counts would read 0 on both sides of a comparison and the per-layer
+metrics would go blind without an error.
 """
 
 import sys
@@ -12,6 +17,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
+from lightsectors import package, scenarios  # noqa: E402
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize(
@@ -21,3 +29,16 @@ import tracing  # noqa: E402
 def test_traced_name_resolves(mod, attr):
     assert callable(getattr(mod, attr))
 
+
+
+def test_tracer_sees_the_counted_and_traced_calls():
+    text = (DATA / "four_node_blocks.scenario").read_text()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pkg = scenarios.to_package(scenarios.parse_scenario(text))
+        assert package.verify_block_structure(pkg).overall
+    assert tracer.counts["linalg.matmul.calls"] > 0
+    assert tracer.counts["linalg.rref.calls"] > 0
+    spans = {name for name, *_ in tracer.spans}
+    assert {"transport.commutator", "transport.commutator_closed_form",
+            "transport.interaction_matrix"} <= spans

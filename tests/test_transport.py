@@ -134,9 +134,9 @@ def test_rank_one_factor_matches_dense_reference():
             tuple(x + 1 if j == k else x for k, x in enumerate(row))
             for j, row in enumerate(n_grid)
         )
-        reference = Matrix(space.dim, space.dim, n_grid)
+        reference = Matrix.from_rows(n_grid, cols=space.dim)
         assert op.n_matrix == reference
-        assert op.t_matrix == Matrix(space.dim, space.dim, t_grid)
+        assert op.t_matrix == Matrix.from_rows(t_grid, cols=space.dim)
         assert op.nilpotent_rank == rank(reference)
         kinds.add("zero cycle" if is_zero_vector(delta)
                   else "pairs trivially" if op.nilpotent_rank == 0 else "rank one")
