@@ -11,7 +11,6 @@ from .linalg import (
     DimensionMismatchError,
     InvariantError,
     Matrix,
-    Rational,
     Subspace,
     Vector,
     column_space,
@@ -28,7 +27,6 @@ from .pairing import (
     NotSkewSymmetricError,
     NotSquareError,
     PairingSpace,
-    make_pairing_space,
     pair,
     standard_symplectic,
 )
@@ -43,9 +41,7 @@ from .transport import (
     transport_word,
 )
 from .gluing import (
-    CorrectedClass,
     ExtensionVerdict,
-    IncidenceDatum,
     RealizedSpace,
     check_membership,
     classify_extension_side,
@@ -60,7 +56,6 @@ from .blocks import (
     VerificationReport,
     block_commutator_check,
     check_block_separation,
-    infer_blocks_from_incidence,
     reduced_matrix,
     relation_lattice_from_blocks,
     verify_block_consistency,

@@ -19,10 +19,8 @@ from .linalg import (
     DimensionMismatchError,
     Subspace,
     Vector,
-    column_space,
     format_rational,
 )
-from .gluing import IncidenceDatum
 from .pairing import CycleConfiguration, PairingSpace
 from .transport import (
     InteractionMatrix,
@@ -280,21 +278,15 @@ def relation_lattice_from_blocks(part: BlockDecomposition) -> Subspace:
     return Subspace(part.r, tuple(rows))
 
 
-def infer_blocks_from_incidence(
-    inc: IncidenceDatum,
-) -> Union[BlockDecomposition, NotBlockAdapted]:
-    """Recover a partition when the realized space has an indicator basis.
-
-    The canonical basis of the column span must consist of 0/1 vectors with
-    pairwise disjoint supports covering every node; each support is then a
-    block.  Any other shape is reported as not block-adapted.
-    """
-    return blocks_from_indicator_basis(column_space(inc.matrix_c))
-
-
 def blocks_from_indicator_basis(
     v_geom: Subspace,
 ) -> Union[BlockDecomposition, NotBlockAdapted]:
+    """Recover a partition when the realized space has an indicator basis.
+
+    The canonical basis must consist of 0/1 vectors with pairwise disjoint
+    supports covering every node; each support is then a block.  Any other
+    shape is reported as not block-adapted.
+    """
     supports: list[tuple[int, ...]] = []
     covered: set[int] = set()
     for vec in v_geom.basis:

@@ -26,6 +26,7 @@ from .report import (
     verification_unavailable_document,
 )
 from .scenarios import (
+    _UINT,
     BUILTIN_NAMES,
     ScenarioError,
     builtin_scenario,
@@ -89,12 +90,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     coupling = parse_rational(args.coupling) if args.coupling is not None else None
     orbit_sizes = None
     if args.orbits is not None:
-        try:
-            orbit_sizes = [int(tok) for tok in args.orbits.split(",")]
-        except ValueError:
-            print(f"--orbits expects comma-separated integers, got {args.orbits!r}",
-                  file=sys.stderr)
+        tokens = args.orbits.split(",")
+        # The digit rule of dim and partition entries in files.
+        bad = next((tok for tok in tokens if not _UINT.fullmatch(tok)), None)
+        if bad is not None:
+            print(f"--orbits expects comma-separated integers, got {bad!r} in "
+                  f"{args.orbits!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+        orbit_sizes = [int(tok) for tok in tokens]
     scenario = builtin_scenario(args.name, coupling=coupling, orbit_sizes=orbit_sizes)
     _emit(serialize_scenario(scenario).encode("utf-8"), args.emit)
     return EXIT_OK

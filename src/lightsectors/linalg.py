@@ -30,10 +30,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-# The scalar field.  Fraction already guarantees lowest terms and a
-# positive denominator, which is exactly the canonical form we need.
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 # A vector v as integers over one denominator: (ints, den), v[i] == ints[i] / den.
@@ -189,9 +185,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         """self + sign * other over the least common denominator."""

@@ -17,13 +17,11 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .linalg import DimensionMismatchError, InvariantError, quotient_dim
+from .linalg import DimensionMismatchError, InvariantError, Matrix, Vector, quotient_dim
 from .pairing import CycleConfiguration, PairingSpace
 from .transport import InteractionMatrix, TransportOperator, commutes_all, interaction_matrix, pl_operator
 from .gluing import (
-    CorrectedClass,
     ExtensionVerdict,
-    IncidenceDatum,
     RealizedSpace,
     check_membership,
     classify_extension_side,
@@ -91,23 +89,23 @@ class Classification:
 
 @dataclass(frozen=True)
 class LightSectorPackage:
-    """The assembled record: spaces, transport, interaction, blocks, verdicts."""
+    """The assembled record: spaces, transport, interaction, blocks, verdicts.
 
-    r: int
-    space: PairingSpace
+    transport[i] is node i's operator; the nodes of one cycle class share it.
+    """
+
     cycles: CycleConfiguration
     transport: tuple[TransportOperator, ...]
     interaction: InteractionMatrix
     realized: RealizedSpace
-    ambient_default: bool
-    incidence: IncidenceDatum | None
+    incidence: Matrix | None
     blocks_incidence: Union[BlockDecomposition, NotBlockAdapted, None]
     partition: BlockDecomposition | None
     block_classes: Union[BlockClasses, BlockSeparationViolation, None]
     reduced: InteractionMatrix | None
     blockwise: AtomSplittingReport | None
     atom: AtomSplittingReport
-    corrected_class: CorrectedClass | None
+    corrected_class: Vector | None
     corrected_member: bool | None
 
     def __post_init__(self) -> None:
@@ -115,6 +113,19 @@ class LightSectorPackage:
             raise DimensionMismatchError("package cross-references inconsistent")
         if self.realized.ambient_r != self.r:
             raise DimensionMismatchError("realized space has wrong ambient dimension")
+
+    @property
+    def r(self) -> int:
+        return self.cycles.r
+
+    @property
+    def space(self) -> PairingSpace:
+        return self.cycles.space
+
+    @property
+    def ambient_default(self) -> bool:
+        """No incidence was supplied, so the realized space is all of QQ^r."""
+        return self.incidence is None
 
     @property
     def separation_holds(self) -> bool:
@@ -131,9 +142,9 @@ class LightSectorPackage:
 def assemble(
     space: PairingSpace,
     cycles: Sequence[Sequence[object]] | CycleConfiguration,
-    incidence: IncidenceDatum | None = None,
+    incidence: Matrix | None = None,
     partition: BlockDecomposition | None = None,
-    corrected_class: CorrectedClass | None = None,
+    corrected_class: Vector | None = None,
 ) -> LightSectorPackage:
     """Build the full package from exact input data.
 
@@ -150,22 +161,26 @@ def assemble(
         raise DimensionMismatchError("cycle configuration built on a different space")
     r = cfg.r
 
-    transport = tuple(pl_operator(cfg, i) for i in range(r))
     lam = interaction_matrix(cfg)
+    # The nodes of a class have equal cycles, hence equal operators: build
+    # one per class, at the class's first node.
+    per_class: dict[int, TransportOperator] = {}
+    for i, c in enumerate(lam.node_class):
+        if c not in per_class:
+            per_class[c] = pl_operator(cfg, i)
+    transport = tuple(per_class[c] for c in lam.node_class)
     atom = atom_splitting(lam)
 
     if incidence is not None:
-        if incidence.r != r:
+        if incidence.rows != r:
             raise DimensionMismatchError(
-                f"incidence matrix for {incidence.r} nodes, configuration has {r}"
+                f"incidence matrix for {incidence.rows} nodes, configuration has {r}"
             )
         realized = realized_space(incidence)
-        ambient_default = False
         blocks_incidence: Union[BlockDecomposition, NotBlockAdapted, None]
         blocks_incidence = blocks_from_indicator_basis(realized.v_geom)
     else:
         realized = RealizedSpace.ambient(r)
-        ambient_default = True
         blocks_incidence = None
 
     block_classes: Union[BlockClasses, BlockSeparationViolation, None] = None
@@ -186,13 +201,10 @@ def assemble(
         corrected_member = check_membership(realized, corrected_class)
 
     return LightSectorPackage(
-        r=r,
-        space=space,
         cycles=cfg,
         transport=transport,
         interaction=lam,
         realized=realized,
-        ambient_default=ambient_default,
         incidence=incidence,
         blocks_incidence=blocks_incidence,
         partition=partition,

@@ -41,28 +41,23 @@ class NotSkewSymmetricError(ValueError):
 
 @dataclass(frozen=True)
 class PairingSpace:
-    """A rational coefficient space of dimension dim with a skew Gram matrix."""
+    """A rational coefficient space with a square skew Gram matrix; its
+    dimension is the Gram matrix's size."""
 
-    dim: int
     gram: Matrix
 
     def __post_init__(self) -> None:
-        if not self.gram.is_square():
+        if self.gram.rows != self.gram.cols:
             raise NotSquareError(
                 f"gram matrix is {self.gram.rows}x{self.gram.cols}, not square"
-            )
-        if self.gram.rows != self.dim:
-            raise DimensionMismatchError(
-                f"gram matrix size {self.gram.rows} does not match dim {self.dim}"
             )
         bad = first_skew_violation(self.gram)
         if bad is not None:
             raise NotSkewSymmetricError(*bad)
 
-
-def make_pairing_space(gram: Matrix) -> PairingSpace:
-    """Validated pairing space from a square skew-symmetric Gram matrix."""
-    return PairingSpace(gram.rows, gram)
+    @property
+    def dim(self) -> int:
+        return self.gram.rows
 
 
 def standard_symplectic(g: int) -> PairingSpace:
@@ -74,7 +69,7 @@ def standard_symplectic(g: int) -> PairingSpace:
     for k in range(g):
         grid[2 * k][2 * k + 1] = Fraction(1)
         grid[2 * k + 1][2 * k] = Fraction(-1)
-    return PairingSpace(n, Matrix.from_rows(grid, cols=n))
+    return PairingSpace(Matrix.from_rows(grid, cols=n))
 
 
 def pair(space: PairingSpace, a: Sequence[object], b: Sequence[object]) -> Fraction:

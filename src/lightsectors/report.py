@@ -72,14 +72,12 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
     """Assemble the full analysis report for one package."""
     c = classify(pkg)
 
-    flags: list[str] = []
-    for k in pkg.cycles.trivial_nodes:
-        flags.append(f"node {k + 1}: homologically trivial (zero cycle)")
-    for op in pkg.transport:
-        if op.nilpotent_rank == 0 and op.node_index not in pkg.cycles.trivial_nodes:
-            flags.append(
-                f"node {op.node_index + 1}: cycle pairs trivially (identity transport)"
-            )
+    trivial = pkg.cycles.trivial_nodes
+    flags = [f"node {k + 1}: homologically trivial (zero cycle)" for k in trivial]
+    trivial_set = set(trivial)
+    for i, op in enumerate(pkg.transport):
+        if op.nilpotent_rank == 0 and i not in trivial_set:
+            flags.append(f"node {i + 1}: cycle pairs trivially (identity transport)")
     if pkg.ambient_default:
         flags.append("no gluing data supplied; extension side uses the ambient default")
     if isinstance(pkg.blocks_incidence, NotBlockAdapted):
@@ -137,7 +135,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
             "corrected_class": (
                 None
                 if pkg.corrected_class is None
-                else [format_rational(x) for x in pkg.corrected_class.coeffs]
+                else [format_rational(x) for x in pkg.corrected_class]
             ),
             "corrected_class_member": pkg.corrected_member,
         },

@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, Vector, format_rational, parse_rational
-from .pairing import NotSkewSymmetricError, make_pairing_space, standard_symplectic
-from .gluing import CorrectedClass, IncidenceDatum
+from .pairing import NotSkewSymmetricError, PairingSpace, standard_symplectic
 from .blocks import BlockDecomposition
 from .package import LightSectorPackage, assemble
 
@@ -170,7 +169,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
                                 line=ln, field="gram")
     gram = Matrix.from_rows(gram_rows, cols=dim)
     try:
-        make_pairing_space(gram)
+        PairingSpace(gram)
     except NotSkewSymmetricError as exc:
         raise ScenarioError(str(exc), line=grids["gram"][exc.i][0], field="gram") from exc
 
@@ -282,20 +281,13 @@ def serialize_scenario(s: ScenarioFile) -> str:
 
 def to_package(s: ScenarioFile) -> LightSectorPackage:
     """Assemble the light-sector package described by a scenario."""
-    space = make_pairing_space(s.gram)
-    incidence = None
-    if s.incidence is not None:
-        incidence = IncidenceDatum.from_matrix(s.incidence)
     partition = None
     if s.partition is not None:
         partition = BlockDecomposition.from_blocks(
             s.r, [[k - 1 for k in block] for block in s.partition]
         )
-    corrected = None
-    if s.corrected_class is not None:
-        corrected = CorrectedClass(s.corrected_class)
-    return assemble(space, s.cycles, incidence=incidence,
-                    partition=partition, corrected_class=corrected)
+    return assemble(PairingSpace(s.gram), s.cycles, incidence=s.incidence,
+                    partition=partition, corrected_class=s.corrected_class)
 
 
 def builtin_scenario(

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .linalg import Matrix, quotient_dim, rank, vector
-from .pairing import CycleConfiguration, PairingSpace, make_pairing_space, pair, standard_symplectic
+from .pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from .transport import commutator, commutes_all, interaction_matrix, pl_operator
 from .atoms import atom_splitting
 from .blocks import relation_lattice_from_blocks
@@ -31,7 +31,7 @@ SELFTEST_SEED = 20250808
 def _random_skew_space(rng: random.Random, dim: int) -> PairingSpace:
     grid = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
     a = Matrix.from_rows(grid, cols=dim)
-    return make_pairing_space(a - a.transpose())
+    return PairingSpace(a - a.transpose())
 
 
 def _check_builtin_regressions() -> str:

@@ -4,7 +4,8 @@ Each cycle delta induces the transport T(a) = a + <a, delta> delta with
 nilpotent part N = T - Id, so N(a) = <a, delta> delta and N^2 = 0 (the
 self-pairing vanishes by skew symmetry).  N is the rank-one map
 delta (x) G delta, so a TransportOperator stores only delta and the weights
-G delta and builds the dense N and T on request.  The interaction matrix
+G delta and builds the dense N and T on request; equal cycles give equal
+operators, so a package builds one per cycle class.  The interaction matrix
 collects the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its
 off-diagonal vanishing is exactly pairwise commutativity of the transports.
 It is stored in class form: the k x k pairings of the distinct cycle classes
@@ -40,13 +41,12 @@ from .pairing import CycleConfiguration, PairingSpace, pair
 
 @dataclass(frozen=True)
 class TransportOperator:
-    """T = Id + N for one node, with N = delta (x) weights and weights = G delta.
+    """T = Id + N for one cycle, with N = delta (x) weights and weights = G delta.
 
-    Entry (j, k) of N is weights[k] * delta[j]; node_index is 0-based.  N has
-    rank 1 unless the cycle is zero or pairs trivially, when T is the identity.
+    Entry (j, k) of N is weights[k] * delta[j].  N has rank 1 unless the cycle
+    is zero or pairs trivially, when T is the identity.
     """
 
-    node_index: int
     delta: Vector
     weights: Vector
 
@@ -83,7 +83,7 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
         raise IndexError(f"node index {i} out of range for {cfg.r} nodes")
     delta = cfg.cycles[i]
     # Column k of N is <e_k, delta> delta, and <e_k, delta> = (G delta)[k].
-    return TransportOperator(i, delta, cfg.space.gram.apply(delta))
+    return TransportOperator(delta, cfg.space.gram.apply(delta))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference
 from lightsectors.linalg import Matrix
-from lightsectors.pairing import CycleConfiguration, make_pairing_space, standard_symplectic
+from lightsectors.pairing import CycleConfiguration, PairingSpace, standard_symplectic
 from lightsectors.transport import InteractionMatrix, commutes_all, interaction_matrix
 from lightsectors.atoms import atom_splitting, blockwise_atom_splitting
 from lightsectors.scenarios import to_package
@@ -19,7 +19,7 @@ def cycle_configurations(draw, max_dim=6, max_r=5):
     dim = draw(st.integers(1, max_dim))
     grid = [[draw(rationals) for _ in range(dim)] for _ in range(dim)]
     a = Matrix.from_rows(grid, cols=dim)
-    space = make_pairing_space(a - a.transpose())
+    space = PairingSpace(a - a.transpose())
     r = draw(st.integers(0, max_r))
     cycles = tuple(
         tuple(draw(rationals) for _ in range(dim)) for _ in range(r)

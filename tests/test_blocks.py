@@ -9,6 +9,7 @@ from lightsectors.linalg import (
     Matrix,
     Subspace,
     basis_vector,
+    column_space,
     quotient_dim,
     vector,
 )
@@ -20,15 +21,14 @@ from lightsectors.transport import (
     interaction_matrix,
     pl_operator,
 )
-from lightsectors.gluing import IncidenceDatum
 from lightsectors.blocks import (
     BlockClasses,
     BlockDecomposition,
     BlockSeparationViolation,
     NotBlockAdapted,
     block_commutator_check,
+    blocks_from_indicator_basis,
     check_block_separation,
-    infer_blocks_from_incidence,
     reduced_matrix,
     relation_lattice_from_blocks,
     verify_block_consistency,
@@ -244,26 +244,26 @@ def test_lattice_matches_chained_differences():
 
 
 def test_infer_blocks_from_indicator_columns():
-    inc = IncidenceDatum.from_columns(3, [(1, 1, 0), (0, 0, 1)])
-    part = infer_blocks_from_incidence(inc)
+    inc = Matrix.from_columns([(1, 1, 0), (0, 0, 1)], rows=3)
+    part = blocks_from_indicator_basis(column_space(inc))
     assert part == BlockDecomposition.from_blocks(3, [(0, 1), (2,)])
 
 
 def test_infer_blocks_identity_gives_singletons():
-    inc = IncidenceDatum.from_matrix(Matrix.identity(3))
-    assert infer_blocks_from_incidence(inc) == BlockDecomposition.singletons(3)
+    inc = Matrix.identity(3)
+    assert blocks_from_indicator_basis(column_space(inc)) == BlockDecomposition.singletons(3)
 
 
 def test_infer_blocks_rejects_non_indicator():
-    inc = IncidenceDatum.from_columns(2, [(1, 2)])
-    result = infer_blocks_from_incidence(inc)
+    inc = Matrix.from_columns([(1, 2)], rows=2)
+    result = blocks_from_indicator_basis(column_space(inc))
     assert isinstance(result, NotBlockAdapted)
     assert result.offending == vector([1, 2])
 
 
 def test_infer_blocks_rejects_non_covering():
-    inc = IncidenceDatum.from_columns(3, [(1, 0, 0)])
-    result = infer_blocks_from_incidence(inc)
+    inc = Matrix.from_columns([(1, 0, 0)], rows=3)
+    result = blocks_from_indicator_basis(column_space(inc))
     assert isinstance(result, NotBlockAdapted)
 
 
@@ -276,8 +276,8 @@ def test_infer_blocks_round_trip(data):
         groups.setdefault(owner, []).append(node)
     part = BlockDecomposition.from_blocks(r, list(groups.values()))
     columns = [[1 if k in block else 0 for k in range(r)] for block in part.blocks]
-    inc = IncidenceDatum.from_columns(r, columns)
-    assert infer_blocks_from_incidence(inc) == part
+    inc = Matrix.from_columns(columns, rows=r)
+    assert blocks_from_indicator_basis(column_space(inc)) == part
 
 
 # -- randomized separated configurations --------------------------------------

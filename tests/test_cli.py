@@ -92,6 +92,20 @@ def test_scenario_invalid_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("orbits, bad", [
+    ("2_5,25,25,25,25", "2_5"),
+    ("+25,25,25,25,25", "+25"),
+    (" 25,25,25,25,25", " 25"),
+    ("\u0662\u0665,25,25,25,25", "\u0662\u0665"),  # Arabic-Indic digits
+    ("25,,25,25,50", ""),
+])
+def test_scenario_orbits_take_ascii_digits_only(capsys, orbits, bad):
+    # The rule of dim and partition entries in scenario files.
+    code, out, err = run_cli(capsys, "scenario", "quintic_orbits", "--orbits", orbits)
+    assert code == 2 and out == ""
+    assert repr(bad) in err
+
+
 def test_scenario_unknown_name_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["scenario", "nope"])

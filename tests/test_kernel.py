@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import reference
 from lightsectors.linalg import Matrix, cleared, first_skew_violation, vector, zero_vector
-from lightsectors.pairing import CycleConfiguration, make_pairing_space, pair
+from lightsectors.pairing import CycleConfiguration, PairingSpace, pair
 from lightsectors.transport import (
     TransportOperator,
     commutator,
@@ -79,7 +79,7 @@ def vectors(n):
 def spaces(draw, max_dim=4):
     n = draw(st.integers(0, max_dim))
     a = draw(matrices(rows=n, cols=n))
-    return make_pairing_space(a - a.transpose())
+    return PairingSpace(a - a.transpose())
 
 
 def assert_same_entries(got, want):
@@ -202,7 +202,7 @@ def coupled_spaces(draw):
     """Dimension 2 to 4 with a dense Gram matrix, which is rarely zero."""
     n = draw(st.integers(2, 4))
     a = Matrix.from_rows([[draw(small) for _ in range(n)] for _ in range(n)])
-    return make_pairing_space(a - a.transpose())
+    return PairingSpace(a - a.transpose())
 
 
 @st.composite
@@ -271,7 +271,7 @@ def test_first_skew_violation_compares_denominators():
 def test_n_matrix_matches_reference(data):
     n = data.draw(st.integers(0, 5))
     delta, weights = data.draw(vectors(n)), data.draw(vectors(n))
-    op = TransportOperator(0, delta, weights)
+    op = TransportOperator(delta, weights)
     assert_same_matrix(op.n_matrix, reference.n_matrix(delta, weights))
 
 
@@ -279,7 +279,7 @@ def test_n_matrix_matches_reference(data):
 @given(data=st.data())
 def test_commutator_matches_reference(data):
     n = data.draw(st.integers(0, 5))
-    a, b = (TransportOperator(k, data.draw(vectors(n)), data.draw(vectors(n))) for k in (0, 1))
+    a, b = (TransportOperator(data.draw(vectors(n)), data.draw(vectors(n))) for _ in (0, 1))
     want = reference.commutator(reference.n_matrix(a.delta, a.weights),
                                 reference.n_matrix(b.delta, b.weights))
     assert_same_matrix(commutator(a, b), want)
@@ -288,7 +288,7 @@ def test_commutator_matches_reference(data):
 def test_closed_form_never_multiplies_matrices(monkeypatch):
     """The closed form is the independent route of the cross-check: it must
     not reach the dense product it is compared with."""
-    space = make_pairing_space(Matrix.from_rows([[0, "1/2", 3], ["-1/2", 0, "-2/3"],
+    space = PairingSpace(Matrix.from_rows([[0, "1/2", 3], ["-1/2", 0, "-2/3"],
                                                  [-3, "2/3", 0]]))
     a, b = vector(["1/3", -1, 2]), vector([5, "1/7", "-1/2"])
     want = reference.commutator_closed_form(space, a, b)

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import lightsectors.package
 from lightsectors.linalg import Matrix, vector
-from lightsectors.pairing import standard_symplectic
-from lightsectors.gluing import CorrectedClass, ExtensionVerdict, IncidenceDatum
+from lightsectors.pairing import PairingSpace, standard_symplectic
+from lightsectors.transport import pl_operator
+from lightsectors.gluing import ExtensionVerdict
 from lightsectors.blocks import BlockDecomposition, BlockSeparationViolation
 from lightsectors.package import (
     AtomVerdict,
@@ -21,7 +23,7 @@ from lightsectors.modelgen import random_block_scenario
 def _four_node_package():
     space = standard_symplectic(1)
     cycles = [(1, 0), (1, 0), (0, 1), (0, 1)]
-    incidence = IncidenceDatum.from_columns(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    incidence = Matrix.from_columns([(1, 1, 0, 0), (0, 0, 1, 1)], rows=4)
     partition = BlockDecomposition.from_blocks(4, [(0, 1), (2, 3)])
     return assemble(space, cycles, incidence=incidence, partition=partition)
 
@@ -68,6 +70,34 @@ def test_ambient_default_when_no_incidence():
     assert c.transport_side is TransportVerdict.NONCOMMUTING
 
 
+QUINTIC = builtin_scenario("quintic_orbits")
+
+
+@pytest.mark.parametrize("gram, cycles", [
+    (QUINTIC.gram, QUINTIC.cycles),
+    (standard_symplectic(2).gram,
+     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 0, 0)]),
+], ids=["quintic_orbits", "all_distinct"])
+def test_assemble_builds_one_operator_per_class(monkeypatch, gram, cycles):
+    built = []
+
+    def counted(cfg, i):
+        built.append(i)
+        return pl_operator(cfg, i)
+
+    monkeypatch.setattr(lightsectors.package, "pl_operator", counted)
+    pkg = assemble(PairingSpace(gram), cycles)
+    firsts = {}
+    for i, c in enumerate(pkg.cycles.cycles):
+        firsts.setdefault(c, i)
+    assert built == list(firsts.values())
+    for i, op in enumerate(pkg.transport):
+        fresh = pl_operator(pkg.cycles, i)
+        assert op.delta == fresh.delta
+        assert op.weights == fresh.weights
+        assert op.n_matrix == fresh.n_matrix
+
+
 def test_transport_and_atom_verdicts_always_agree():
     rng = random.Random(5)
     for i in range(25):
@@ -86,7 +116,7 @@ def test_classify_is_deterministic():
 def test_partition_incidence_discrepancy_flagged():
     space = standard_symplectic(1)
     cycles = [(1, 0), (1, 0), (0, 1)]
-    incidence = IncidenceDatum.from_columns(3, [(1, 1, 0), (0, 0, 1)])
+    incidence = Matrix.from_columns([(1, 1, 0), (0, 0, 1)], rows=3)
     partition = BlockDecomposition.singletons(3)
     pkg = assemble(space, cycles, incidence=incidence, partition=partition)
     assert pkg.partition_matches_incidence is False
@@ -99,8 +129,8 @@ def test_corrected_class_rejection_recorded():
     pkg = assemble(
         standard_symplectic(1),
         [(1, 0), (0, 1)],
-        incidence=IncidenceDatum.from_columns(2, [(1, 1)]),
-        corrected_class=CorrectedClass.of((1, 0)),
+        incidence=Matrix.from_columns([(1, 1)], rows=2),
+        corrected_class=vector((1, 0)),
     )
     assert pkg.corrected_member is False
 

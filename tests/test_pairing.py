@@ -7,7 +7,7 @@ from lightsectors.pairing import (
     CycleConfiguration,
     NotSkewSymmetricError,
     NotSquareError,
-    make_pairing_space,
+    PairingSpace,
     pair,
     standard_symplectic,
 )
@@ -20,7 +20,7 @@ def skew_spaces(draw, max_dim=6):
     dim = draw(st.integers(1, max_dim))
     grid = [[draw(rationals) for _ in range(dim)] for _ in range(dim)]
     a = Matrix.from_rows(grid, cols=dim)
-    return make_pairing_space(a - a.transpose())
+    return PairingSpace(a - a.transpose())
 
 
 def vectors_in(dim):
@@ -28,19 +28,19 @@ def vectors_in(dim):
 
 
 def test_standard_block_is_valid():
-    space = make_pairing_space(Matrix.from_rows([[0, 1], [-1, 0]]))
+    space = PairingSpace(Matrix.from_rows([[0, 1], [-1, 0]]))
     assert space.dim == 2
 
 
 def test_symmetric_matrix_rejected():
     with pytest.raises(NotSkewSymmetricError) as info:
-        make_pairing_space(Matrix.from_rows([[0, 1], [1, 0]]))
+        PairingSpace(Matrix.from_rows([[0, 1], [1, 0]]))
     assert "(1,2)" in str(info.value)
 
 
 def test_non_square_rejected():
     with pytest.raises(NotSquareError):
-        make_pairing_space(Matrix.from_rows([[0, 1]]))
+        PairingSpace(Matrix.from_rows([[0, 1]]))
 
 
 def test_standard_symplectic_blocks():
@@ -93,10 +93,10 @@ def test_pair_bilinear(data, space, lam):
 def test_validation_accepts_exactly_skew(m):
     is_skew = m.transpose() == -m
     if is_skew:
-        make_pairing_space(m)
+        PairingSpace(m)
     else:
         with pytest.raises(NotSkewSymmetricError):
-            make_pairing_space(m)
+            PairingSpace(m)
 
 
 def test_cycle_configuration_flags_trivial_nodes():

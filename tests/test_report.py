@@ -157,14 +157,40 @@ def test_flags_for_trivial_node():
 def test_flags_for_cycle_in_radical():
     from lightsectors.linalg import Matrix
     from lightsectors.package import assemble
-    from lightsectors.pairing import make_pairing_space
+    from lightsectors.pairing import PairingSpace
 
-    space = make_pairing_space(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
-    pkg = assemble(space, [(0, 0, 2), (0, 0, 0), (1, 0, 0)])
+    space = PairingSpace(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    pkg = assemble(space, [(0, 0, 2), (0, 0, 0), (1, 0, 0), (0, 0, -1), (0, 0, 0)])
     doc = analysis_document(pkg, "radical")
-    assert doc["transport"]["nilpotent_ranks"] == [0, 0, 1]
-    trivial = [f for f in doc["flags"] if "pairs trivially" in f]
-    assert trivial == ["node 1: cycle pairs trivially (identity transport)"]
+    assert doc["transport"]["nilpotent_ranks"] == [0, 0, 1, 0, 0]
+    assert doc["flags"] == [
+        "node 2: homologically trivial (zero cycle)",
+        "node 5: homologically trivial (zero cycle)",
+        "node 1: cycle pairs trivially (identity transport)",
+        "node 4: cycle pairs trivially (identity transport)",
+        "no gluing data supplied; extension side uses the ambient default",
+    ]
+
+
+def test_flags_scan_the_cycles_once(monkeypatch):
+    from lightsectors.linalg import Matrix
+    from lightsectors.package import assemble
+    from lightsectors.pairing import CycleConfiguration, PairingSpace
+
+    space = PairingSpace(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    # Forty nodes in the radical of the Gram matrix, half of them zero cycles.
+    pkg = assemble(space, [(0, 0, k % 2) for k in range(40)])
+    scans = []
+    real = CycleConfiguration.trivial_nodes.fget
+
+    def counted(cfg):
+        scans.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(CycleConfiguration, "trivial_nodes", property(counted))
+    doc = analysis_document(pkg, "radical")
+    assert len(scans) == 1
+    assert len(doc["flags"]) == 41
 
 
 def test_unknown_render_format():

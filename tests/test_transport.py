@@ -18,7 +18,7 @@ from lightsectors.linalg import (
 )
 from lightsectors.pairing import (
     CycleConfiguration,
-    make_pairing_space,
+    PairingSpace,
     pair,
     standard_symplectic,
 )
@@ -42,7 +42,7 @@ def cycle_configurations(draw, max_dim=6, max_r=4):
     dim = draw(st.integers(1, max_dim))
     grid = [[draw(rationals) for _ in range(dim)] for _ in range(dim)]
     a = Matrix.from_rows(grid, cols=dim)
-    space = make_pairing_space(a - a.transpose())
+    space = PairingSpace(a - a.transpose())
     r = draw(st.integers(1, max_r))
     cycles = [
         vector([draw(rationals) for _ in range(dim)]) for _ in range(r)
@@ -109,7 +109,7 @@ def test_rank_one_factor_matches_dense_reference():
     """The lazy matrices and nilpotent_rank agree with the entrywise grid."""
     rng = random.Random(5150)
     # Radical spanned by e3: a cycle there pairs trivially with everything.
-    degenerate = make_pairing_space(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    degenerate = PairingSpace(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     cases = [
         (standard_symplectic(1), vector([0, 0])),
         (degenerate, vector([0, 0, 2])),
@@ -122,7 +122,7 @@ def test_rank_one_factor_matches_dense_reference():
             [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else 0
              for _ in range(dim)]
         )
-        cases.append((make_pairing_space(a - a.transpose()), delta))
+        cases.append((PairingSpace(a - a.transpose()), delta))
     kinds = set()
     for space, delta in cases:
         op = pl_operator(CycleConfiguration(space, (delta,)), 0)
@@ -145,7 +145,7 @@ def test_rank_one_factor_matches_dense_reference():
 
 def test_transport_factor_length_mismatch():
     with pytest.raises(DimensionMismatchError):
-        TransportOperator(0, vector([1, 0]), vector([0, 1, 0]))
+        TransportOperator(vector([1, 0]), vector([0, 1, 0]))
 
 
 @settings(max_examples=150)
