@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .linalg import DimensionMismatchError, InvariantError, parse_rational
-from .pairing import NotSkewSymmetricError, NotSquareError
+from .linalg import InvariantError, parse_rational
 from .package import BlockSeparationRequiredError, verify_block_structure
 from .report import (
     analysis_document,
@@ -28,7 +28,6 @@ from .report import (
 from .scenarios import (
     _UINT,
     BUILTIN_NAMES,
-    ScenarioError,
     builtin_scenario,
     parse_scenario,
     serialize_scenario,
@@ -50,39 +49,38 @@ def _emit(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
-def _load_package(path: Path, lax: bool):
-    """Parse and assemble one scenario file; an input error names the file."""
+@contextmanager
+def _loaded(path: Path, lax: bool):
+    """Parse and assemble one file; an error raised in the block names it: an
+    input error stays one (exit 2), any other is internal (exit 3)."""
+    data = path.read_bytes()  # an OSError names the file itself
     try:
-        scenario = parse_scenario(path.read_text(encoding="utf-8"), strict=not lax)
-        return scenario, to_package(scenario)
-    except InvariantError:
-        raise
+        scenario = parse_scenario(data.decode("utf-8"), strict=not lax)
+        yield scenario, to_package(scenario)
+    except InvariantError as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except Exception as exc:
+        raise InvariantError(f"{path}: {exc!r}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.batch:
-        directory = Path(args.file)
-        files = sorted(directory.glob("*.scenario"))
-        if not files:
-            print(f"no .scenario files in {directory}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        chunks = []
-        # The first bad file stops the batch: exit 2, nothing on stdout.
-        for path in files:
-            scenario, pkg = _load_package(path, args.lax)
-            doc = analysis_document(pkg, scenario.name)
-            chunks.append(render_report(doc, args.format))
-        if args.format == "machine":
-            body = b"[\n" + b",\n".join(c.rstrip(b"\n") for c in chunks) + b"\n]\n"
-        else:
-            body = b"\n".join(chunks)
-        _emit(body, args.out)
-        return EXIT_OK
-    scenario, pkg = _load_package(Path(args.file), args.lax)
-    doc = analysis_document(pkg, scenario.name)
-    _emit(render_report(doc, args.format), args.out)
+    path = Path(args.file)
+    files = sorted(path.glob("*.scenario")) if args.batch else [path]
+    if not files:
+        print(f"no .scenario files in {path}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    chunks = []
+    # The first bad file stops the batch: exit 2 or 3, nothing on stdout.
+    for file in files:
+        with _loaded(file, args.lax) as (scenario, pkg):
+            chunks.append(render_report(analysis_document(pkg, scenario.name), args.format))
+    if args.batch and args.format == "machine":
+        body = b"[\n" + b",\n".join(c.rstrip(b"\n") for c in chunks) + b"\n]\n"
+    else:
+        body = b"\n".join(chunks)
+    _emit(body, args.out)
     return EXIT_OK
 
 
@@ -104,16 +102,18 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scenario, pkg = _load_package(Path(args.file), args.lax)
-    try:
-        report = verify_block_structure(pkg)
-    except BlockSeparationRequiredError as exc:
-        doc = verification_unavailable_document(scenario.name, exc)
-        _emit(render_report(doc, args.format), args.out)
-        return EXIT_VERIFICATION_FAILED
-    doc = verification_document(scenario.name, report)
-    _emit(render_report(doc, args.format), args.out)
-    return EXIT_OK if report.overall else EXIT_VERIFICATION_FAILED
+    with _loaded(Path(args.file), args.lax) as (scenario, pkg):
+        try:
+            report = verify_block_structure(pkg)
+        except BlockSeparationRequiredError as exc:
+            doc = verification_unavailable_document(scenario.name, exc)
+            code = EXIT_VERIFICATION_FAILED
+        else:
+            doc = verification_document(scenario.name, report)
+            code = EXIT_OK if report.overall else EXIT_VERIFICATION_FAILED
+        data = render_report(doc, args.format)
+    _emit(data, args.out)
+    return code
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -167,14 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except (
-        ScenarioError,
-        NotSkewSymmetricError,
-        NotSquareError,
-        DimensionMismatchError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # pragma: no cover - defensive

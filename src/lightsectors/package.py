@@ -1,10 +1,11 @@
 """Assembly of the full light-sector package and its two-layer classification.
 
-assemble() computes the three realizations independently from the same
-inputs; classify() reads off the per-layer verdicts (extension, transport,
-atom) together with relation collapse and, when block separation holds, the
-residual block-level interaction.  verify_block_structure() machine-checks
-the four block-reduction claims on a separated package.
+assemble() checks the exact inputs and returns the package record, whose
+sections (the three realizations, the blocks, the reduced matrix) are each
+derived from the inputs on first read, independently; classify() reads off
+the per-layer verdicts (extension, transport, atom) together with relation
+collapse.  verify_block_structure() machine-checks the four block-reduction
+claims on a separated package.
 
 The extension-side and transport-side verdicts are reported per layer and
 never forced to agree: a configuration with full incidence but nonzero
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .linalg import DimensionMismatchError, InvariantError, Matrix, Vector, quotient_dim
@@ -69,8 +71,6 @@ class Classification:
 
     collapsed_dim is None when no collapse occurs (realized space full, or
     no gluing data supplied); otherwise it is the surviving dimension.
-    residual is the block-level splitting report of the reduced matrix, None
-    unless block separation holds.
     Transport and atom verdicts share one criterion, so they always agree.
     """
 
@@ -78,7 +78,6 @@ class Classification:
     transport_side: TransportVerdict
     atom_side: AtomVerdict
     collapsed_dim: int | None
-    residual: AtomSplittingReport | None
 
     def __post_init__(self) -> None:
         if (self.transport_side is TransportVerdict.COMMUTING) != (
@@ -89,30 +88,33 @@ class Classification:
 
 @dataclass(frozen=True)
 class LightSectorPackage:
-    """The assembled record: spaces, transport, interaction, blocks, verdicts.
+    """The package record: four stored inputs and nine sections derived from them.
 
-    transport[i] is node i's operator; the nodes of one cycle class share it.
+    Stored are the cycles, the incidence (None: no gluing data), the block
+    partition and the corrected class; their sizes are checked on
+    construction.  Each other section is computed on first read and cached;
+    the user partition, not the incidence blocks, drives the block analysis.
     """
 
     cycles: CycleConfiguration
-    transport: tuple[TransportOperator, ...]
-    interaction: InteractionMatrix
-    realized: RealizedSpace
     incidence: Matrix | None
-    blocks_incidence: Union[BlockDecomposition, NotBlockAdapted, None]
     partition: BlockDecomposition | None
-    block_classes: Union[BlockClasses, BlockSeparationViolation, None]
-    reduced: InteractionMatrix | None
-    blockwise: AtomSplittingReport | None
-    atom: AtomSplittingReport
     corrected_class: Vector | None
-    corrected_member: bool | None
 
     def __post_init__(self) -> None:
-        if len(self.transport) != self.r or self.interaction.r != self.r:
-            raise DimensionMismatchError("package cross-references inconsistent")
-        if self.realized.ambient_r != self.r:
-            raise DimensionMismatchError("realized space has wrong ambient dimension")
+        r = self.r
+        if self.incidence is not None and self.incidence.rows != r:
+            raise DimensionMismatchError(
+                f"incidence matrix for {self.incidence.rows} nodes, configuration has {r}"
+            )
+        if self.partition is not None and self.partition.r != r:
+            raise DimensionMismatchError(
+                f"partition of {self.partition.r} nodes, configuration has {r}"
+            )
+        if self.corrected_class is not None and len(self.corrected_class) != r:
+            raise DimensionMismatchError(
+                f"corrected class of length {len(self.corrected_class)}, configuration has {r}"
+            )
 
     @property
     def r(self) -> int:
@@ -126,6 +128,61 @@ class LightSectorPackage:
     def ambient_default(self) -> bool:
         """No incidence was supplied, so the realized space is all of QQ^r."""
         return self.incidence is None
+
+    @cached_property
+    def interaction(self) -> InteractionMatrix:
+        return interaction_matrix(self.cycles)
+
+    @cached_property
+    def transport(self) -> tuple[TransportOperator, ...]:
+        """transport[i] is node i's operator; the nodes of one cycle class share it."""
+        # The nodes of a class have equal cycles, hence equal operators: build
+        # one per class, at the class's first node.
+        node_class = self.interaction.node_class
+        classes = range(self.interaction.pairings.rows)
+        ops = [pl_operator(self.cycles, node_class.index(c)) for c in classes]
+        return tuple(ops[c] for c in node_class)
+
+    @cached_property
+    def atom(self) -> AtomSplittingReport:
+        return atom_splitting(self.interaction)
+
+    @cached_property
+    def realized(self) -> RealizedSpace:
+        if self.incidence is None:
+            return RealizedSpace.ambient(self.r)
+        return realized_space(self.incidence)
+
+    @cached_property
+    def blocks_incidence(self) -> Union[BlockDecomposition, NotBlockAdapted, None]:
+        if self.incidence is None:
+            return None
+        return blocks_from_indicator_basis(self.realized.v_geom)
+
+    @cached_property
+    def block_classes(self) -> Union[BlockClasses, BlockSeparationViolation, None]:
+        if self.partition is None:
+            return None
+        return check_block_separation(self.cycles, self.partition)
+
+    @cached_property
+    def reduced(self) -> InteractionMatrix | None:
+        if not self.separation_holds:
+            return None
+        return reduced_matrix(self.space, self.block_classes)
+
+    @cached_property
+    def blockwise(self) -> AtomSplittingReport | None:
+        """The block-level splitting report, None unless block separation holds."""
+        if self.reduced is None:
+            return None
+        return blockwise_atom_splitting(self.reduced)
+
+    @cached_property
+    def corrected_member(self) -> bool | None:
+        if self.corrected_class is None:
+            return None
+        return check_membership(self.realized, self.corrected_class)
 
     @property
     def separation_holds(self) -> bool:
@@ -146,11 +203,11 @@ def assemble(
     partition: BlockDecomposition | None = None,
     corrected_class: Vector | None = None,
 ) -> LightSectorPackage:
-    """Build the full package from exact input data.
+    """The package of exact input data, its sizes checked against each other.
 
-    Optional sections stay unpopulated when their inputs are omitted; block
-    separation is attempted only when a partition is supplied, and the user
-    partition (not the incidence-inferred one) drives the block analysis.
+    Raises DimensionMismatchError for cycles on another space, or for an
+    incidence, partition or corrected class of the wrong size.  Nothing is
+    derived here: each section is computed on its first read.
     """
     cfg = (
         cycles
@@ -159,62 +216,7 @@ def assemble(
     )
     if cfg.space != space:
         raise DimensionMismatchError("cycle configuration built on a different space")
-    r = cfg.r
-
-    lam = interaction_matrix(cfg)
-    # The nodes of a class have equal cycles, hence equal operators: build
-    # one per class, at the class's first node.
-    per_class: dict[int, TransportOperator] = {}
-    for i, c in enumerate(lam.node_class):
-        if c not in per_class:
-            per_class[c] = pl_operator(cfg, i)
-    transport = tuple(per_class[c] for c in lam.node_class)
-    atom = atom_splitting(lam)
-
-    if incidence is not None:
-        if incidence.rows != r:
-            raise DimensionMismatchError(
-                f"incidence matrix for {incidence.rows} nodes, configuration has {r}"
-            )
-        realized = realized_space(incidence)
-        blocks_incidence: Union[BlockDecomposition, NotBlockAdapted, None]
-        blocks_incidence = blocks_from_indicator_basis(realized.v_geom)
-    else:
-        realized = RealizedSpace.ambient(r)
-        blocks_incidence = None
-
-    block_classes: Union[BlockClasses, BlockSeparationViolation, None] = None
-    reduced: InteractionMatrix | None = None
-    blockwise: AtomSplittingReport | None = None
-    if partition is not None:
-        if partition.r != r:
-            raise DimensionMismatchError(
-                f"partition of {partition.r} nodes, configuration has {r}"
-            )
-        block_classes = check_block_separation(cfg, partition)
-        if isinstance(block_classes, BlockClasses):
-            reduced = reduced_matrix(space, block_classes)
-            blockwise = blockwise_atom_splitting(reduced)
-
-    corrected_member: bool | None = None
-    if corrected_class is not None:
-        corrected_member = check_membership(realized, corrected_class)
-
-    return LightSectorPackage(
-        cycles=cfg,
-        transport=transport,
-        interaction=lam,
-        realized=realized,
-        incidence=incidence,
-        blocks_incidence=blocks_incidence,
-        partition=partition,
-        block_classes=block_classes,
-        reduced=reduced,
-        blockwise=blockwise,
-        atom=atom,
-        corrected_class=corrected_class,
-        corrected_member=corrected_member,
-    )
+    return LightSectorPackage(cfg, incidence, partition, corrected_class)
 
 
 def classify(pkg: LightSectorPackage) -> Classification:
@@ -233,7 +235,6 @@ def classify(pkg: LightSectorPackage) -> Classification:
         transport_side=transport_side,
         atom_side=atom_side,
         collapsed_dim=collapsed,
-        residual=pkg.blockwise,
     )
 
 

@@ -164,8 +164,8 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
             ),
             "residual_verdict": (
                 None
-                if c.residual is None
-                else ("Split" if c.residual.is_split else "NonSplit")
+                if pkg.blockwise is None
+                else ("Split" if pkg.blockwise.is_split else "NonSplit")
             ),
         },
         "verification": verification,

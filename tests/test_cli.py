@@ -63,7 +63,18 @@ def test_invariant_failure_is_internal_error(capsys, monkeypatch, a2_file):
     monkeypatch.setattr(lightsectors.package, "commutes_all", lambda lam: not commutes_all(lam))
     code, out, err = run_cli(capsys, "analyze", str(a2_file))
     assert code == 3 and out == ""
-    assert "internal error" in err and "verdicts must coincide" in err
+    assert err == f"internal error: {a2_file}: transport and atom verdicts must coincide\n"
+
+
+def test_batch_internal_error_names_file(capsys, monkeypatch, tmp_path):
+    for name in ("a1xa1", "a2"):
+        assert main(["scenario", name, "--emit", str(tmp_path / f"{name}.scenario")]) == 0
+    commutes_all = lightsectors.package.commutes_all
+    monkeypatch.setattr(lightsectors.package, "commutes_all", lambda lam: not commutes_all(lam))
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--batch")
+    assert code == 3 and out == ""
+    first = tmp_path / "a1xa1.scenario"
+    assert err == f"internal error: {first}: transport and atom verdicts must coincide\n"
 
 
 def test_verify_four_node_fixture(capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 import lightsectors.package
-from lightsectors.linalg import Matrix, vector
+from lightsectors.linalg import DimensionMismatchError, Matrix, vector
 from lightsectors.pairing import PairingSpace, standard_symplectic
 from lightsectors.transport import pl_operator
 from lightsectors.gluing import ExtensionVerdict
@@ -11,13 +13,17 @@ from lightsectors.blocks import BlockDecomposition, BlockSeparationViolation
 from lightsectors.package import (
     AtomVerdict,
     BlockSeparationRequiredError,
+    LightSectorPackage,
     TransportVerdict,
     assemble,
     classify,
     verify_block_structure,
 )
-from lightsectors.scenarios import builtin_scenario, to_package
+from lightsectors.report import analysis_document, verification_document
+from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.modelgen import random_block_scenario
+
+DATA = Path(__file__).parent / "data"
 
 
 def _four_node_package():
@@ -55,10 +61,9 @@ def test_assemble_four_node_blocks():
     assert pkg.separation_holds
     assert pkg.reduced.r == 2
     assert pkg.reduced.entries == Matrix.from_rows([[0, 1], [-1, 0]])
-    c = classify(pkg)
-    assert c.residual is not None
-    assert c.residual is pkg.blockwise
-    assert not c.residual.is_split
+    assert pkg.blockwise is not None
+    assert not pkg.blockwise.is_split
+    assert analysis_document(pkg, "x")["blocks"]["residual_verdict"] == "NonSplit"
 
 
 def test_ambient_default_when_no_incidence():
@@ -87,15 +92,88 @@ def test_assemble_builds_one_operator_per_class(monkeypatch, gram, cycles):
 
     monkeypatch.setattr(lightsectors.package, "pl_operator", counted)
     pkg = assemble(PairingSpace(gram), cycles)
+    assert built == []
+    transport = pkg.transport
     firsts = {}
     for i, c in enumerate(pkg.cycles.cycles):
         firsts.setdefault(c, i)
     assert built == list(firsts.values())
-    for i, op in enumerate(pkg.transport):
+    assert pkg.transport is transport
+    assert built == list(firsts.values())
+    for i, op in enumerate(transport):
         fresh = pl_operator(pkg.cycles, i)
         assert op.delta == fresh.delta
         assert op.weights == fresh.weights
         assert op.n_matrix == fresh.n_matrix
+
+
+# Each derived section and the module-level function that computes it.
+SECTIONS = {
+    "interaction": "interaction_matrix",
+    "transport": "pl_operator",
+    "atom": "atom_splitting",
+    "realized": "realized_space",
+    "blocks_incidence": "blocks_from_indicator_basis",
+    "block_classes": "check_block_separation",
+    "reduced": "reduced_matrix",
+    "blockwise": "blockwise_atom_splitting",
+    "corrected_member": "check_membership",
+}
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(lightsectors.package, name,
+                            counting(name, getattr(lightsectors.package, name)))
+    return calls
+
+
+def test_package_stores_only_its_inputs():
+    names = [f.name for f in dataclasses.fields(LightSectorPackage)]
+    assert names == ["cycles", "incidence", "partition", "corrected_class"]
+
+
+def test_sections_are_derived_once_on_first_read(monkeypatch):
+    calls = _count_calls(monkeypatch, SECTIONS.values())
+    pkg = to_package(parse_scenario((DATA / "four_node_blocks.scenario").read_text()))
+    assert set(calls.values()) == {0}
+    first = {name: getattr(pkg, name) for name in SECTIONS}
+    # Two cycle classes, so two operators; every other section one call.
+    once = {**dict.fromkeys(SECTIONS.values(), 1), "pl_operator": 2}
+    assert calls == once
+    for name, value in first.items():
+        assert getattr(pkg, name) is value
+    assert calls == once
+
+
+@pytest.mark.parametrize("scenario", [
+    parse_scenario((DATA / "four_node_blocks.scenario").read_text()),
+    builtin_scenario("quintic_orbits"),
+], ids=["four_node_blocks", "quintic_orbits"])
+def test_verify_path_skips_unread_sections(monkeypatch, scenario):
+    calls = _count_calls(
+        monkeypatch, ["pl_operator", "blocks_from_indicator_basis", "check_membership"])
+    pkg = to_package(scenario)
+    doc = verification_document(scenario.name, verify_block_structure(pkg))
+    assert doc["overall"] is True
+    assert pkg.incidence is not None
+    assert calls == {"pl_operator": 0, "blocks_from_indicator_basis": 0, "check_membership": 0}
+
+
+def test_assemble_checks_sizes_before_returning():
+    space, cycles = standard_symplectic(1), [(1, 0), (0, 1)]
+    with pytest.raises(DimensionMismatchError, match="partition of 3 nodes"):
+        assemble(space, cycles, partition=BlockDecomposition.singletons(3))
+    with pytest.raises(DimensionMismatchError, match="corrected class of length 3"):
+        assemble(space, cycles, corrected_class=vector((1, 0, 0)))
 
 
 def test_transport_and_atom_verdicts_always_agree():

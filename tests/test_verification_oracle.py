@@ -8,7 +8,8 @@ checks, and its failures must equal the failing reference checks, name,
 expected and actual text, in order.
 """
 
-import dataclasses
+import copy
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from lightsectors import blocks
 from lightsectors.atoms import atom_splitting
 from lightsectors.linalg import Matrix
 from lightsectors.modelgen import random_block_scenario
-from lightsectors.package import verify_block_structure
+from lightsectors.package import LightSectorPackage, verify_block_structure
 from lightsectors.scenarios import to_package
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
 from lightsectors.transport import InteractionMatrix, interaction_matrix
@@ -47,6 +48,17 @@ def _bumped(lam: InteractionMatrix, i: int, j: int, delta: Fraction) -> Interact
     grid[i][j] += delta
     grid[j][i] -= delta
     return InteractionMatrix(Matrix.from_rows(grid, cols=lam.r), tuple(range(lam.r)))
+
+
+def _with_sections(pkg: LightSectorPackage, **sections) -> LightSectorPackage:
+    """A copy of pkg with the named derived sections overridden and every
+    other section keeping its clean value."""
+    for name, value in vars(LightSectorPackage).items():
+        if isinstance(value, functools.cached_property):
+            getattr(pkg, name)
+    faulty = copy.copy(pkg)
+    vars(faulty).update(sections)
+    return faulty
 
 
 def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
@@ -94,12 +106,12 @@ def test_report_matches_eager_reference(fault, seed, data):
         pairs = _pairs(pkg, intra=fault == "intra_block_entry")
         assume(pairs)
         i, j = data.draw(st.sampled_from(pairs))
-        pkg = dataclasses.replace(pkg, interaction=_bumped(pkg.interaction, i, j, data.draw(bumps)))
+        pkg = _with_sections(pkg, interaction=_bumped(pkg.interaction, i, j, data.draw(bumps)))
     elif fault == "reduced_entry":
         assume(pkg.reduced.r >= 2)
         pairs = list(itertools.combinations(range(pkg.reduced.r), 2))
         beta, gamma = data.draw(st.sampled_from(pairs))
-        pkg = dataclasses.replace(pkg, reduced=_bumped(pkg.reduced, beta, gamma, data.draw(bumps)))
+        pkg = _with_sections(pkg, reduced=_bumped(pkg.reduced, beta, gamma, data.draw(bumps)))
     elif fault == "closed_form":
         b = pkg.reduced.r
         assume(b >= 2)
@@ -109,7 +121,7 @@ def test_report_matches_eager_reference(fault, seed, data):
     elif fault == "blockwise_verdict":
         grid = [[0]] if not pkg.blockwise.is_split else [[0, 1], [-1, 0]]
         opposite = InteractionMatrix(Matrix.from_rows(grid), tuple(range(len(grid))))
-        pkg = dataclasses.replace(pkg, blockwise=atom_splitting(opposite))
+        pkg = _with_sections(pkg, blockwise=atom_splitting(opposite))
 
     lam, bc, lam_blk = pkg.interaction, pkg.block_classes, pkg.reduced
     with pytest.MonkeyPatch.context() as mp:
