@@ -14,6 +14,15 @@ Fractions appear only at the boundaries: the cached ``Matrix.entries`` view,
 ``apply`` and ``pairing.pair`` (vectors cleared by ``cleared``), and
 elimination (``rref``, ``kernel``, ``Subspace``).
 
+A product A·B (A m×n, B n×p) is a Kronecker substitution, as FLINT packs
+integer polynomials: row k of B becomes one ``int`` P_k = Σ_j b_kj·2^(w·j),
+and row i of the product is the one sum Σ_k a_ik·P_k, whose w-bit slots are
+the entries.  The slot width w is the bit length of
+max(n·max|a|, 1)·max|b|, which bounds every product entry and every entry
+of B, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes
+past 8.  Every a_ik·b_kj term is still formed, so this is the dense product
+in other arithmetic.
+
 Pivoting is deterministic (leftmost nonzero in scan order); identical inputs
 produce bit-identical outputs regardless of platform or scheduling.
 """
@@ -21,11 +30,13 @@ produce bit-identical outputs regardless of platform or scheduling.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -128,12 +139,13 @@ class Matrix:
             raise ValueError("negative matrix dimension")
         if len(self.num) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.num:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
+        if any(map(self.cols.__ne__, map(len, self.num))):
+            raise ValueError("ragged matrix rows")
         if self.den < 1:
             raise ValueError("matrix denominator must be positive")
-        g = gcd(self.den, *(x for row in self.num for x in row))
+        if self.den == 1:
+            return
+        g = gcd(self.den, *chain.from_iterable(self.num))
         if g != 1:
             object.__setattr__(self, "num", tuple(tuple(x // g for x in row) for row in self.num))
             object.__setattr__(self, "den", self.den // g)
@@ -213,8 +225,7 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.transpose().num
-        grid = tuple(tuple(sum(map(mul, a, b)) for b in cols) for a in self.num)
+        grid = _packed_product(self.num, other.num, other.cols)
         return Matrix(self.rows, other.cols, grid, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
@@ -226,6 +237,53 @@ class Matrix:
         ints, den = cleared(v)
         den *= self.den
         return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
+
+
+# Native signed array typecodes by item size in bytes; which C type has which
+# size is the platform's choice.
+_TYPECODES = {array(t).itemsize: t for t in "bhilq"}
+
+
+def _packed_product(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int
+) -> tuple[tuple[int, ...], ...]:
+    """The integer grid a·b, with b n×cols, by Kronecker substitution (see
+    the module docstring).
+
+    A row of slots is bytes in native order.  For 1, 2, 4 and 8 bytes an
+    ``array`` packs one and a ``memoryview`` unpacks it in C; wider slots go
+    through ``int.to_bytes`` and ``int.from_bytes`` one slot at a time.
+    """
+    if not (a and b and cols):  # no entries, or every entry an empty sum
+        return ((0,) * cols,) * len(a)
+    amax = max(map(abs, chain.from_iterable(a)))
+    bmax = max(map(abs, chain.from_iterable(b)))
+    need = (max(len(b) * amax, 1) * bmax).bit_length() // 8 + 1  # one sign bit
+    # Round up to a power of two for an array type; past 8 bytes no type fits.
+    width = 1 << (need - 1).bit_length()
+    code = _TYPECODES.get(width)
+    if code is None:
+        width = need
+    size, order = width * cols, sys.byteorder
+    # The top bit of every slot.
+    tops = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, order) * cols, order)
+    if code:
+        row_bytes = (array(code, row).tobytes() for row in b)
+    else:
+        row_bytes = (b"".join([x.to_bytes(width, order, signed=True) for x in row]) for row in b)
+    # Read as one unsigned int, a row of two's-complement slots is 2^w too
+    # large at each negative entry, the slots whose top bit is set.
+    packed = [u - ((u & tops) << 1) for u in map(int.from_bytes, row_bytes, repeat(order))]
+    # Adding tops lifts every slot into [0, 2^w) with no carry between slots;
+    # clearing the top bits again leaves each slot in two's complement.
+    data = b"".join([((sum(map(mul, row, packed)) + tops) ^ tops).to_bytes(size, order)
+                     for row in a])
+    if code:
+        values = memoryview(data).cast(code).tolist()
+    else:
+        values = [int.from_bytes(data[i:i + width], order, signed=True)
+                  for i in range(0, len(data), width)]
+    return tuple(zip(*[iter(values)] * cols))
 
 
 def first_skew_violation(m: Matrix) -> tuple[int, int] | None:

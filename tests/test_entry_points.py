@@ -1,7 +1,8 @@
 """Smoke runs of the entry points that no other test starts.
 
 Each runs in a fresh interpreter, as a user would start it, with small
-arguments, and must exit 0 with the output that says it finished.
+arguments, and must exit 0 with the output that says it finished: what it
+prints, or the names of the files it writes.
 """
 
 import os
@@ -11,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from lightsectors.scenarios import BUILTIN_NAMES
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+CLI = ["-m", "lightsectors.cli"]
+# Every built-in written as a file into the working directory.
+EMIT_BUILTINS = [[*CLI, "scenario", name, "--emit", f"{name}.scenario"] for name in BUILTIN_NAMES]
 
 
 def _run(args, cwd):
@@ -25,20 +31,25 @@ def _run(args, cwd):
 
 
 @pytest.mark.parametrize(
-    "args,expected",
+    "runs,expected",
     [
-        (["-m", "lightsectors.cli", "selftest"], "selftest determinism: ok"),
-        ([SCRIPTS / "analyze_builtin_models.py"], "== light-sector package: quintic_orbits =="),
-        ([SCRIPTS / "analyze_builtin_models.py", "--format", "machine"], '"scenario": "a1xa1"'),
-        ([SCRIPTS / "block_collapse_experiment.py", "--cases", "5"],
+        ([[*CLI, "selftest"]], "selftest determinism: ok"),
+        ([*EMIT_BUILTINS, [*CLI, "analyze", ".", "--batch"]],
+         "== light-sector package: quintic_orbits =="),
+        ([*EMIT_BUILTINS, [*CLI, "analyze", ".", "--batch", "--format", "machine"]],
+         '"scenario": "a1xa1"'),
+        ([[SCRIPTS / "block_collapse_experiment.py", "--cases", "5"]],
          "block-structure checks: all pass"),
-        ([SCRIPTS / "emit_builtin_scenarios.py", "out"], "quintic_orbits.scenario"),
+        (EMIT_BUILTINS, "quintic_orbits.scenario"),
     ],
     ids=["selftest", "analyze-builtins-text", "analyze-builtins-machine",
          "block-collapse", "emit-builtins"],
 )
-def test_entry_point_runs(args, expected, tmp_path):
-    done = _run(args, tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert expected in done.stdout
-
+def test_entry_point_runs(runs, expected, tmp_path):
+    output = []
+    for args in runs:
+        done = _run(args, tmp_path)
+        assert done.returncode == 0, done.stderr
+        output.append(done.stdout)
+    output.extend(sorted(p.name for p in tmp_path.iterdir()))
+    assert expected in "\n".join(output)

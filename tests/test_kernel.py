@@ -13,7 +13,10 @@ equal, equally hashed matrices.
 
 import itertools
 import math
+import random
 import sys
+import types
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from lightsectors import linalg
 from lightsectors.linalg import Matrix, cleared, first_skew_violation, vector, zero_vector
 from lightsectors.pairing import CycleConfiguration, PairingSpace, pair
 from lightsectors.transport import (
@@ -142,11 +146,105 @@ def test_matmul_coprime_denominators_and_zero_lines():
     assert got.column(1) == (0, 0, 0) and got.entries[1] == (0, 0, 0)
 
 
+def _slot_edge_products():
+    """Products with entries at the edge of a 1-, 2-, 4- or 8-byte slot.
+
+    The kernel packs each right-hand row into one int in slots just wide
+    enough for max(n·max|a|, 1)·max|b| and a sign bit, so each case puts
+    product sums at ±(2^(8w-1) - 1), ±2^(8w-1) and ±(2^(8w-1) + 1): the last
+    value a w-byte slot holds, and one past it either way.
+    """
+    for w in (1, 2, 4, 8):
+        edge = 2 ** (8 * w - 1)
+        for t in (edge - 1, edge, edge + 1):
+            # One term: the slot bound is |t| itself.
+            yield f"{w}-byte-edge{t - edge:+d}-one-term", [[1], [-1]], [[t, 1, -t]]
+            h = t // 2
+            yield (f"{w}-byte-edge{t - edge:+d}-two-terms", [[1, 1], [-1, -1], [1, -1]],
+                   [[h, -h, 0], [t - h, h - t, 0]])
+    magnitudes = (("3", 3), ("2**40", 2 ** 40), ("2**63", 2 ** 63), ("10**30", 10 ** 30))
+    # An all-zero left operand: the slots must still hold the right operand.
+    for label, big in magnitudes[2:]:
+        yield f"zero-times-{label}", [[0, 0], [0, 0], [0, 0]], [[big, -big, 1], [-1, big - 1, -big]]
+    # 1×n, n×1 and rectangular shapes, over several denominators.
+    rng = random.Random(11)
+
+    def grid(rows, cols, big):
+        return [[Fraction(rng.randint(-big, big), rng.choice((1, 2, 3, 35))) for _ in range(cols)]
+                for _ in range(rows)]
+
+    for m, k, n in ((1, 7, 1), (7, 1, 7), (1, 1, 9), (9, 1, 1), (1, 9, 3), (2, 7, 3), (6, 2, 9)):
+        for label, big in magnitudes:
+            yield f"{m}x{k}x{n}-{label}", grid(m, k, big), grid(k, n, big)
+
+
+@pytest.mark.parametrize("left,right", [case[1:] for case in _slot_edge_products()],
+                         ids=[case[0] for case in _slot_edge_products()])
+def test_matmul_at_slot_edges(left, right):
+    a, b = Matrix.from_rows(left), Matrix.from_rows(right)
+    assert_same_matrix(a @ b, reference.matmul(a, b))
+
+
+@pytest.mark.parametrize("scale", [5, 10 ** 6], ids=["small", "near-10**12"])
+def test_matmul_of_rank_one_grids(scale):
+    """Products of 38×38 grids built as TransportOperator.n_matrix builds them,
+    the shape of the dense commutator check on the widest benchmark cases,
+    with numerators up to 25 and up to 10^12."""
+    rng = random.Random(scale)
+
+    def operator():
+        return TransportOperator(*(vector(Fraction(rng.randint(-scale, scale), rng.randint(1, 4))
+                                          for _ in range(38)) for _ in (0, 1)))
+
+    a, b = operator().n_matrix, operator().n_matrix
+    assert not a.is_zero() and not b.is_zero()
+    assert_same_matrix(a @ b, reference.matmul(a, b))
+    assert_same_matrix(b @ a, reference.matmul(b, a))
+
+
+def test_matmul_on_a_big_endian_host(monkeypatch):
+    """The packed product reads and writes slots in native byte order; on a
+    host where that is big-endian, arrays and memoryviews hold big-endian
+    items, simulated here by swapping bytes around the real ones."""
+
+    class BigEndianArray:
+        def __init__(self, code, items):
+            self.items = array(code, items)
+
+        def tobytes(self):
+            swapped = array(self.items.typecode, self.items)
+            swapped.byteswap()
+            return swapped.tobytes()
+
+    class BigEndianView:
+        def __init__(self, data):
+            self.data = data
+
+        def cast(self, code):
+            items = array(code)
+            items.frombytes(self.data)
+            items.byteswap()
+            return items
+
+    monkeypatch.setattr(linalg, "sys", types.SimpleNamespace(byteorder="big"))
+    monkeypatch.setattr(linalg, "array", BigEndianArray)
+    monkeypatch.setattr(linalg, "memoryview", BigEndianView, raising=False)
+    rng = random.Random(5)
+    # 1-, 2-, 4- and 8-byte slots, then wider ones.
+    for big in (1, 10, 100, 2 ** 15, 2 ** 31, 10 ** 30):
+        a, b = (Matrix.from_rows([[rng.randint(-big, big) for _ in range(5)] for _ in range(5)])
+                for _ in (0, 1))
+        assert_same_matrix(a @ b, reference.matmul(a, b))
+
+
 @kernel_settings
 @given(data=st.data())
 def test_matmul_matches_reference(data):
-    a = data.draw(matrices())
-    b = data.draw(matrices(rows=a.cols))
+    # Most draws stay small; one in eight is up to 12 wide, so that a
+    # right-hand row spans many slots.
+    max_dim = data.draw(st.sampled_from((4,) * 7 + (12,)))
+    a = data.draw(matrices(max_dim=max_dim))
+    b = data.draw(matrices(rows=a.cols, max_dim=max_dim))
     assert_same_matrix(a @ b, reference.matmul(a, b))
 
 
