@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 from .linalg import (
     DimensionMismatchError,
+    Matrix,
     Subspace,
     Vector,
     format_rational,
@@ -81,15 +82,15 @@ class BlockDecomposition:
 
 @dataclass(frozen=True)
 class BlockClasses:
-    """One common cycle vector per block, witnessing block separation."""
+    """One common cycle per block, witnessing separation: one node per block."""
 
     decomposition: BlockDecomposition
-    classes: tuple[Vector, ...]
+    classes: CycleConfiguration
 
     def __post_init__(self) -> None:
-        if len(self.classes) != self.decomposition.count:
+        if self.classes.r != self.decomposition.count:
             raise DimensionMismatchError(
-                f"{len(self.classes)} classes for {self.decomposition.count} blocks"
+                f"{self.classes.r} classes for {self.decomposition.count} blocks"
             )
 
 
@@ -123,29 +124,28 @@ def check_block_separation(
 
     Returns the common class per block on success, or the first offending
     block and node pair on failure.  Equality is exact vector equality, not
-    proportionality.
+    proportionality, and compares the integer rows of C.
     """
     if part.r != cfg.r:
         raise DimensionMismatchError(
             f"partition of {part.r} nodes against configuration of {cfg.r}"
         )
-    classes = []
+    c = cfg.matrix
     for b, block in enumerate(part.blocks):
-        rep = block[0]
         for k in block[1:]:
-            if cfg.cycles[k] != cfg.cycles[rep]:
-                return BlockSeparationViolation(b, rep, k)
-        classes.append(cfg.cycles[rep])
-    return BlockClasses(part, tuple(classes))
+            if c.num[k] != c.num[block[0]]:
+                return BlockSeparationViolation(b, block[0], k)
+    classes = Matrix(part.count, c.cols, tuple(c.num[block[0]] for block in part.blocks), c.den)
+    return BlockClasses(part, CycleConfiguration(cfg.space, classes))
 
 
-def reduced_matrix(space: PairingSpace, bc: BlockClasses) -> InteractionMatrix:
+def reduced_matrix(bc: BlockClasses) -> InteractionMatrix:
     """Pairings of the block classes: entry (beta, gamma) is <v_beta, v_gamma>.
 
     It is the interaction matrix of the configuration of block classes, so
     its size r is the block count.
     """
-    return interaction_matrix(CycleConfiguration(space, bc.classes))
+    return interaction_matrix(bc.classes)
 
 
 @dataclass(frozen=True)
@@ -226,14 +226,13 @@ def block_commutator_check(
     b = bc.decomposition.count
     if lam_blk.r != b:
         raise DimensionMismatchError(f"reduced matrix of size {lam_blk.r} against {b} blocks")
-    block_cfg = CycleConfiguration(space, bc.classes)
-    ops = [pl_operator(block_cfg, i) for i in range(b)]
+    ops = [pl_operator(bc.classes, i) for i in range(b)]
     failures = []
     all_zero = True
     for i in range(b):
         for j in range(i + 1, b):
             dense = commutator(ops[i], ops[j])
-            closed = commutator_closed_form(space, bc.classes[i], bc.classes[j])
+            closed = commutator_closed_form(space, bc.classes.cycles[i], bc.classes.cycles[j])
             if dense != closed:
                 failures.append(
                     Check(

@@ -58,22 +58,25 @@ class InvariantError(ValueError):
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the canonical text form: optional '-', integer, optional '/posint'.
-
-    Non-canonical but well-formed inputs like ``2/4`` are accepted and
-    reduced; signs in the denominator (``1/-2``), floats, and whitespace
-    are rejected.
+def rational_parts(text: str) -> tuple[int, int]:
+    """The canonical text form, optional '-', integer, optional '/posint', as
+    (numerator, denominator), unreduced: ``2/4`` gives (2, 4).  Signs in the
+    denominator (``1/-2``), floats, and whitespace are rejected.
     """
     m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"malformed rational {text!r}")
     if m[2] is None:
-        return Fraction(int(m[1]))
+        return int(m[1]), 1
     den = int(m[2])
     if den == 0:
         raise ValueError(f"zero denominator in rational {text!r}")
-    return Fraction(int(m[1]), den)
+    return int(m[1]), den
+
+
+def parse_rational(text: str) -> Fraction:
+    """The canonical text form as a Fraction; ``2/4`` is accepted and reduced."""
+    return Fraction(*rational_parts(text))
 
 
 def format_rational(q: Fraction) -> str:

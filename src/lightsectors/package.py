@@ -169,7 +169,7 @@ class LightSectorPackage:
     def reduced(self) -> InteractionMatrix | None:
         if not self.separation_holds:
             return None
-        return reduced_matrix(self.space, self.block_classes)
+        return reduced_matrix(self.block_classes)
 
     @cached_property
     def blockwise(self) -> AtomSplittingReport | None:

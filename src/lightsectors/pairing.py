@@ -3,13 +3,15 @@
 A pairing space models the middle-degree intersection form on a rational
 coefficient space via its Gram matrix G, so that <a, b> = a^T G b.  Skew
 symmetry (G^T = -G) is enforced at construction; it forces <v, v> = 0 for
-every vector, which downstream modules rely on.
+every vector, which downstream modules rely on.  A cycle configuration
+stores its cycle matrix C, one row per node, as an integer ``Matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -19,7 +21,6 @@ from .linalg import (
     Vector,
     cleared,
     first_skew_violation,
-    is_zero_vector,
     vector,
 )
 
@@ -93,24 +94,29 @@ class CycleConfiguration:
     """
 
     space: PairingSpace
-    cycles: tuple[Vector, ...]
+    matrix: Matrix
 
     def __post_init__(self) -> None:
-        for k, c in enumerate(self.cycles):
-            if len(c) != self.space.dim:
-                raise DimensionMismatchError(
-                    f"cycle {k + 1} has length {len(c)}, expected {self.space.dim}"
-                )
+        if self.matrix.cols != self.space.dim:
+            raise DimensionMismatchError(f"cycles of length {self.matrix.cols}, expected {self.space.dim}")
 
     @classmethod
     def from_vectors(cls, space: PairingSpace, cycles: Sequence[Sequence[object]]) -> "CycleConfiguration":
-        return cls(space, tuple(vector(c) for c in cycles))
+        for k, c in enumerate(cycles):
+            if len(c) != space.dim:
+                raise DimensionMismatchError(f"cycle {k + 1} has length {len(c)}, expected {space.dim}")
+        return cls(space, Matrix.from_rows(cycles, cols=space.dim))
+
+    @cached_property
+    def cycles(self) -> tuple[Vector, ...]:
+        """The cycles as Fraction vectors."""
+        return self.matrix.entries
 
     @property
     def r(self) -> int:
-        return len(self.cycles)
+        return self.matrix.rows
 
     @property
     def trivial_nodes(self) -> tuple[int, ...]:
         """0-based indices of zero cycle vectors."""
-        return tuple(k for k, c in enumerate(self.cycles) if is_zero_vector(c))
+        return tuple(k for k, row in enumerate(self.matrix.num) if not any(row))

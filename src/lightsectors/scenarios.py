@@ -3,7 +3,8 @@
 A scenario is a line-oriented text document.  Scalar fields are single
 ``key: value`` lines; grid fields (``gram``, ``cycles``, ``incidence``,
 ``partition``) are a bare ``key:`` line followed by one row per line,
-entries whitespace-separated.  Blank lines and ``#`` comments are ignored.
+entries whitespace-separated; one reader takes each rational grid to a
+``Matrix``.  Blank lines and ``#`` comments are ignored.
 Rationals use the canonical text form (``-3/7``, ``0``, ``5``; ``2/4`` is
 accepted and reduced).  Node indices in files are 1-based; conversion to
 0-based internals happens here and only here.
@@ -17,10 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Vector, format_rational, parse_rational
-from .pairing import NotSkewSymmetricError, PairingSpace, standard_symplectic
+from .linalg import Matrix, Vector, format_rational, rational_parts
+from .pairing import CycleConfiguration, NotSkewSymmetricError, PairingSpace, standard_symplectic
 from .blocks import BlockDecomposition
 from .package import LightSectorPackage, assemble
 
@@ -32,6 +34,7 @@ _SCALAR_FIELDS = ("format_version", "name", "dim", "corrected_class", "notes")
 _GRID_FIELDS = ("gram", "cycles", "incidence", "partition")
 _FIELD_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:(.*)$")
 _UINT = re.compile(r"[0-9]+")
+_ROW_NAMES = {"gram": "gram row", "cycles": "cycle row"}  # for row-length errors
 
 
 class ScenarioError(ValueError):
@@ -51,35 +54,48 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed and canonicalized scenario data (partition kept 1-based, as in files)."""
+    """Parsed and canonicalized scenario data (partition kept 1-based, as in files);
+    ``cycles`` is the r x dim cycle matrix, converted once if given as rows."""
 
     name: str
     dim: int
     gram: Matrix
-    cycles: tuple[Vector, ...]
+    cycles: Matrix
     incidence: Matrix | None = None
     partition: tuple[tuple[int, ...], ...] | None = None
     corrected_class: Vector | None = None
     notes: str | None = None
     format_version: int = FORMAT_VERSION
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.cycles, Matrix):
+            object.__setattr__(self, "cycles", Matrix.from_rows(self.cycles, cols=self.dim))
+
     @property
     def r(self) -> int:
-        return len(self.cycles)
+        return self.cycles.rows
 
 
-def _parse_grid(rows: list[tuple[int, str]]) -> list[tuple[int, list[str]]]:
-    return [(ln, text.split()) for ln, text in rows]
-
-
-def _rational_row(tokens: list[str], line: int, field: str) -> Vector:
-    out = []
-    for tok in tokens:
+def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None) -> Matrix:
+    """The (line, text) rows of a rational grid as one Matrix over the lcm of
+    its denominators.  Each row must have width entries, or with no width as
+    many as the first row; an error names the row's line and the field.
+    """
+    grid, ragged = [], width is None
+    for ln, text in rows:
         try:
-            out.append(parse_rational(tok))
+            row = [rational_parts(tok) for tok in text.split()]
         except ValueError as exc:
-            raise ScenarioError(str(exc), line=line, field=field) from exc
-    return tuple(out)
+            raise ScenarioError(str(exc), line=ln, field=field) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            what = f"{_ROW_NAMES.get(field, field)} has {len(row)} entries, expected {width}"
+            raise ScenarioError(f"ragged {field} rows" if ragged else what, line=ln, field=field)
+        grid.append(row)
+    den = lcm(*(d for row in grid for _, d in row))
+    num = tuple(tuple(n * (den // d) for n, d in row) for row in grid)
+    return Matrix(len(grid), width or 0, num, den)
 
 
 def _uint(text: str, line: int, field: str, what: str) -> int:
@@ -156,58 +172,34 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     dim_line, dim_text = scalars["dim"]
     dim = _uint(dim_text, dim_line, "dim", "dim")
 
-    gram_rows = [
-        _rational_row(tokens, ln, "gram")
-        for ln, tokens in _parse_grid(grids["gram"])
-    ]
-    if len(gram_rows) != dim:
-        raise ScenarioError(f"expected {dim} gram rows, found {len(gram_rows)}",
+    if len(grids["gram"]) != dim:
+        raise ScenarioError(f"expected {dim} gram rows, found {len(grids['gram'])}",
                             line=headers["gram"], field="gram")
-    for (ln, _), row in zip(grids["gram"], gram_rows):
-        if len(row) != dim:
-            raise ScenarioError(f"gram row has {len(row)} entries, expected {dim}",
-                                line=ln, field="gram")
-    gram = Matrix.from_rows(gram_rows, cols=dim)
+    gram = _read_grid(grids["gram"], "gram", dim)
     try:
         PairingSpace(gram)
     except NotSkewSymmetricError as exc:
         raise ScenarioError(str(exc), line=grids["gram"][exc.i][0], field="gram") from exc
 
-    cycle_rows = []
-    for ln, tokens in _parse_grid(grids["cycles"]):
-        row = _rational_row(tokens, ln, "cycles")
-        if len(row) != dim:
-            raise ScenarioError(f"cycle row has {len(row)} entries, expected {dim}",
-                                line=ln, field="cycles")
-        cycle_rows.append(row)
-    cycles = tuple(cycle_rows)
-    r = len(cycles)
+    cycles = _read_grid(grids["cycles"], "cycles", dim)
+    r = cycles.rows
 
     incidence: Matrix | None = None
     if "incidence" in grids:
-        inc_rows = []
-        width: int | None = None
-        for ln, tokens in _parse_grid(grids["incidence"]):
-            row = _rational_row(tokens, ln, "incidence")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ScenarioError("ragged incidence rows", line=ln, field="incidence")
-            inc_rows.append(row)
-        if len(inc_rows) != r:
+        incidence = _read_grid(grids["incidence"], "incidence")
+        if incidence.rows != r:
             raise ScenarioError(
-                f"expected {r} incidence rows (one per node), found {len(inc_rows)}",
+                f"expected {r} incidence rows (one per node), found {incidence.rows}",
                 line=headers["incidence"], field="incidence",
             )
-        incidence = Matrix.from_rows(inc_rows, cols=width or 0)
 
     partition: tuple[tuple[int, ...], ...] | None = None
     if "partition" in grids:
         # Checked here so that each error names a 1-based node and its row's line.
         raw_blocks = []
         seen: set[int] = set()
-        for ln, tokens in _parse_grid(grids["partition"]):
-            block = tuple(_uint(t, ln, "partition", "partition entry") for t in tokens)
+        for ln, text in grids["partition"]:
+            block = tuple(_uint(t, ln, "partition", "partition entry") for t in text.split())
             for k in block:
                 if not 1 <= k <= r:
                     raise ScenarioError(f"not a partition of 1..{r}: node {k} out of range",
@@ -225,13 +217,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
 
     corrected_class: Vector | None = None
     if "corrected_class" in scalars:
-        cc_line, cc_text = scalars["corrected_class"]
-        corrected_class = _rational_row(cc_text.split(), cc_line, "corrected_class")
-        if len(corrected_class) != r:
-            raise ScenarioError(
-                f"corrected_class has {len(corrected_class)} entries, expected {r}",
-                line=cc_line, field="corrected_class",
-            )
+        corrected_class = _read_grid([scalars["corrected_class"]], "corrected_class", r).entries[0]
 
     notes: str | None = None
     if "notes" in scalars:
@@ -249,24 +235,24 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     )
 
 
-def _grid_lines(rows: Sequence[Sequence[Fraction]]) -> list[str]:
-    return [" ".join(format_rational(x) for x in row) for row in rows]
+def _grid_lines(field: str, m: Matrix) -> list[str]:
+    if m.rows and not m.cols:  # a row is a line of entries: no line holds an empty one
+        raise ValueError(f"cannot serialize field '{field}': {m.rows} rows of no entries")
+    return [f"{field}:", *(" ".join(format_rational(x) for x in row) for row in m.entries)]
 
 
 def serialize_scenario(s: ScenarioFile) -> str:
-    """Canonical text form; parse_scenario(serialize_scenario(s)) == s."""
+    """Canonical text form; parse_scenario(serialize_scenario(s)) == s.
+    A ValueError names a grid field whose rows have no entries."""
     lines = [
         f"format_version: {s.format_version}",
         f"name: {s.name}",
         f"dim: {s.dim}",
-        "gram:",
-        *_grid_lines(s.gram.entries),
-        "cycles:",
-        *_grid_lines(s.cycles),
+        *_grid_lines("gram", s.gram),
+        *_grid_lines("cycles", s.cycles),
     ]
     if s.incidence is not None:
-        lines.append("incidence:")
-        lines.extend(_grid_lines(s.incidence.entries))
+        lines.extend(_grid_lines("incidence", s.incidence))
     if s.partition is not None:
         lines.append("partition:")
         lines.extend(" ".join(str(k) for k in block) for block in s.partition)
@@ -286,7 +272,8 @@ def to_package(s: ScenarioFile) -> LightSectorPackage:
         partition = BlockDecomposition.from_blocks(
             s.r, [[k - 1 for k in block] for block in s.partition]
         )
-    return assemble(PairingSpace(s.gram), s.cycles, incidence=s.incidence,
+    space = PairingSpace(s.gram)
+    return assemble(space, CycleConfiguration(space, s.cycles), incidence=s.incidence,
                     partition=partition, corrected_class=s.corrected_class)
 
 
@@ -314,10 +301,7 @@ def builtin_scenario(
             name="a1xa1",
             dim=4,
             gram=standard_symplectic(2).gram,
-            cycles=(
-                (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-            ),
+            cycles=((1, 0, 0, 0), (0, 0, 1, 0)),
             incidence=Matrix.identity(2),
             partition=((1,), (2,)),
             notes="split two-node model: zero interaction, full realized space",
@@ -333,10 +317,7 @@ def builtin_scenario(
             name="a2",
             dim=2,
             gram=standard_symplectic(1).gram,
-            cycles=(
-                (Fraction(1), Fraction(0)),
-                (Fraction(0), c),
-            ),
+            cycles=((1, 0), (0, c)),
             incidence=Matrix.from_columns([(1, 1)], rows=2),
             corrected_class=(Fraction(3), Fraction(3)),
             notes=f"interacting two-node model with coupling {format_rational(c)}",
@@ -352,11 +333,7 @@ def builtin_scenario(
             name="three_node",
             dim=4,
             gram=standard_symplectic(2).gram,
-            cycles=(
-                (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-                (Fraction(0), c, Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-            ),
+            cycles=((1, 0, 0, 0), (0, c, 0, 0), (0, 0, 1, 0)),
             incidence=Matrix.from_columns([(1, 1, 0), (0, 0, 1)], rows=3),
             partition=((1, 2), (3,)),
             notes=(

@@ -4,8 +4,8 @@ Seeded and deterministic: reruns exercise identical instances.  Covers the
 model regressions, transport operator invariants, the block-structure
 checks on generated separated configurations, the criterion equivalences
 on a small exhaustive pool, and scenario/report round-trip determinism.
-The acceptance suite runs the same check bodies with its own seeds and
-counts.
+The acceptance suite runs the same check bodies, the model regressions
+one body per model, with its own seeds and counts.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .linalg import Matrix, quotient_dim, rank, vector
 from .pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from .transport import commutator, commutes_all, interaction_matrix, pl_operator
 from .atoms import atom_splitting
-from .blocks import relation_lattice_from_blocks
-from .package import classify, verify_block_structure
+from .blocks import BlockSeparationViolation, relation_lattice_from_blocks
+from .package import (AtomVerdict, Classification, LightSectorPackage, TransportVerdict,
+                      classify, verify_block_structure)
 from .gluing import ExtensionVerdict
 from .report import analysis_document, render_report
 from .scenarios import builtin_scenario, parse_scenario, serialize_scenario, to_package
@@ -34,25 +35,38 @@ def _random_skew_space(rng: random.Random, dim: int) -> PairingSpace:
     return PairingSpace(a - a.transpose())
 
 
-def _check_builtin_regressions() -> str:
+def _check_a1xa1() -> LightSectorPackage:
     pkg = to_package(builtin_scenario("a1xa1"))
-    c = classify(pkg)
-    assert pkg.interaction.pairings.is_zero()
-    assert pkg.realized.is_full
-    assert c.extension_side is ExtensionVerdict.SPLIT
-    assert c.atom_side.value == "Split" and c.transport_side.value == "Commuting"
+    assert pkg.interaction.entries == Matrix.zero(2, 2)
+    assert pkg.realized.is_full and pkg.realized.v_geom.dim == 2 and pkg.atom.is_split
+    assert all(commutator(a, b).is_zero() for a, b in itertools.product(pkg.transport, repeat=2))
+    assert classify(pkg) == Classification(
+        ExtensionVerdict.SPLIT, TransportVerdict.COMMUTING, AtomVerdict.SPLIT, None)
+    return pkg
 
+
+def _check_a2() -> LightSectorPackage:
     pkg = to_package(builtin_scenario("a2"))
-    c = classify(pkg)
-    assert pkg.realized.v_geom.dim == 1
-    assert c.extension_side is ExtensionVerdict.INTERACTING
-    assert c.collapsed_dim == 1
-    assert not pkg.atom.is_split and pkg.atom.clusters == ((0, 1),)
+    assert pkg.interaction.entries == Matrix.from_rows([[0, 1], [-1, 0]])
+    assert pkg.realized.v_geom.dim == 1 and pkg.atom.clusters == ((0, 1),)
+    assert classify(pkg) == Classification(
+        ExtensionVerdict.INTERACTING, TransportVerdict.NONCOMMUTING, AtomVerdict.NON_SPLIT, 1)
+    return pkg
 
+
+def _check_three_node() -> LightSectorPackage:
     pkg = to_package(builtin_scenario("three_node"))
-    assert pkg.realized.v_geom.dim == 2
-    assert pkg.atom.clusters == ((0, 1), (2,))
-    assert not pkg.separation_holds
+    assert pkg.interaction.entries == Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    assert pkg.r == 3 and pkg.realized.v_geom.dim == 2 and pkg.atom.clusters == ((0, 1), (2,))
+    assert classify(pkg) == Classification(
+        ExtensionVerdict.INTERACTING, TransportVerdict.NONCOMMUTING, AtomVerdict.NON_SPLIT, 2)
+    assert isinstance(pkg.block_classes, BlockSeparationViolation)
+    return pkg
+
+
+def _check_builtin_regressions() -> str:
+    for body in (_check_a1xa1, _check_a2, _check_three_node):
+        body()
     return "a1xa1 / a2 / three_node verdicts"
 
 
@@ -61,7 +75,7 @@ def _check_transport_invariants(rng: random.Random, n_cases: int) -> str:
         dim = rng.randint(1, 8)
         space = _random_skew_space(rng, dim)
         delta = vector([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
-        cfg = CycleConfiguration(space, (delta,))
+        cfg = CycleConfiguration.from_vectors(space, (delta,))
         op = pl_operator(cfg, 0)
         n = op.n_matrix
         assert (n @ n).is_zero()
@@ -92,7 +106,7 @@ def _check_criterion_equivalences() -> str:
     count = 0
     for r in range(5):
         for combo in itertools.product(pool, repeat=r):
-            cfg = CycleConfiguration(space, combo)
+            cfg = CycleConfiguration.from_vectors(space, combo)
             lam = interaction_matrix(cfg)
             ops = [pl_operator(cfg, i) for i in range(r)]
             brute = all(

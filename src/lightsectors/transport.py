@@ -136,7 +136,7 @@ def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     Classes are numbered in order of first occurrence: one form per
     configuration.
     """
-    c = Matrix.from_rows(cfg.cycles, cols=cfg.space.dim)
+    c = cfg.matrix
     slot = {row: s for s, row in enumerate(dict.fromkeys(c.num))}
     classes = Matrix(len(slot), c.cols, tuple(slot), c.den)
     pairings = classes @ cfg.space.gram @ classes.transpose()

@@ -217,14 +217,14 @@ def block_commutator_checks(
     space: PairingSpace, bc: blocks.BlockClasses, lam_blk: InteractionMatrix
 ) -> list[EagerCheck]:
     b = bc.decomposition.count
-    block_cfg = CycleConfiguration(space, bc.classes)
+    block_cfg = CycleConfiguration.from_vectors(space, bc.classes.cycles)
     ops = [blocks.pl_operator(block_cfg, i) for i in range(b)]
     checks = []
     all_zero = True
     for i in range(b):
         for j in range(i + 1, b):
             dense = blocks.commutator(ops[i], ops[j])
-            closed = blocks.commutator_closed_form(space, bc.classes[i], bc.classes[j])
+            closed = blocks.commutator_closed_form(space, bc.classes.cycles[i], bc.classes.cycles[j])
             checks.append(
                 EagerCheck(
                     name=f"commutator closed form ({i + 1},{j + 1})",

@@ -10,15 +10,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from lightsectors.linalg import Matrix, quotient_dim, vector
+from lightsectors.linalg import quotient_dim, vector
 from lightsectors.pairing import pair
 from lightsectors.transport import commutator, commutator_closed_form
-from lightsectors.gluing import ExtensionVerdict, check_membership
-from lightsectors.blocks import (
-    BlockSeparationViolation,
-    relation_lattice_from_blocks,
-)
-from lightsectors.package import AtomVerdict, TransportVerdict, classify, verify_block_structure
+from lightsectors.gluing import check_membership
+from lightsectors.blocks import relation_lattice_from_blocks
+from lightsectors.package import verify_block_structure
 from lightsectors.report import analysis_document, render_report
 from lightsectors.scenarios import (
     BUILTIN_NAMES,
@@ -28,8 +25,11 @@ from lightsectors.scenarios import (
     to_package,
 )
 from lightsectors.selftest import (
+    _check_a1xa1,
+    _check_a2,
     _check_block_structure,
     _check_criterion_equivalences,
+    _check_three_node,
     _check_transport_invariants,
 )
 
@@ -48,17 +48,7 @@ def _criterion(number, label, body):
 def test_criterion_1_split_two_node_regression():
     def body():
         start = time.monotonic()
-        pkg = to_package(builtin_scenario("a1xa1"))
-        assert pkg.interaction.entries == Matrix.zero(2, 2)
-        assert pkg.realized.is_full and pkg.realized.v_geom.dim == 2
-        for i in range(2):
-            for j in range(2):
-                assert commutator(pkg.transport[i], pkg.transport[j]).is_zero()
-        assert pkg.atom.is_split
-        c = classify(pkg)
-        assert c.extension_side is ExtensionVerdict.SPLIT
-        assert c.transport_side is TransportVerdict.COMMUTING
-        assert c.atom_side is AtomVerdict.SPLIT
+        _check_a1xa1()
         assert time.monotonic() - start < 1.0
 
     _criterion(1, "split two-node regression", body)
@@ -67,8 +57,7 @@ def test_criterion_1_split_two_node_regression():
 def test_criterion_2_coupled_two_node_regression():
     def body():
         start = time.monotonic()
-        pkg = to_package(builtin_scenario("a2"))
-        assert pkg.interaction.entries == Matrix.from_rows([[0, 1], [-1, 0]])
+        pkg = _check_a2()
 
         d1, d2 = pkg.cycles.cycles
         comm = commutator(pkg.transport[0], pkg.transport[1])
@@ -85,14 +74,10 @@ def test_criterion_2_coupled_two_node_regression():
             assert comm.column(k) == expected
         assert comm == commutator_closed_form(space, d1, d2)
 
-        assert pkg.realized.v_geom.dim == 1
         assert pkg.realized.v_geom.basis == (vector([1, 1]),)
         for c in (0, 1, 3, Fraction(-7, 2)):
             assert check_membership(pkg.realized, vector((c, c)))
         assert not check_membership(pkg.realized, vector((1, 0)))
-
-        assert not pkg.atom.is_split
-        assert pkg.atom.clusters == ((0, 1),)
         assert time.monotonic() - start < 1.0
 
     _criterion(2, "coupled two-node regression", body)
@@ -101,17 +86,9 @@ def test_criterion_2_coupled_two_node_regression():
 def test_criterion_3_three_node_regression():
     def body():
         start = time.monotonic()
-        pkg = to_package(builtin_scenario("three_node"))
-        assert pkg.interaction.entries == Matrix.from_rows(
-            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-        )
+        pkg = _check_three_node()
         assert pkg.blocks_incidence is not None
         assert pkg.blocks_incidence.blocks == ((0, 1), (2,))
-        c = classify(pkg)
-        assert c.extension_side is ExtensionVerdict.INTERACTING
-        assert c.collapsed_dim == 2 and pkg.r == 3
-        assert pkg.atom.clusters == ((0, 1), (2,))
-        assert isinstance(pkg.block_classes, BlockSeparationViolation)
         assert time.monotonic() - start < 1.0
 
     _criterion(3, "three-node regression", body)

@@ -24,7 +24,7 @@ def cycle_configurations(draw, max_dim=6, max_r=5):
     cycles = tuple(
         tuple(draw(rationals) for _ in range(dim)) for _ in range(r)
     )
-    return CycleConfiguration(space, cycles)
+    return CycleConfiguration.from_vectors(space, cycles)
 
 
 def test_split_pair():

@@ -40,7 +40,7 @@ from lightsectors.modelgen import random_block_scenario
 def _four_node_config():
     space = standard_symplectic(1)
     e1, e2 = vector([1, 0]), vector([0, 1])
-    cfg = CycleConfiguration(space, (e1, e1, e2, e2))
+    cfg = CycleConfiguration.from_vectors(space, (e1, e1, e2, e2))
     part = BlockDecomposition.from_blocks(4, [(0, 1), (2, 3)])
     return space, cfg, part
 
@@ -71,7 +71,7 @@ def test_separation_holds_on_duplicated_classes():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
     assert isinstance(bc, BlockClasses)
-    assert bc.classes == (vector([1, 0]), vector([0, 1]))
+    assert bc.classes.cycles == (vector([1, 0]), vector([0, 1]))
 
 
 def test_separation_violation_names_first_offending_pair():
@@ -91,7 +91,7 @@ def test_singleton_blocks_always_separate():
     )
     bc = check_block_separation(cfg, BlockDecomposition.singletons(3))
     assert isinstance(bc, BlockClasses)
-    assert bc.classes == cfg.cycles
+    assert bc.classes == cfg
 
 
 def test_separation_size_mismatch():
@@ -106,22 +106,22 @@ def test_separation_size_mismatch():
 def test_reduced_matrix_symplectic_pair():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
-    lam_blk = reduced_matrix(space, bc)
+    lam_blk = reduced_matrix(bc)
     assert lam_blk.entries == Matrix.from_rows([[0, 1], [-1, 0]])
 
 
 def test_reduced_matrix_orthogonal_classes():
     space = standard_symplectic(2)
     part = BlockDecomposition.from_blocks(2, [(0,), (1,)])
-    bc = BlockClasses(part, (vector([1, 0, 0, 0]), vector([0, 0, 1, 0])))
-    assert reduced_matrix(space, bc).entries.is_zero()
+    bc = BlockClasses(part, CycleConfiguration.from_vectors(space, [(1, 0, 0, 0), (0, 0, 1, 0)]))
+    assert reduced_matrix(bc).entries.is_zero()
 
 
 def test_reduced_matrix_single_block():
     space = standard_symplectic(1)
     part = BlockDecomposition.from_blocks(3, [(0, 1, 2)])
-    bc = BlockClasses(part, (vector([1, 1]),))
-    lam_blk = reduced_matrix(space, bc)
+    bc = BlockClasses(part, CycleConfiguration.from_vectors(space, [(1, 1)]))
+    lam_blk = reduced_matrix(bc)
     assert lam_blk.r == 1 and lam_blk.entries.is_zero()
 
 
@@ -136,7 +136,7 @@ def test_consistency_passes_on_derived_example():
     assert lam.entries == Matrix.from_rows(
         [[0, 0, 1, 1], [0, 0, 1, 1], [-1, -1, 0, 0], [-1, -1, 0, 0]]
     )
-    lam_blk = reduced_matrix(space, bc)
+    lam_blk = reduced_matrix(bc)
     report = verify_block_consistency(lam, bc, lam_blk)
     assert report.overall and report.total == 4 * 3
     # Intra-block entries vanish, as do the reduced diagonal entries they equal.
@@ -147,7 +147,7 @@ def test_consistency_passes_on_derived_example():
 def test_consistency_fault_injection_names_entry():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
-    lam_blk = reduced_matrix(space, bc)
+    lam_blk = reduced_matrix(bc)
     corrupted = [[x for x in row] for row in interaction_matrix(cfg).entries.entries]
     corrupted[0][2] = corrupted[0][2] + 1
     corrupted[2][0] = -corrupted[0][2]
@@ -163,12 +163,12 @@ def test_consistency_fault_injection_names_entry():
 def test_block_commutators_orthogonal_classes_commute():
     space = standard_symplectic(2)
     part = BlockDecomposition.from_blocks(2, [(0,), (1,)])
-    bc = BlockClasses(part, (vector([1, 0, 0, 0]), vector([0, 0, 1, 0])))
-    lam_blk = reduced_matrix(space, bc)
+    bc = BlockClasses(part, CycleConfiguration.from_vectors(space, [(1, 0, 0, 0), (0, 0, 1, 0)]))
+    lam_blk = reduced_matrix(bc)
     report = block_commutator_check(space, bc, lam_blk)
     # One block pair plus the commutation criterion.
     assert report.overall and report.total == 2
-    ops = [pl_operator(CycleConfiguration(space, bc.classes), i) for i in range(2)]
+    ops = [pl_operator(bc.classes, i) for i in range(2)]
     assert commutator(ops[0], ops[1]).is_zero()
     assert commutes_all(lam_blk)
 
@@ -176,10 +176,10 @@ def test_block_commutators_orthogonal_classes_commute():
 def test_block_commutators_coupled_classes():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
-    lam_blk = reduced_matrix(space, bc)
+    lam_blk = reduced_matrix(bc)
     report = block_commutator_check(space, bc, lam_blk)
     assert report.overall and report.total == 2
-    ops = [pl_operator(CycleConfiguration(space, bc.classes), i) for i in range(2)]
+    ops = [pl_operator(bc.classes, i) for i in range(2)]
     assert not commutator(ops[0], ops[1]).is_zero()
     assert not commutes_all(lam_blk)
 
@@ -187,8 +187,8 @@ def test_block_commutators_coupled_classes():
 def test_block_commutators_single_block_vacuous():
     space = standard_symplectic(1)
     part = BlockDecomposition.from_blocks(2, [(0, 1)])
-    bc = BlockClasses(part, (vector([1, 1]),))
-    report = block_commutator_check(space, bc, reduced_matrix(space, bc))
+    bc = BlockClasses(part, CycleConfiguration.from_vectors(space, [(1, 1)]))
+    report = block_commutator_check(space, bc, reduced_matrix(bc))
     assert report.overall
 
 

@@ -327,7 +327,7 @@ def test_interaction_matrix_matches_reference(data):
     else:
         space = data.draw(coupled_spaces())
         cycles = data.draw(repeating_cycles(space.dim))
-    lam = interaction_matrix(CycleConfiguration(space, tuple(cycles)))
+    lam = interaction_matrix(CycleConfiguration.from_vectors(space, cycles))
     assert_same_matrix(lam.entries, reference.interaction_grid(space, cycles))
     # Nodes share a class exactly when their cycles are equal, and classes
     # are numbered in order of first occurrence.

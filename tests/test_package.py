@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,10 @@ from lightsectors.package import (
 from lightsectors.report import analysis_document, verification_document
 from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.modelgen import random_block_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import wide_case  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,7 +84,7 @@ QUINTIC = builtin_scenario("quintic_orbits")
 
 
 @pytest.mark.parametrize("gram, cycles", [
-    (QUINTIC.gram, QUINTIC.cycles),
+    (QUINTIC.gram, QUINTIC.cycles.entries),
     (standard_symplectic(2).gram,
      [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 0, 0)]),
 ], ids=["quintic_orbits", "all_distinct"])
@@ -253,3 +258,16 @@ def test_verify_random_block_models():
         pkg = to_package(random_block_scenario(rng, name=f"case_{i}"))
         report = verify_block_structure(pkg)
         assert report.overall, [f.name for f in report.failures]
+
+
+@pytest.mark.parametrize("text", [
+    (DATA / "four_node_blocks.scenario").read_text(),
+    wide_case("integer_cycles/1/0", 12, 14, 4).text,
+], ids=["four_node_blocks", "wide_case"])
+def test_verify_path_reads_the_cycle_matrix_in_integers(text):
+    """Parsing clears C once; verify never builds its r x dim Fraction view."""
+    pkg = to_package(parse_scenario(text))
+    doc = verification_document("t", verify_block_structure(pkg))
+    assert doc["overall"] and doc["checks_failed"] == 0
+    assert "cycles" not in pkg.cycles.__dict__
+    assert "entries" not in pkg.cycles.matrix.__dict__

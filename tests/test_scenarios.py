@@ -3,11 +3,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lightsectors.linalg import Matrix
+from lightsectors.linalg import Matrix, parse_rational
 from lightsectors.scenarios import (
     BUILTIN_NAMES,
     ScenarioError,
+    ScenarioFile,
     builtin_scenario,
     parse_scenario,
     serialize_scenario,
@@ -46,7 +49,7 @@ def test_random_scenarios_round_trip():
 def test_a2_scenario_contents():
     scenario = builtin_scenario("a2")
     assert scenario.dim == 2
-    assert scenario.cycles == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert scenario.cycles.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     assert scenario.incidence == Matrix.from_columns([(1, 1)], rows=2)
 
 
@@ -142,7 +145,7 @@ def test_parse_rejects_malformed_rational():
 def test_parse_canonicalizes_reducible_fraction():
     text = _minimal_text(cycles="2/4 0\n0 1")
     scenario = parse_scenario(text)
-    assert scenario.cycles[0][0] == Fraction(1, 2)
+    assert scenario.cycles.entries[0][0] == Fraction(1, 2)
     assert "1/2" in serialize_scenario(scenario)
 
 
@@ -169,6 +172,28 @@ def test_partition_errors_name_nodes_one_based_with_their_row(rows, line, messag
     assert str(info.value).endswith(f"field 'partition': {message}")
 
 
+OVERSIZED = "9" * 4301  # one past the interpreter's default int-from-text limit
+try:
+    int(OVERSIZED)
+except ValueError as exc:
+    # A token past the limit reports the interpreter's own message.
+    OVERSIZED_MESSAGE = str(exc)
+
+# One grid row of each rational field with a token slot {t}, and that row's line.
+_TOKEN_SITES = [
+    (_minimal_text(gram="0 {t}\n-1 0"), 5, "gram"),
+    (_minimal_text(cycles="1 0\n0 {t}"), 9, "cycles"),
+    (_minimal_text() + "incidence:\n1\n{t}\n", 12, "incidence"),
+    (_minimal_text() + "corrected_class: 1 {t}\n", 10, "corrected_class"),
+]
+_TOKEN_FAULTS = [
+    ("malformed", "x", "malformed rational 'x'"),
+    ("negative-denominator", "1/-2", "malformed rational '1/-2'"),
+    ("zero-denominator", "1/0", "zero denominator in rational '1/0'"),
+    ("4301-digits", OVERSIZED, OVERSIZED_MESSAGE),
+]
+
+
 @pytest.mark.parametrize(
     "text,line,field,message",
     [
@@ -181,6 +206,18 @@ def test_partition_errors_name_nodes_one_based_with_their_row(rows, line, messag
          "gram matrix is not skew-symmetric at entry (1,2)"),
         (_minimal_text(dim="3", gram="0 1 0\n-1 0 0\n0 0 2", cycles="1 0 0"), 7, "gram",
          "gram matrix is not skew-symmetric at entry (3,3)"),
+        *(pytest.param(site.replace("{t}", token), line, field, message, id=f"{field}-{name}")
+          for site, line, field in _TOKEN_SITES for name, token, message in _TOKEN_FAULTS),
+        pytest.param(_minimal_text(gram="0 1\n-1"), 6, "gram",
+                     "gram row has 1 entries, expected 2", id="gram-short-row"),
+        pytest.param(_minimal_text(dim="3", gram="0 1\n-1 0", cycles="1 0 0"), 4, "gram",
+                     "expected 3 gram rows, found 2", id="gram-rows-for-another-dim"),
+        pytest.param(_minimal_text(cycles="1 0\n0"), 9, "cycles",
+                     "cycle row has 1 entries, expected 2", id="cycles-short-row"),
+        pytest.param(_minimal_text() + "incidence:\n1 0\n1\n", 12, "incidence",
+                     "ragged incidence rows", id="incidence-ragged"),
+        pytest.param(_minimal_text() + "corrected_class: 1\n", 10, "corrected_class",
+                     "corrected_class has 1 entries, expected 2", id="corrected_class-short-row"),
     ],
 )
 def test_grid_errors_name_line_and_field(text, line, field, message):
@@ -245,6 +282,66 @@ def test_parse_corrected_class_length():
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\n" + _minimal_text() + "\n# trailing\n"
     assert parse_scenario(text).name == "t"
+
+
+def _token_grids(rows, cols):
+    token = st.one_of(
+        st.sampled_from(["0", "-0", "0/5", "2/4", "-3/6", "1", "-1"]),
+        st.builds("{}/{}".format, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 7, 12])),
+        st.integers(-10**30, 10**30).map(str),
+        st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    )
+    return st.lists(st.lists(token, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _negated(token):
+    return token[1:] if token.startswith("-") else "-" + token
+
+
+@st.composite
+def _token_scenarios(draw):
+    r, dim, width = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    gram = [["0"] * dim for _ in range(dim)]
+    for i, row in enumerate(draw(_token_grids(dim, dim))):
+        gram[i][i] = row[i] if row[i] in ("0", "-0", "0/5") else "0"
+        for j in range(i + 1, dim):
+            gram[i][j], gram[j][i] = row[j], _negated(row[j])
+    return (gram, draw(_token_grids(r, dim)), draw(_token_grids(r, width)),
+            draw(_token_grids(1, r))[0])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_token_scenarios())
+def test_grid_reader_matches_fraction_path(grids):
+    """Each rational grid parses to the Matrix of its tokens read one by one."""
+    gram, cycles, incidence, corrected = grids
+    text = "\n".join([
+        "format_version: 1", "name: t", f"dim: {len(gram)}",
+        "gram:", *map(" ".join, gram),
+        "cycles:", *map(" ".join, cycles),
+        "incidence:", *map(" ".join, incidence),
+        "corrected_class: " + " ".join(corrected),
+    ]) + "\n"
+    s = parse_scenario(text)
+
+    def fractions(rows):
+        return [[parse_rational(token) for token in row] for row in rows]
+
+    assert s.gram == Matrix.from_rows(fractions(gram), cols=len(gram))
+    assert s.cycles == Matrix.from_rows(fractions(cycles), cols=len(gram))
+    assert s.incidence == Matrix.from_rows(fractions(incidence), cols=len(incidence[0]) if incidence else 0)
+    assert s.corrected_class == tuple(fractions([corrected])[0])
+
+
+@pytest.mark.parametrize("scenario,field", [
+    (ScenarioFile(name="t", dim=0, gram=Matrix.zero(0, 0), cycles=((), ())), "cycles"),
+    (ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
+                  cycles=((1, 0), (0, 1)), incidence=Matrix.zero(2, 0)), "incidence"),
+], ids=["cycles", "incidence"])
+def test_serialize_rejects_rows_of_no_entries(scenario, field):
+    # A row is a line of entries, so these rows would not read back.
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        serialize_scenario(scenario)
 
 
 def test_serialization_is_canonical():

@@ -47,7 +47,7 @@ def cycle_configurations(draw, max_dim=6, max_r=4):
     cycles = [
         vector([draw(rationals) for _ in range(dim)]) for _ in range(r)
     ]
-    return CycleConfiguration(space, tuple(cycles))
+    return CycleConfiguration.from_vectors(space, cycles)
 
 
 def _a1xa1_config():
@@ -92,7 +92,7 @@ def test_nilpotent_action_matches_pairing_formula():
     rng = random.Random(7)
     space = standard_symplectic(2)
     delta = vector([1, 2, Fraction(1, 2), -1])
-    cfg = CycleConfiguration(space, (delta,))
+    cfg = CycleConfiguration.from_vectors(space, (delta,))
     op = pl_operator(cfg, 0)
     for _ in range(20):
         alpha = vector([Fraction(rng.randint(-5, 5)) for _ in range(4)])
@@ -125,7 +125,7 @@ def test_rank_one_factor_matches_dense_reference():
         cases.append((PairingSpace(a - a.transpose()), delta))
     kinds = set()
     for space, delta in cases:
-        op = pl_operator(CycleConfiguration(space, (delta,)), 0)
+        op = pl_operator(CycleConfiguration.from_vectors(space, (delta,)), 0)
         weights = [pair(space, basis_vector(space.dim, k), delta) for k in range(space.dim)]
         n_grid = tuple(
             tuple(weights[k] * delta[j] for k in range(space.dim)) for j in range(space.dim)

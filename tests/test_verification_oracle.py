@@ -170,7 +170,7 @@ def test_shared_row_checked_against_each_block():
     assert lam.node_class == (0, 0, 1)
     bc = blocks.check_block_separation(cfg, blocks.BlockDecomposition.singletons(3))
     for block, names in [(0, ["lambda(1,3)", "lambda(3,1)"]), (1, ["lambda(2,3)", "lambda(3,2)"])]:
-        lam_blk = _bumped(blocks.reduced_matrix(space, bc), block, 2, Fraction(1))
+        lam_blk = _bumped(blocks.reduced_matrix(bc), block, 2, Fraction(1))
         report = blocks.verify_block_consistency(lam, bc, lam_blk)
         assert_same_record(report, reference.block_consistency_checks(lam, bc, lam_blk))
         assert [f.name for f in report.failures] == names
