@@ -2,15 +2,20 @@
 
 An analysis document is a plain dict with frozen key names (listed in the
 README); the machine format is its JSON serialization with sorted keys, so
-identical inputs yield byte-identical output.  The text format renders the
-same data section by section: extension side, transport side, atom side,
-blocks.  All node and block indices in documents and text are 1-based;
-rationals appear in canonical lowest-terms form.
+identical inputs yield byte-identical output.  Its bytes equal what
+json.dumps writes with an indent of 2 and sorted keys, plus a newline.  A
+small writer produces them without the standard library's pure-Python
+indent encoder: it writes a list of strings once per (indent, content), and
+a list of plain ints or a list of non-empty plain-int lists in one join.
+The text format renders the same data section by section: extension side,
+transport side, atom side, blocks.  All node and block indices in documents
+and text are 1-based; rationals appear in canonical lowest-terms form.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Sequence
 
 from .linalg import format_rational
@@ -326,10 +331,73 @@ def _render_verification_text(doc: ReportDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STR = {str}
+_INT = {int}
+_LIST = {list}
+# json.dumps(x) with its default arguments, without re-reading them per call.
+_encode = json.JSONEncoder().encode
+
+
+def _write_json(obj: object, indent: str, out: list[str], memo: dict) -> None:
+    """Append obj as json.dumps writes it with an indent of 2 and sorted keys,
+    nested at indent; keys are strings, as in every report document.
+
+    A list of strings is written once per (indent, content) and reused from
+    memo; a list of plain ints (bool excluded), and a list of non-empty plain
+    int lists, are each one join.  A plain int is its str, as json writes it;
+    every other scalar and every key goes through the library's encoder.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            out.append(sep + _encode(key) + ": ")
+            _write_json(obj[key], inner, out, memo)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        types = set(map(type, obj))
+        if types == _STR:
+            key = (indent, *obj)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "[\n" + inner + sep.join(map(_encode, obj)) + "\n" + indent + "]"
+            out.append(text)
+        elif types == _INT:
+            out.append("[\n" + inner + sep.join(map(str, obj)) + "\n" + indent + "]")
+        elif types == _LIST and all(obj) and set(map(type, chain.from_iterable(obj))) == _INT:
+            deeper = inner + "  "
+            head, join, tail = "[\n" + deeper, (",\n" + deeper).join, "\n" + inner + "]"
+            rows = [head + join(map(str, row)) + tail for row in obj]
+            out.append("[\n" + inner + sep.join(rows) + "\n" + indent + "]")
+        else:
+            out.append("[\n" + inner)
+            _write_json(obj[0], inner, out, memo)
+            for item in obj[1:]:
+                out.append(sep)
+                _write_json(item, inner, out, memo)
+            out.append("\n" + indent + "]")
+    elif type(obj) is int:
+        out.append(str(obj))
+    else:
+        out.append(_encode(obj))
+
+
 def render_report(doc: ReportDocument, format: str = "text") -> bytes:
     """Render a document as UTF-8 bytes in 'text' or 'machine' (JSON) format."""
     if format == "machine":
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        out: list[str] = []
+        _write_json(doc, "", out, {})
+        out.append("\n")
+        return "".join(out).encode("utf-8")
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     if doc.get("report_format") == "lightsectors.verification":

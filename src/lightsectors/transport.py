@@ -81,7 +81,8 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
     """Transport operator of the i-th cycle (0-based index)."""
     if not 0 <= i < cfg.r:
         raise IndexError(f"node index {i} out of range for {cfg.r} nodes")
-    delta = cfg.cycles[i]
+    # Only row i: the whole Fraction view of C is not built for one row.
+    delta = tuple(Fraction(x, cfg.matrix.den) for x in cfg.matrix.num[i])
     # Column k of N is <e_k, delta> delta, and <e_k, delta> = (G delta)[k].
     return TransportOperator(delta, cfg.space.gram.apply(delta))
 

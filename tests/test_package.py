@@ -271,3 +271,12 @@ def test_verify_path_reads_the_cycle_matrix_in_integers(text):
     assert doc["overall"] and doc["checks_failed"] == 0
     assert "cycles" not in pkg.cycles.__dict__
     assert "entries" not in pkg.cycles.matrix.__dict__
+
+
+def test_analyze_path_builds_one_cycle_row_per_class():
+    """pl_operator reads row i of C; the r x dim Fraction view is never built."""
+    scenario = builtin_scenario("quintic_orbits")
+    pkg = to_package(scenario)
+    analysis_document(pkg, scenario.name)
+    assert "cycles" not in vars(pkg.cycles)
+    assert [op.delta for op in pkg.transport] == list(pkg.cycles.cycles)

@@ -1,16 +1,24 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lightsectors.linalg import format_rational
-from lightsectors.package import verify_block_structure
+from lightsectors.package import BlockSeparationRequiredError, verify_block_structure
 from lightsectors.report import (
     analysis_document,
     render_report,
     verification_document,
+    verification_unavailable_document,
 )
-from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
+from lightsectors.scenarios import BUILTIN_NAMES, builtin_scenario, parse_scenario, to_package
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import deck  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,3 +204,82 @@ def test_flags_scan_the_cycles_once(monkeypatch):
 def test_unknown_render_format():
     with pytest.raises(ValueError):
         render_report(_doc("a2"), "pdf")
+
+
+def _json_oracle(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# Quote, backslash, control, non-ASCII and astral characters, then anything.
+_awkward = st.sampled_from('"\\/\b\n\t\x00\x1f\x7f\xe9\u2603\U0001f600')
+_text = st.text(st.one_of(_awkward, st.characters()), max_size=4)
+_ints = st.one_of(
+    st.integers(-3, 3),
+    st.integers(10**30 - 2, 10**30 + 2),
+    st.integers(-(10**30) - 2, -(10**30) + 2),
+)
+_int_or_bool = st.one_of(_ints, st.booleans())
+# One string row per example, drawn wherever the tree holds a shared row.
+_row = st.shared(st.lists(_text, min_size=1, max_size=3), key="row")
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    st.floats(),
+    _text,
+    _row,
+    st.lists(_text, max_size=3),
+    st.lists(_int_or_bool, max_size=4),
+    st.lists(st.lists(_int_or_bool, max_size=3), max_size=4),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tree=_trees, row=_row)
+@example(tree=[[]], row=["a"])
+@example(tree=[[1], []], row=["a"])
+@example(tree={"b": {}, "a": [[], {}, [[]]], "c": [1, True, 0, False]}, row=["a"])
+def test_machine_writer_matches_json_dumps(tree, row):
+    # The shared row also sits at two fixed depths, so the memo must key the indent.
+    doc = {"row": row, "deeper": [{"row": row}], "tree": tree}
+    assert render_report(doc, "machine") == _json_oracle(doc)
+
+
+def _shipped_documents():
+    for name in BUILTIN_NAMES:
+        scenario = builtin_scenario(name)
+        pkg = to_package(scenario)
+        yield f"{name}-analysis", analysis_document(pkg, scenario.name)
+        try:
+            report = verify_block_structure(pkg)
+        except BlockSeparationRequiredError as exc:
+            yield f"{name}-unavailable", verification_unavailable_document(scenario.name, exc)
+        else:
+            yield f"{name}-verification", verification_document(scenario.name, report)
+    scenario = parse_scenario((DATA / "four_node_blocks.scenario").read_text())
+    pkg = to_package(scenario)
+    yield "four_node_blocks-analysis", analysis_document(pkg, scenario.name)
+    yield "four_node_blocks-verification", verification_document(
+        scenario.name, verify_block_structure(pkg)
+    )
+    scenario = builtin_scenario("quintic_orbits", orbit_sizes=[70, 20, 15, 10, 10])
+    yield "quintic_orbits-70,20,15,10,10", analysis_document(to_package(scenario), scenario.name)
+    for case in deck("orbit_analyze", 1):
+        scenario = parse_scenario(case.text)
+        yield f"orbit_analyze-1-{case.name}", analysis_document(to_package(scenario), scenario.name)
+
+
+def test_machine_writer_matches_json_dumps_on_shipped_documents():
+    names = []
+    for name, doc in _shipped_documents():
+        assert render_report(doc, "machine") == _json_oracle(doc), name
+        names.append(name)
+    assert "three_node-unavailable" in names and len(names) == 14
