@@ -22,7 +22,7 @@ from .linalg import (
     Vector,
     format_rational,
 )
-from .pairing import CycleConfiguration, PairingSpace
+from .pairing import CycleConfiguration
 from .transport import (
     InteractionMatrix,
     commutator,
@@ -213,9 +213,7 @@ def verify_block_consistency(
     return VerificationReport(total, tuple(failures))
 
 
-def block_commutator_check(
-    space: PairingSpace, bc: BlockClasses, lam_blk: InteractionMatrix
-) -> VerificationReport:
+def block_commutator_check(bc: BlockClasses, lam_blk: InteractionMatrix) -> VerificationReport:
     """Cross-check block transport commutators against the closed form.
 
     For every block pair the dense commutator of the block operators must
@@ -232,7 +230,7 @@ def block_commutator_check(
     for i in range(b):
         for j in range(i + 1, b):
             dense = commutator(ops[i], ops[j])
-            closed = commutator_closed_form(space, bc.classes.cycles[i], bc.classes.cycles[j])
+            closed = commutator_closed_form(bc.classes, i, j)
             if dense != closed:
                 failures.append(
                     Check(

@@ -11,7 +11,7 @@ A ``Matrix`` is an ``int`` grid ``num`` over one positive denominator
 hashing are value equality.  Sums, products, transposes and zero and skew
 tests run on the integers, as with FLINT's ``fmpq_mat_mul_cleared``.
 Fractions appear only at the boundaries: the cached ``Matrix.entries`` view,
-``apply`` and ``pairing.pair`` (vectors cleared by ``cleared``), and
+``apply`` and ``pairing.pair`` (the two readers of ``cleared``), and
 elimination (``rref``, ``kernel``, ``Subspace``).
 
 A product A·B (A m×n, B n×p) is a Kronecker substitution, as FLINT packs
@@ -114,10 +114,6 @@ def basis_vector(n: int, k: int) -> Vector:
     if not 0 <= k < n:
         raise IndexError(f"basis index {k} out of range for dimension {n}")
     return tuple(Fraction(1 if i == k else 0) for i in range(n))
-
-
-def is_zero_vector(a: Vector) -> bool:
-    return all(x == 0 for x in a)
 
 
 def cleared(v: Sequence[Fraction]) -> Cleared:

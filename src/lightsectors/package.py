@@ -271,7 +271,7 @@ def verify_block_structure(pkg: LightSectorPackage) -> VerificationReport:
             ("realized dimension equals block count", str(b), str(pkg.realized.v_geom.dim))
         )
     consistency = verify_block_consistency(pkg.interaction, pkg.block_classes, pkg.reduced)
-    commutators = block_commutator_check(pkg.space, pkg.block_classes, pkg.reduced)
+    commutators = block_commutator_check(pkg.block_classes, pkg.reduced)
     agree = "agree" if pkg.atom.is_split == pkg.blockwise.is_split else "disagree"
     tail = [("atom verdict agreement (full vs reduced)", "agree", agree)]
     return VerificationReport(

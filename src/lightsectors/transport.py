@@ -3,9 +3,10 @@
 Each cycle delta induces the transport T(a) = a + <a, delta> delta with
 nilpotent part N = T - Id, so N(a) = <a, delta> delta and N^2 = 0 (the
 self-pairing vanishes by skew symmetry).  N is the rank-one map
-delta (x) G delta, so a TransportOperator stores only delta and the weights
-G delta and builds the dense N and T on request; equal cycles give equal
-operators, so a package builds one per cycle class.  The interaction matrix
+delta (x) G delta, so a TransportOperator stores the integer row delta of C,
+the weights G delta over the Gram grid and their one denominator, and builds
+the dense N and T on request; within one configuration equal cycles give
+equal operators, so a package builds one per cycle class.  The interaction matrix
 collects the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its
 off-diagonal vanishing is exactly pairwise commutativity of the transports.
 It is stored in class form: the k x k pairings of the distinct cycle classes
@@ -27,28 +28,21 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .linalg import (
-    DimensionMismatchError,
-    InvariantError,
-    Matrix,
-    Vector,
-    cleared,
-    first_skew_violation,
-    is_zero_vector,
-)
-from .pairing import CycleConfiguration, PairingSpace, pair
+from .linalg import DimensionMismatchError, InvariantError, Matrix, first_skew_violation
+from .pairing import CycleConfiguration
 
 
 @dataclass(frozen=True)
 class TransportOperator:
-    """T = Id + N for one cycle, with N = delta (x) weights and weights = G delta.
+    """T = Id + N for one cycle, with N = (delta (x) weights) / den in integers.
 
-    Entry (j, k) of N is weights[k] * delta[j].  N has rank 1 unless the cycle
-    is zero or pairs trivially, when T is the identity.
+    Entry (j, k) of N is weights[k] * delta[j] / den.  N has rank 1 unless
+    the cycle is zero or pairs trivially, when T is the identity.
     """
 
-    delta: Vector
-    weights: Vector
+    delta: tuple[int, ...]
+    weights: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
         if len(self.delta) != len(self.weights):
@@ -60,13 +54,12 @@ class TransportOperator:
 
     @property
     def nilpotent_rank(self) -> int:
-        return 0 if is_zero_vector(self.delta) or is_zero_vector(self.weights) else 1
+        return int(any(self.delta) and any(self.weights))
 
     @cached_property
     def n_matrix(self) -> Matrix:
-        (d_ints, dd), (w_ints, dw) = cleared(self.delta), cleared(self.weights)
-        grid = tuple(tuple(w * d for w in w_ints) for d in d_ints)
-        return Matrix(self.dim, self.dim, grid, dd * dw)
+        grid = tuple(tuple(w * d for w in self.weights) for d in self.delta)
+        return Matrix(self.dim, self.dim, grid, self.den)
 
     @cached_property
     def t_matrix(self) -> Matrix:
@@ -81,10 +74,12 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
     """Transport operator of the i-th cycle (0-based index)."""
     if not 0 <= i < cfg.r:
         raise IndexError(f"node index {i} out of range for {cfg.r} nodes")
-    # Only row i: the whole Fraction view of C is not built for one row.
-    delta = tuple(Fraction(x, cfg.matrix.den) for x in cfg.matrix.num[i])
-    # Column k of N is <e_k, delta> delta, and <e_k, delta> = (G delta)[k].
-    return TransportOperator(delta, cfg.space.gram.apply(delta))
+    c, g = cfg.matrix, cfg.space.gram
+    delta = c.num[i]
+    # Column k of N is <e_k, delta> delta, and <e_k, delta> = (G delta)[k]:
+    # with delta = c_i / dc and G = g / dg that is (g c_i)[k] / (dg dc).
+    weights = tuple(sum(map(mul, row, delta)) for row in g.num)
+    return TransportOperator(delta, weights, c.den * c.den * g.den)
 
 
 @dataclass(frozen=True)
@@ -153,23 +148,27 @@ def commutator(a: TransportOperator, b: TransportOperator) -> Matrix:
     return a.n_matrix @ b.n_matrix - b.n_matrix @ a.n_matrix
 
 
-def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector) -> Matrix:
-    """The commutator evaluated columnwise from the rank-one factored form.
+def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> Matrix:
+    """N_a N_b - N_b N_a of cycles a and b (0-based), evaluated columnwise
+    from the rank-one factored form.
 
     Column k is <e_k, delta_b> lambda_ba delta_a - <e_k, delta_a> lambda_ab delta_b
-    with lambda_ab = <delta_a, delta_b>.  Kept independent of the dense matrix
-    product so the two routes can cross-check each other.
+    with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and the
+    Gram grid itself, independent of pl_operator and of the dense matrix
+    product, so the two routes can cross-check each other.
     """
-    lam_ab = pair(space, delta_a, delta_b)
-    # lambda_ba = -lambda_ab and <e_k, delta> = (G delta)[k], so entry (j, k)
-    # is -lambda_ab ((G delta_b)[k] delta_a[j] + (G delta_a)[k] delta_b[j]).
-    # With delta = d / dd and G = g / gd cleared, (G delta)[k] = (g d)[k] / (gd dd),
-    # so for lambda_ab = p / q the entry is an integer over q gd dda ddb.
-    (da, dda), (db, ddb) = cleared(delta_a), cleared(delta_b)
-    ga, gb = ([sum(map(mul, row, d)) for row in space.gram.num] for d in (da, db))
-    p, q = lam_ab.numerator, lam_ab.denominator
-    grid = tuple(tuple(-p * (y * a + z * b) for y, z in zip(gb, ga)) for a, b in zip(da, db))
-    return Matrix(space.dim, space.dim, grid, q * space.gram.den * dda * ddb)
+    if not (0 <= a < cfg.r and 0 <= b < cfg.r):
+        raise IndexError(f"node indices {a}, {b} out of range for {cfg.r} nodes")
+    c, g = cfg.matrix, cfg.space.gram
+    da, db = c.num[a], c.num[b]
+    # With delta = d / dc and G = g / dg, (G delta)[k] = (g d)[k] / (dg dc)
+    # and lambda_ab = p / (dg dc^2) with p = d_a . (g d_b).  As lambda_ba =
+    # -lambda_ab, entry (j, k) is -lambda_ab ((G delta_b)[k] delta_a[j] +
+    # (G delta_a)[k] delta_b[j]): an integer over dg^2 dc^4.
+    ga, gb = ([sum(map(mul, row, d)) for row in g.num] for d in (da, db))
+    p = sum(map(mul, da, gb))
+    grid = tuple(tuple(-p * (y * x + z * w) for y, z in zip(gb, ga)) for x, w in zip(da, db))
+    return Matrix(g.rows, g.rows, grid, (g.den * c.den * c.den) ** 2)
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

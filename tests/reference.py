@@ -213,18 +213,16 @@ def block_consistency_checks(
     return checks
 
 
-def block_commutator_checks(
-    space: PairingSpace, bc: blocks.BlockClasses, lam_blk: InteractionMatrix
-) -> list[EagerCheck]:
+def block_commutator_checks(bc: blocks.BlockClasses, lam_blk: InteractionMatrix) -> list[EagerCheck]:
     b = bc.decomposition.count
-    block_cfg = CycleConfiguration.from_vectors(space, bc.classes.cycles)
+    block_cfg = CycleConfiguration.from_vectors(bc.classes.space, bc.classes.cycles)
     ops = [blocks.pl_operator(block_cfg, i) for i in range(b)]
     checks = []
     all_zero = True
     for i in range(b):
         for j in range(i + 1, b):
             dense = blocks.commutator(ops[i], ops[j])
-            closed = blocks.commutator_closed_form(space, bc.classes.cycles[i], bc.classes.cycles[j])
+            closed = blocks.commutator_closed_form(block_cfg, i, j)
             checks.append(
                 EagerCheck(
                     name=f"commutator closed form ({i + 1},{j + 1})",
@@ -265,7 +263,7 @@ def block_structure_checks(pkg: LightSectorPackage) -> list[EagerCheck]:
         checks.append(EagerCheck("realized dimension equals block count", str(b),
                                  str(realized_dim), realized_dim == b))
     checks += block_consistency_checks(pkg.interaction, pkg.block_classes, pkg.reduced)
-    checks += block_commutator_checks(pkg.space, pkg.block_classes, pkg.reduced)
+    checks += block_commutator_checks(pkg.block_classes, pkg.reduced)
     agree = pkg.atom.is_split == pkg.blockwise.is_split
     checks.append(EagerCheck("atom verdict agreement (full vs reduced)", "agree",
                              "agree" if agree else "disagree", agree))

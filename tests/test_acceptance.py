@@ -72,7 +72,7 @@ def test_criterion_2_coupled_two_node_regression():
                 for x, y in zip(d1, d2)
             )
             assert comm.column(k) == expected
-        assert comm == commutator_closed_form(space, d1, d2)
+        assert comm == commutator_closed_form(pkg.cycles, 0, 1)
 
         assert pkg.realized.v_geom.basis == (vector([1, 1]),)
         for c in (0, 1, 3, Fraction(-7, 2)):

@@ -165,7 +165,7 @@ def test_block_commutators_orthogonal_classes_commute():
     part = BlockDecomposition.from_blocks(2, [(0,), (1,)])
     bc = BlockClasses(part, CycleConfiguration.from_vectors(space, [(1, 0, 0, 0), (0, 0, 1, 0)]))
     lam_blk = reduced_matrix(bc)
-    report = block_commutator_check(space, bc, lam_blk)
+    report = block_commutator_check(bc, lam_blk)
     # One block pair plus the commutation criterion.
     assert report.overall and report.total == 2
     ops = [pl_operator(bc.classes, i) for i in range(2)]
@@ -177,7 +177,7 @@ def test_block_commutators_coupled_classes():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
     lam_blk = reduced_matrix(bc)
-    report = block_commutator_check(space, bc, lam_blk)
+    report = block_commutator_check(bc, lam_blk)
     assert report.overall and report.total == 2
     ops = [pl_operator(bc.classes, i) for i in range(2)]
     assert not commutator(ops[0], ops[1]).is_zero()
@@ -188,7 +188,7 @@ def test_block_commutators_single_block_vacuous():
     space = standard_symplectic(1)
     part = BlockDecomposition.from_blocks(2, [(0, 1)])
     bc = BlockClasses(part, CycleConfiguration.from_vectors(space, [(1, 1)]))
-    report = block_commutator_check(space, bc, reduced_matrix(bc))
+    report = block_commutator_check(bc, reduced_matrix(bc))
     assert report.overall
 
 
@@ -298,4 +298,4 @@ def test_random_separated_configurations_verify():
                     assert lam.entry(a, b) == 0
         report = verify_block_consistency(lam, pkg.block_classes, pkg.reduced)
         assert report.overall
-        assert block_commutator_check(pkg.space, pkg.block_classes, pkg.reduced).overall
+        assert block_commutator_check(pkg.block_classes, pkg.reduced).overall

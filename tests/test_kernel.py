@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors import linalg
+from lightsectors import linalg, transport
 from lightsectors.linalg import Matrix, cleared, first_skew_violation, vector, zero_vector
 from lightsectors.pairing import CycleConfiguration, PairingSpace, pair
 from lightsectors.transport import (
@@ -77,6 +77,23 @@ def matrices(draw, rows=None, cols=None, max_dim=4):
 
 def vectors(n):
     return st.lists(entries, min_size=n, max_size=n).map(vector)
+
+
+ints = st.one_of(st.just(0), st.integers(-60, 60),
+                 st.builds(lambda n, sign: sign * (HUGE + n), st.integers(0, 10 ** 6),
+                           st.sampled_from((1, -1))))
+denominators = st.one_of(st.just(1), st.sampled_from(PRIMES), st.integers(1, 10 ** 6))
+
+
+@st.composite
+def operators(draw, n):
+    """A rank-one factor in integers and the Fraction vectors it stands for:
+    N = (delta (x) weights) / den equals delta' (x) weights' with delta' =
+    delta / den."""
+    delta, weights = (tuple(draw(st.lists(ints, min_size=n, max_size=n))) for _ in (0, 1))
+    den = draw(denominators)
+    op = TransportOperator(delta, weights, den)
+    return op, tuple(Fraction(x, den) for x in delta), vector(weights)
 
 
 @st.composite
@@ -193,8 +210,10 @@ def test_matmul_of_rank_one_grids(scale):
     rng = random.Random(scale)
 
     def operator():
-        return TransportOperator(*(vector(Fraction(rng.randint(-scale, scale), rng.randint(1, 4))
-                                          for _ in range(38)) for _ in (0, 1)))
+        (delta, dd), (weights, dw) = (cleared(vector(Fraction(rng.randint(-scale, scale),
+                                                              rng.randint(1, 4))
+                                                     for _ in range(38))) for _ in (0, 1))
+        return TransportOperator(delta, weights, dd * dw)
 
     a, b = operator().n_matrix, operator().n_matrix
     assert not a.is_zero() and not b.is_zero()
@@ -367,9 +386,7 @@ def test_first_skew_violation_compares_denominators():
 @kernel_settings
 @given(data=st.data())
 def test_n_matrix_matches_reference(data):
-    n = data.draw(st.integers(0, 5))
-    delta, weights = data.draw(vectors(n)), data.draw(vectors(n))
-    op = TransportOperator(delta, weights)
+    op, delta, weights = data.draw(operators(data.draw(st.integers(0, 5))))
     assert_same_matrix(op.n_matrix, reference.n_matrix(delta, weights))
 
 
@@ -377,25 +394,26 @@ def test_n_matrix_matches_reference(data):
 @given(data=st.data())
 def test_commutator_matches_reference(data):
     n = data.draw(st.integers(0, 5))
-    a, b = (TransportOperator(data.draw(vectors(n)), data.draw(vectors(n))) for _ in (0, 1))
-    want = reference.commutator(reference.n_matrix(a.delta, a.weights),
-                                reference.n_matrix(b.delta, b.weights))
+    (a, *fa), (b, *fb) = data.draw(operators(n)), data.draw(operators(n))
+    want = reference.commutator(reference.n_matrix(*fa), reference.n_matrix(*fb))
     assert_same_matrix(commutator(a, b), want)
 
 
 def test_closed_form_never_multiplies_matrices(monkeypatch):
     """The closed form is the independent route of the cross-check: it must
-    not reach the dense product it is compared with."""
+    not reach the dense product it is compared with, nor the operators."""
     space = PairingSpace(Matrix.from_rows([[0, "1/2", 3], ["-1/2", 0, "-2/3"],
                                                  [-3, "2/3", 0]]))
     a, b = vector(["1/3", -1, 2]), vector([5, "1/7", "-1/2"])
+    cfg = CycleConfiguration.from_vectors(space, [a, b])
     want = reference.commutator_closed_form(space, a, b)
 
     def refuse(*_):
-        raise AssertionError("closed form used the matrix product")
+        raise AssertionError("closed form used the matrix product or an operator")
 
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
-    assert_same_matrix(commutator_closed_form(space, a, b), want)
+    monkeypatch.setattr(transport, "pl_operator", refuse)
+    assert_same_matrix(commutator_closed_form(cfg, 0, 1), want)
     assert not want.is_zero()
 
 
@@ -403,6 +421,8 @@ def test_closed_form_never_multiplies_matrices(monkeypatch):
 @given(data=st.data())
 def test_closed_form_matches_reference(data):
     space = data.draw(spaces())
-    a, b = data.draw(vectors(space.dim)), data.draw(vectors(space.dim))
-    assert_same_matrix(commutator_closed_form(space, a, b),
-                       reference.commutator_closed_form(space, a, b))
+    cycles = [data.draw(vectors(space.dim)) for _ in (0, 1)]
+    cfg = CycleConfiguration.from_vectors(space, cycles)
+    i, j = data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+    assert_same_matrix(commutator_closed_form(cfg, i, j),
+                       reference.commutator_closed_form(space, cycles[i], cycles[j]))

@@ -271,6 +271,8 @@ def test_verify_path_reads_the_cycle_matrix_in_integers(text):
     assert doc["overall"] and doc["checks_failed"] == 0
     assert "cycles" not in pkg.cycles.__dict__
     assert "entries" not in pkg.cycles.matrix.__dict__
+    # Each block-class row is read once, as an integer row of C.
+    assert "cycles" not in vars(pkg.block_classes.classes)
 
 
 def test_analyze_path_builds_one_cycle_row_per_class():
@@ -279,4 +281,4 @@ def test_analyze_path_builds_one_cycle_row_per_class():
     pkg = to_package(scenario)
     analysis_document(pkg, scenario.name)
     assert "cycles" not in vars(pkg.cycles)
-    assert [op.delta for op in pkg.transport] == list(pkg.cycles.cycles)
+    assert [op.delta for op in pkg.transport] == list(pkg.cycles.matrix.num)

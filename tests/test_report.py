@@ -81,6 +81,15 @@ def test_a2_report_golden_file():
     assert rendered == golden
 
 
+def test_four_node_blocks_report_golden_file():
+    """The block path: partition, reduced matrix, nilpotent ranks of a
+    block-separated package and the block verification totals."""
+    scenario = parse_scenario((DATA / "four_node_blocks.scenario").read_text(encoding="utf-8"))
+    rendered = render_report(analysis_document(to_package(scenario), scenario.name), "machine")
+    golden = (DATA / "four_node_blocks.analysis.golden.json").read_bytes()
+    assert rendered == golden
+
+
 def test_machine_reports_byte_deterministic():
     for name in ("a1xa1", "a2", "three_node"):
         assert render_report(_doc(name), "machine") == render_report(_doc(name), "machine")

@@ -70,9 +70,9 @@ def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
     calls = itertools.count()
     real = blocks.commutator_closed_form
 
-    def closed_form(space, delta_a, delta_b):
-        m = real(space, delta_a, delta_b)
-        return m + Matrix.identity(space.dim) if next(calls) % n_pairs in bad_calls else m
+    def closed_form(cfg, a, b):
+        m = real(cfg, a, b)
+        return m + Matrix.identity(cfg.space.dim) if next(calls) % n_pairs in bad_calls else m
 
     return closed_form
 
@@ -133,8 +133,8 @@ def test_report_matches_eager_reference(fault, seed, data):
             reference.block_consistency_checks(lam, bc, lam_blk),
         )
         assert_same_record(
-            blocks.block_commutator_check(pkg.space, bc, lam_blk),
-            reference.block_commutator_checks(pkg.space, bc, lam_blk),
+            blocks.block_commutator_check(bc, lam_blk),
+            reference.block_commutator_checks(bc, lam_blk),
         )
 
     # A fault always shows; a clean package always passes.
