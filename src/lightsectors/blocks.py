@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Sequence, Union
 
 from .linalg import (
@@ -216,31 +216,26 @@ def verify_block_consistency(
 def block_commutator_check(bc: BlockClasses, lam_blk: InteractionMatrix) -> VerificationReport:
     """Cross-check block transport commutators against the closed form.
 
-    For every block pair the dense commutator of the block operators must
-    match the rank-one closed form columnwise, and the pairwise-commuting
-    verdict must coincide with all off-diagonal entries of the reduced matrix
-    lam_blk vanishing.
+    For every block pair the dense commutator of the block operators (every
+    pair from one matrix product) must match the rank-one closed form, and
+    the pairwise-commuting verdict must coincide with all off-diagonal
+    entries of the reduced matrix lam_blk vanishing.
     """
     b = bc.decomposition.count
     if lam_blk.r != b:
         raise DimensionMismatchError(f"reduced matrix of size {lam_blk.r} against {b} blocks")
-    ops = [pl_operator(bc.classes, i) for i in range(b)]
+    dense = commutator([pl_operator(bc.classes, i) for i in range(b)])
     failures = []
-    all_zero = True
-    for i in range(b):
-        for j in range(i + 1, b):
-            dense = commutator(ops[i], ops[j])
-            closed = commutator_closed_form(bc.classes, i, j)
-            if dense != closed:
-                failures.append(
-                    Check(
-                        name=f"commutator closed form ({i + 1},{j + 1})",
-                        expected="matrix and closed form agree",
-                        actual="disagree",
-                    )
+    for (i, j), m in zip(combinations(range(b), 2), dense):
+        if m != commutator_closed_form(bc.classes, i, j):
+            failures.append(
+                Check(
+                    name=f"commutator closed form ({i + 1},{j + 1})",
+                    expected="matrix and closed form agree",
+                    actual="disagree",
                 )
-            if not dense.is_zero():
-                all_zero = False
+            )
+    all_zero = all(m.is_zero() for m in dense)
     off_diag_zero = commutes_all(lam_blk)
     if all_zero != off_diag_zero:
         failures.append(

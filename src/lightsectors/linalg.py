@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -146,7 +146,8 @@ class Matrix:
             return
         g = gcd(self.den, *chain.from_iterable(self.num))
         if g != 1:
-            object.__setattr__(self, "num", tuple(tuple(x // g for x in row) for row in self.num))
+            num = tuple(tuple(map(floordiv, row, repeat(g))) for row in self.num)
+            object.__setattr__(self, "num", num)
             object.__setattr__(self, "den", self.den // g)
 
     @classmethod
@@ -255,8 +256,9 @@ def _packed_product(
     """
     if not (a and b and cols):  # no entries, or every entry an empty sum
         return ((0,) * cols,) * len(a)
-    amax = max(map(abs, chain.from_iterable(a)))
-    bmax = max(map(abs, chain.from_iterable(b)))
+    # The largest absolute entries, from each row's max and min: no abs() per entry.
+    amax = max(max(map(max, a)), -min(map(min, a)))
+    bmax = max(max(map(max, b)), -min(map(min, b)))
     need = (max(len(b) * amax, 1) * bmax).bit_length() // 8 + 1  # one sign bit
     # Round up to a power of two for an array type; past 8 bytes no type fits.
     width = 1 << (need - 1).bit_length()

@@ -13,6 +13,11 @@ It is stored in class form: the k x k pairings of the distinct cycle classes
 and each node's class, so lambda_ij = mu_(B(i) B(j)) and its work scales
 with the classes, not with r^2.
 
+The commutators N_i N_j - N_j N_i of a family of b operators come from one
+dense product, commutator(ops), for every pair i < j in row-major order; it
+holds (bn)^2 integers at once.  The closed form of one pair is built from the
+cycles alone, so the two routes cross-check each other.
+
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
 matrix product T_a . T_b, so concatenating words multiplies their matrices
@@ -25,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import chain, combinations
+from operator import mul, sub
 from typing import Sequence
 
 from .linalg import DimensionMismatchError, InvariantError, Matrix, first_skew_violation
@@ -139,13 +145,36 @@ def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     return InteractionMatrix(pairings, tuple(slot[row] for row in c.num))
 
 
-def commutator(a: TransportOperator, b: TransportOperator) -> Matrix:
-    """Matrix commutator N_a N_b - N_b N_a."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(
-            f"operators act on dimensions {a.dim} and {b.dim}"
-        )
-    return a.n_matrix @ b.n_matrix - b.n_matrix @ a.n_matrix
+def commutator(ops: Sequence[TransportOperator]) -> list[Matrix]:
+    """N_i N_j - N_j N_i for every pair i < j of ops, in row-major order:
+    (0, 1), (0, 2), ..., (1, 2), ...
+
+    One dense product serves every pair.  With N_i = n_i / d_i in lowest
+    terms, the grids n_i stacked (bn x n) times the same grids side by side
+    (n x bn) has block (i, j) equal to n_i n_j, the product N_i N_j over
+    d_i d_j, so pair (i, j) is block (i, j) minus block (j, i) over d_i d_j.
+    The diagonal blocks are formed and discarded, and the product holds
+    (bn)^2 integers at once.  Fewer than two operators give no pairs and no
+    product.
+    """
+    dims = {op.dim for op in ops}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"operators act on dimensions {sorted(dims)}")
+    b = len(ops)
+    if b < 2:
+        return []
+    n = ops[0].dim
+    ns = [op.n_matrix for op in ops]
+    stacked = Matrix(b * n, n, tuple(chain.from_iterable(m.num for m in ns)))
+    side = Matrix(n, b * n, tuple(map(tuple, map(chain.from_iterable, zip(*(m.num for m in ns))))))
+    prod = (stacked @ side).num
+    out = []
+    for i, j in combinations(range(b), 2):
+        ij, ji = prod[i * n:(i + 1) * n], prod[j * n:(j + 1) * n]
+        grid = tuple(tuple(map(sub, x[j * n:(j + 1) * n], y[i * n:(i + 1) * n]))
+                     for x, y in zip(ij, ji))
+        out.append(Matrix(n, n, grid, ns[i].den * ns[j].den))
+    return out
 
 
 def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> Matrix:

@@ -13,7 +13,9 @@ The ``*_checks`` functions are the verification builders the package used
 before its reports kept only a count and their failures: they record every
 comparison, passing or not, as an ``EagerCheck``.  They call the package's
 arithmetic through the ``blocks`` module, so a fault patched in there reaches
-both sides.
+both sides; the dense commutators are the exception, formed here by
+``commutator`` over ``n_matrix`` so that the oracle does not share the
+product under test.
 """
 
 from __future__ import annotations
@@ -216,12 +218,13 @@ def block_consistency_checks(
 def block_commutator_checks(bc: blocks.BlockClasses, lam_blk: InteractionMatrix) -> list[EagerCheck]:
     b = bc.decomposition.count
     block_cfg = CycleConfiguration.from_vectors(bc.classes.space, bc.classes.cycles)
-    ops = [blocks.pl_operator(block_cfg, i) for i in range(b)]
+    gram = bc.classes.space.gram
+    ns = [n_matrix(d, apply(gram, d)) for d in bc.classes.cycles]
     checks = []
     all_zero = True
     for i in range(b):
         for j in range(i + 1, b):
-            dense = blocks.commutator(ops[i], ops[j])
+            dense = commutator(ns[i], ns[j])
             closed = blocks.commutator_closed_form(block_cfg, i, j)
             checks.append(
                 EagerCheck(

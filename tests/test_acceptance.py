@@ -60,7 +60,7 @@ def test_criterion_2_coupled_two_node_regression():
         pkg = _check_a2()
 
         d1, d2 = pkg.cycles.cycles
-        comm = commutator(pkg.transport[0], pkg.transport[1])
+        comm, = commutator(pkg.transport)
         assert not comm.is_zero()
         space = pkg.space
         lam12 = pair(space, d1, d2)

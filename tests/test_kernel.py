@@ -18,15 +18,19 @@ import sys
 import types
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors import linalg, transport
-from lightsectors.linalg import Matrix, cleared, first_skew_violation, vector, zero_vector
-from lightsectors.pairing import CycleConfiguration, PairingSpace, pair
+from lightsectors import blocks, linalg, transport
+from lightsectors.linalg import (DimensionMismatchError, Matrix, cleared, first_skew_violation,
+                                 vector, zero_vector)
+from lightsectors.modelgen import random_block_scenario
+from lightsectors.pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
+from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.transport import (
     TransportOperator,
     commutator,
@@ -34,6 +38,7 @@ from lightsectors.transport import (
     interaction_matrix,
 )
 
+DATA = Path(__file__).parent / "data"
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 HUGE = 10 ** 4301  # 4302 digits, past the default int-to-str limit of 4300
 
@@ -390,13 +395,67 @@ def test_n_matrix_matches_reference(data):
     assert_same_matrix(op.n_matrix, reference.n_matrix(delta, weights))
 
 
-@kernel_settings
+@settings(kernel_settings, max_examples=100)
 @given(data=st.data())
 def test_commutator_matches_reference(data):
+    """Every pair i < j of a family of 0-4 operators, in row-major order.
+    A family holds about two pairs on average, so 100 families check at
+    least as many pairs as 200 single pairs would."""
     n = data.draw(st.integers(0, 5))
-    (a, *fa), (b, *fb) = data.draw(operators(n)), data.draw(operators(n))
-    want = reference.commutator(reference.n_matrix(*fa), reference.n_matrix(*fb))
-    assert_same_matrix(commutator(a, b), want)
+    family = data.draw(st.lists(operators(n), max_size=4))
+    dense = [reference.n_matrix(*f) for _, *f in family]
+    got = commutator([op for op, *_ in family])
+    pairs = list(itertools.combinations(range(len(family)), 2))
+    assert len(got) == len(pairs)
+    for m, (i, j) in zip(got, pairs):
+        assert_same_matrix(m, reference.commutator(dense[i], dense[j]))
+
+
+def test_commutator_rejects_mixed_dimensions():
+    a, b = TransportOperator((1, 2), (3, -4), 1), TransportOperator((1, 0, 2), (0, 5, 0), 3)
+    for family in ([a, b], [b, a], [a, a, b], [b, b, a]):
+        with pytest.raises(DimensionMismatchError):
+            commutator(family)
+
+
+def test_commutator_of_fewer_than_two_operators(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a matrix product ran for no pair")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert commutator([]) == []
+    assert commutator([TransportOperator((1, -2), (3, 4), 5)]) == []
+    assert commutator([TransportOperator((), (), 1)]) == []
+
+
+def test_block_commutator_check_makes_one_product(monkeypatch):
+    """The dense route of the cross-check is one (bn x n)(n x bn) product
+    for any block count b >= 2, and no product for one block."""
+    rng = random.Random(15)
+    pkgs = [to_package(parse_scenario((DATA / "four_node_blocks.scenario").read_text())),
+            to_package(builtin_scenario("quintic_orbits"))]
+    pkgs += [to_package(random_block_scenario(rng, max_nodes=9, max_genus=3)) for _ in range(20)]
+    one_block = blocks.BlockClasses(blocks.BlockDecomposition.from_blocks(2, [(0, 1)]),
+                                    CycleConfiguration.from_vectors(standard_symplectic(1),
+                                                                    [(1, 1)]))
+    real, shapes = Matrix.__matmul__, []
+
+    def counted(left, right):
+        shapes.append((left.rows, left.cols, right.cols))
+        return real(left, right)
+
+    seen = set()
+    for bc in [pkg.block_classes for pkg in pkgs] + [one_block]:
+        b, n = bc.decomposition.count, bc.classes.space.dim
+        lam_blk = blocks.reduced_matrix(bc)
+        shapes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(Matrix, "__matmul__", counted)
+            report = blocks.block_commutator_check(bc, lam_blk)
+        assert report.overall and report.total == b * (b - 1) // 2 + 1
+        assert shapes == ([(b * n, n, b * n)] if b >= 2 else [])
+        seen.add(b)
+    assert {1, 2, 5} <= seen
 
 
 def test_closed_form_never_multiplies_matrices(monkeypatch):

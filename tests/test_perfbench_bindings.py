@@ -32,13 +32,20 @@ def test_traced_name_resolves(mod, attr):
 
 
 def test_tracer_sees_the_counted_and_traced_calls():
-    text = (DATA / "four_node_blocks.scenario").read_text()
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        pkg = scenarios.to_package(scenarios.parse_scenario(text))
-        assert package.verify_block_structure(pkg).overall
-    assert tracer.counts["linalg.matmul.calls"] > 0
-    assert tracer.counts["linalg.rref.calls"] > 0
-    spans = {name for name, *_ in tracer.spans}
-    assert {"transport.commutator", "transport.commutator_closed_form",
-            "transport.interaction_matrix"} <= spans
+    # Two blocks (one pair) and quintic_orbits' five blocks (ten pairs).
+    texts = [(DATA / "four_node_blocks.scenario").read_text(),
+             scenarios.serialize_scenario(scenarios.builtin_scenario("quintic_orbits"))]
+    for text in texts:
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            pkg = scenarios.to_package(scenarios.parse_scenario(text))
+            assert package.verify_block_structure(pkg).overall
+        assert tracer.counts["linalg.matmul.calls"] > 0
+        assert tracer.counts["linalg.rref.calls"] > 0
+        spans = {name for name, *_ in tracer.spans}
+        assert {"transport.commutator", "transport.commutator_closed_form",
+                "transport.interaction_matrix"} <= spans
+        # The dense commutators still go through the counted product.
+        assert any(name == "linalg.matmul" and parent >= 0
+                   and tracer.spans[parent][0] == "transport.commutator"
+                   for name, _, _, parent, _ in tracer.spans)
