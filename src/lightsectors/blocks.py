@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 from .linalg import (
     DimensionMismatchError,
+    InvariantError,
     Matrix,
     Subspace,
     Vector,
@@ -219,15 +220,22 @@ def block_commutator_check(bc: BlockClasses, lam_blk: InteractionMatrix) -> Veri
     For every block pair the dense commutator of the block operators (every
     pair from one matrix product) must match the rank-one closed form, and
     the pairwise-commuting verdict must coincide with all off-diagonal
-    entries of the reduced matrix lam_blk vanishing.
+    entries of the reduced matrix lam_blk vanishing.  Both routes return an
+    unreduced integer grid over D^2, D = dc^2 dg for the block classes over
+    dc and the Gram matrix over dg, so each pair compares as integer tuples
+    and no Matrix is built; a pair over two denominators is an internal bug.
     """
     b = bc.decomposition.count
     if lam_blk.r != b:
         raise DimensionMismatchError(f"reduced matrix of size {lam_blk.r} against {b} blocks")
     dense = commutator([pl_operator(bc.classes, i) for i in range(b)])
     failures = []
-    for (i, j), m in zip(combinations(range(b), 2), dense):
-        if m != commutator_closed_form(bc.classes, i, j):
+    for (i, j), (grid, den) in zip(combinations(range(b), 2), dense):
+        closed, closed_den = commutator_closed_form(bc.classes, i, j)
+        if closed_den != den:
+            raise InvariantError(f"block commutator ({i + 1},{j + 1}) over {den}, "
+                                 f"closed form over {closed_den}")
+        if grid != closed:
             failures.append(
                 Check(
                     name=f"commutator closed form ({i + 1},{j + 1})",
@@ -235,7 +243,7 @@ def block_commutator_check(bc: BlockClasses, lam_blk: InteractionMatrix) -> Veri
                     actual="disagree",
                 )
             )
-    all_zero = all(m.is_zero() for m in dense)
+    all_zero = not any(any(map(any, grid)) for grid, _ in dense)
     off_diag_zero = commutes_all(lam_blk)
     if all_zero != off_diag_zero:
         failures.append(

@@ -105,10 +105,6 @@ def vector(entries: Iterable[object]) -> Vector:
     return tuple(_q(x) for x in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def basis_vector(n: int, k: int) -> Vector:
     """Standard basis vector e_k (0-based) in dimension n."""
     if not 0 <= k < n:

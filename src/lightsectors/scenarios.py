@@ -34,6 +34,7 @@ _SCALAR_FIELDS = ("format_version", "name", "dim", "corrected_class", "notes")
 _GRID_FIELDS = ("gram", "cycles", "incidence", "partition")
 _FIELD_LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:(.*)$")
 _UINT = re.compile(r"[0-9]+")
+_INT_ROW = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
 _ROW_NAMES = {"gram": "gram row", "cycles": "cycle row"}  # for row-length errors
 
 
@@ -76,6 +77,22 @@ class ScenarioFile:
         return self.cycles.rows
 
 
+def _read_row(text: str) -> tuple[tuple[int, ...], int]:
+    """One row of a rational grid as integers over the lcm of its denominators.
+
+    A row of plain integers, the common case, is matched whole and read with
+    int(); any other row, valid or not, is read token by token, so that every
+    error names the same token with the same message.  The row pattern allows
+    only ASCII digits with an optional '-', so int() sees no '+', '_' or other
+    digits, and its whitespace class is the characters str.split() splits on.
+    """
+    if _INT_ROW.fullmatch(text):
+        return tuple(map(int, text.split())), 1
+    parts = [rational_parts(tok) for tok in text.split()]
+    den = lcm(*(d for _, d in parts))
+    return tuple(n * (den // d) for n, d in parts), den
+
+
 def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None) -> Matrix:
     """The (line, text) rows of a rational grid as one Matrix over the lcm of
     its denominators.  Each row must have width entries, or with no width as
@@ -84,7 +101,7 @@ def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None
     grid, ragged = [], width is None
     for ln, text in rows:
         try:
-            row = [rational_parts(tok) for tok in text.split()]
+            row, d = _read_row(text)
         except ValueError as exc:
             raise ScenarioError(str(exc), line=ln, field=field) from exc
         if width is None:
@@ -92,9 +109,9 @@ def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None
         elif len(row) != width:
             what = f"{_ROW_NAMES.get(field, field)} has {len(row)} entries, expected {width}"
             raise ScenarioError(f"ragged {field} rows" if ragged else what, line=ln, field=field)
-        grid.append(row)
-    den = lcm(*(d for row in grid for _, d in row))
-    num = tuple(tuple(n * (den // d) for n, d in row) for row in grid)
+        grid.append((row, d))
+    den = lcm(*(d for _, d in grid))
+    num = tuple(row if d == den else tuple(x * (den // d) for x in row) for row, d in grid)
     return Matrix(len(grid), width or 0, num, den)
 
 

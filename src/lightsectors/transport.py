@@ -16,7 +16,12 @@ with the classes, not with r^2.
 The commutators N_i N_j - N_j N_i of a family of b operators come from one
 dense product, commutator(ops), for every pair i < j in row-major order; it
 holds (bn)^2 integers at once.  The closed form of one pair is built from the
-cycles alone, so the two routes cross-check each other.
+cycles alone, so the two routes cross-check each other.  Both return a pair
+(grid, den): an integer grid over a denominator, not reduced to lowest terms.
+Within one configuration, with D = dc^2 dg for C over dc and G over dg, both
+routes put every pair over D^2, so they compare as integer grids and no
+Matrix is built per pair; a reader that wants one builds Matrix(n, n, grid,
+den).
 
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
@@ -36,6 +41,9 @@ from typing import Sequence
 
 from .linalg import DimensionMismatchError, InvariantError, Matrix, first_skew_violation
 from .pairing import CycleConfiguration
+
+# An integer grid, row-major: with a denominator it stands for a rational matrix.
+Grid = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -62,10 +70,14 @@ class TransportOperator:
     def nilpotent_rank(self) -> int:
         return int(any(self.delta) and any(self.weights))
 
+    @property
+    def grid(self) -> Grid:
+        """N as integers over den, unreduced: entry (j, k) is weights[k] * delta[j]."""
+        return tuple(tuple(w * d for w in self.weights) for d in self.delta)
+
     @cached_property
     def n_matrix(self) -> Matrix:
-        grid = tuple(tuple(w * d for w in self.weights) for d in self.delta)
-        return Matrix(self.dim, self.dim, grid, self.den)
+        return Matrix(self.dim, self.dim, self.grid, self.den)
 
     @cached_property
     def t_matrix(self) -> Matrix:
@@ -145,14 +157,15 @@ def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     return InteractionMatrix(pairings, tuple(slot[row] for row in c.num))
 
 
-def commutator(ops: Sequence[TransportOperator]) -> list[Matrix]:
+def commutator(ops: Sequence[TransportOperator]) -> list[tuple[Grid, int]]:
     """N_i N_j - N_j N_i for every pair i < j of ops, in row-major order:
-    (0, 1), (0, 2), ..., (1, 2), ...
+    (0, 1), (0, 2), ..., (1, 2), ..., each as (grid, den), unreduced.
 
-    One dense product serves every pair.  With N_i = n_i / d_i in lowest
-    terms, the grids n_i stacked (bn x n) times the same grids side by side
-    (n x bn) has block (i, j) equal to n_i n_j, the product N_i N_j over
-    d_i d_j, so pair (i, j) is block (i, j) minus block (j, i) over d_i d_j.
+    One dense product serves every pair.  With N_i = n_i / d_i, n_i the
+    unreduced grid delta_i (x) weights_i, the grids n_i stacked (bn x n)
+    times the same grids side by side (n x bn) has block (i, j) equal to
+    n_i n_j, the product N_i N_j over d_i d_j, so pair (i, j) is block
+    (i, j) minus block (j, i) over d_i d_j, for any mix of denominators.
     The diagonal blocks are formed and discarded, and the product holds
     (bn)^2 integers at once.  Fewer than two operators give no pairs and no
     product.
@@ -164,22 +177,23 @@ def commutator(ops: Sequence[TransportOperator]) -> list[Matrix]:
     if b < 2:
         return []
     n = ops[0].dim
-    ns = [op.n_matrix for op in ops]
-    stacked = Matrix(b * n, n, tuple(chain.from_iterable(m.num for m in ns)))
-    side = Matrix(n, b * n, tuple(map(tuple, map(chain.from_iterable, zip(*(m.num for m in ns))))))
+    grids = [op.grid for op in ops]
+    stacked = Matrix(b * n, n, tuple(chain.from_iterable(grids)))
+    side = Matrix(n, b * n, tuple(map(tuple, map(chain.from_iterable, zip(*grids)))))
     prod = (stacked @ side).num
     out = []
     for i, j in combinations(range(b), 2):
         ij, ji = prod[i * n:(i + 1) * n], prod[j * n:(j + 1) * n]
         grid = tuple(tuple(map(sub, x[j * n:(j + 1) * n], y[i * n:(i + 1) * n]))
                      for x, y in zip(ij, ji))
-        out.append(Matrix(n, n, grid, ns[i].den * ns[j].den))
+        out.append((grid, ops[i].den * ops[j].den))
     return out
 
 
-def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> Matrix:
-    """N_a N_b - N_b N_a of cycles a and b (0-based), evaluated columnwise
-    from the rank-one factored form.
+def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Grid, int]:
+    """N_a N_b - N_b N_a of cycles a and b (0-based) as (grid, den) over
+    (dg dc^2)^2, unreduced, evaluated columnwise from the rank-one factored
+    form.
 
     Column k is <e_k, delta_b> lambda_ba delta_a - <e_k, delta_a> lambda_ab delta_b
     with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and the
@@ -197,7 +211,7 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> Matrix:
     ga, gb = ([sum(map(mul, row, d)) for row in g.num] for d in (da, db))
     p = sum(map(mul, da, gb))
     grid = tuple(tuple(-p * (y * x + z * w) for y, z in zip(gb, ga)) for x, w in zip(da, db))
-    return Matrix(g.rows, g.rows, grid, (g.den * c.den * c.den) ** 2)
+    return grid, (g.den * c.den * c.den) ** 2
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

@@ -15,7 +15,8 @@ comparison, passing or not, as an ``EagerCheck``.  They call the package's
 arithmetic through the ``blocks`` module, so a fault patched in there reaches
 both sides; the dense commutators are the exception, formed here by
 ``commutator`` over ``n_matrix`` so that the oracle does not share the
-product under test.
+product under test.  The package's closed form returns an unreduced integer
+grid and its denominator; the oracle compares its value, as a ``Matrix``.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def block_commutator_checks(bc: blocks.BlockClasses, lam_blk: InteractionMatrix)
     for i in range(b):
         for j in range(i + 1, b):
             dense = commutator(ns[i], ns[j])
-            closed = blocks.commutator_closed_form(block_cfg, i, j)
+            grid, den = blocks.commutator_closed_form(block_cfg, i, j)
+            closed = Matrix(len(grid), len(grid), grid, den)
             checks.append(
                 EagerCheck(
                     name=f"commutator closed form ({i + 1},{j + 1})",

@@ -4,8 +4,7 @@ A ``Matrix`` is integer rows over one denominator in lowest terms, and its
 sums, differences, negation, transpose and products run on those integers;
 the vector products clear denominators (``linalg.cleared``) and return
 Fractions.  ``reference`` keeps the plain Fraction loops.  The two must agree
-exactly, entry by entry and in the text form of each entry, on every shape
-including empty ones, on zero rows and columns, on pairwise-coprime
+exactly, entry by entry, on every shape including empty ones, on zero rows and columns, on pairwise-coprime
 denominators, on negative entries and on numerators past Python's 4300-digit
 string limit; every result must be in lowest terms, so that equal values give
 equal, equally hashed matrices.
@@ -25,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors import blocks, linalg, transport
-from lightsectors.linalg import (DimensionMismatchError, Matrix, cleared, first_skew_violation,
-                                 vector, zero_vector)
+from lightsectors import blocks, cli, linalg, transport
+from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, cleared,
+                                 first_skew_violation, vector)
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
@@ -57,7 +56,7 @@ kernel_settings = settings(derandomize=True, max_examples=200, deadline=None)
 
 @pytest.fixture(autouse=True)
 def unlimited_int_text():
-    """str() of the huge entries needs the int-to-str digit limit lifted."""
+    """The unreduced text of the huge entries needs the int-to-str digit limit lifted."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -109,11 +108,12 @@ def spaces(draw, max_dim=4):
 
 
 def assert_same_entries(got, want):
-    """Equal entry by entry, each a Fraction with the same text form."""
+    """Equal entry by entry, each a Fraction.  Fractions are kept in lowest
+    terms, so equal values are equal numerators and denominators."""
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert type(x) is Fraction
-        assert x == y and str(x) == str(y)
+        assert x == y
 
 
 def assert_same_matrix(got: Matrix, want: Matrix):
@@ -332,7 +332,7 @@ def repeating_cycles(draw, dim):
     """Cycles drawn from a pool of at most three vectors and the zero cycle,
     so classes repeat.  Each pick is a separately built vector, either fresh
     Fractions or parsed from unreduced text (2/4 for 1/2), equal in value."""
-    pool = draw(st.lists(vectors(dim), min_size=1, max_size=3)) + [zero_vector(dim)]
+    pool = draw(st.lists(vectors(dim), min_size=1, max_size=3)) + [vector([0] * dim)]
     cycles = []
     for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=7)):
         if draw(st.booleans()):
@@ -395,20 +395,85 @@ def test_n_matrix_matches_reference(data):
     assert_same_matrix(op.n_matrix, reference.n_matrix(delta, weights))
 
 
-@settings(kernel_settings, max_examples=100)
+@kernel_settings
 @given(data=st.data())
 def test_commutator_matches_reference(data):
-    """Every pair i < j of a family of 0-4 operators, in row-major order.
-    A family holds about two pairs on average, so 100 families check at
-    least as many pairs as 200 single pairs would."""
+    """Every pair i < j of a family of 0-4 operators, in row-major order,
+    each over its own denominator: pair (i, j) is over d_i d_j."""
     n = data.draw(st.integers(0, 5))
     family = data.draw(st.lists(operators(n), max_size=4))
     dense = [reference.n_matrix(*f) for _, *f in family]
     got = commutator([op for op, *_ in family])
     pairs = list(itertools.combinations(range(len(family)), 2))
     assert len(got) == len(pairs)
-    for m, (i, j) in zip(got, pairs):
-        assert_same_matrix(m, reference.commutator(dense[i], dense[j]))
+    for (grid, den), (i, j) in zip(got, pairs):
+        assert den == family[i][0].den * family[j][0].den
+        assert_same_matrix(Matrix(n, n, grid, den), reference.commutator(dense[i], dense[j]))
+
+
+def test_raw_grid_agreement_is_value_agreement():
+    """Both routes put every pair of one configuration over D^2, so their raw
+    integer grids agree exactly when their values do.  On generated block
+    configurations, the dense pair (i, j) is compared with the closed form
+    of every ordered pair (k, l): raw agreement must equal agreement of the
+    reference commutator with the closed form's value, and both verdicts
+    must occur."""
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(25):
+        cfg = to_package(random_block_scenario(rng, max_nodes=9, max_genus=3)).block_classes.classes
+        n, b = cfg.space.dim, cfg.r
+        ns = [reference.n_matrix(d, reference.apply(cfg.space.gram, d)) for d in cfg.cycles]
+        dense = commutator([transport.pl_operator(cfg, i) for i in range(b)])
+        for (i, j), pair in zip(itertools.combinations(range(b), 2), dense):
+            want = reference.commutator(ns[i], ns[j])
+            for k, l in itertools.product(range(b), repeat=2):
+                closed = commutator_closed_form(cfg, k, l)
+                raw = pair == closed
+                assert raw == (want == Matrix(n, n, *closed))
+                verdicts.add(raw)
+    assert verdicts == {True, False}
+
+
+def test_mixed_denominator_family_matches_reference():
+    """Operators of cycles from configurations over different denominators,
+    one family: pair (i, j) is over D_i D_j, D = dc^2 dg for each, and as a
+    Matrix equals the reference commutator."""
+    rng = random.Random(17)
+    space = PairingSpace(Matrix.from_rows([[0, "1/2", 3, -1], ["-1/2", 0, "-2/3", 2],
+                                           [-3, "2/3", 0, "5/4"], [1, -2, "-5/4", 0]]))
+    for dens in [(1, 2), (3, 1, 35), (2, 4, 9, 5)]:
+        cycles = [vector(Fraction(rng.randint(-9, 9), d) for _ in range(4)) for d in dens]
+        cfgs = [CycleConfiguration.from_vectors(space, [v]) for v in cycles]
+        family = [transport.pl_operator(cfg, 0) for cfg in cfgs]
+        assert len({op.den for op in family}) > 1
+        ns = [reference.n_matrix(v, reference.apply(space.gram, v)) for v in cycles]
+        got = commutator(family)
+        for (grid, den), (i, j) in zip(got, itertools.combinations(range(len(dens)), 2)):
+            assert den == family[i].den * family[j].den
+            assert_same_matrix(Matrix(4, 4, grid, den), reference.commutator(ns[i], ns[j]))
+
+
+def test_denominator_mismatch_is_an_internal_error(monkeypatch, capsys):
+    """Within one configuration both routes are over D^2.  A closed form over
+    another denominator is a bug in the package, even when its value agrees:
+    the check raises InvariantError, and verify exits 3, never reporting a
+    disagreement."""
+    path = DATA / "four_node_blocks.scenario"
+    pkg = to_package(parse_scenario(path.read_text()))
+    real = blocks.commutator_closed_form
+
+    def doubled(cfg, a, b):
+        grid, den = real(cfg, a, b)
+        return tuple(tuple(2 * x for x in row) for row in grid), 2 * den
+
+    monkeypatch.setattr(blocks, "commutator_closed_form", doubled)
+    with pytest.raises(InvariantError, match=r"block commutator \(1,2\) over \d+, closed form over"):
+        blocks.block_commutator_check(pkg.block_classes, pkg.reduced)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")
 
 
 def test_commutator_rejects_mixed_dimensions():
@@ -430,7 +495,8 @@ def test_commutator_of_fewer_than_two_operators(monkeypatch):
 
 def test_block_commutator_check_makes_one_product(monkeypatch):
     """The dense route of the cross-check is one (bn x n)(n x bn) product
-    for any block count b >= 2, and no product for one block."""
+    for any block count b >= 2, and no product for one block.  The only
+    matrices built are its two operands and the product: none per pair."""
     rng = random.Random(15)
     pkgs = [to_package(parse_scenario((DATA / "four_node_blocks.scenario").read_text())),
             to_package(builtin_scenario("quintic_orbits"))]
@@ -438,22 +504,29 @@ def test_block_commutator_check_makes_one_product(monkeypatch):
     one_block = blocks.BlockClasses(blocks.BlockDecomposition.from_blocks(2, [(0, 1)]),
                                     CycleConfiguration.from_vectors(standard_symplectic(1),
                                                                     [(1, 1)]))
-    real, shapes = Matrix.__matmul__, []
+    real, real_init, shapes, built = Matrix.__matmul__, Matrix.__post_init__, [], []
 
     def counted(left, right):
         shapes.append((left.rows, left.cols, right.cols))
         return real(left, right)
+
+    def counted_init(m):
+        built.append((m.rows, m.cols))
+        real_init(m)
 
     seen = set()
     for bc in [pkg.block_classes for pkg in pkgs] + [one_block]:
         b, n = bc.decomposition.count, bc.classes.space.dim
         lam_blk = blocks.reduced_matrix(bc)
         shapes.clear()
+        built.clear()
         with monkeypatch.context() as mp:
             mp.setattr(Matrix, "__matmul__", counted)
+            mp.setattr(Matrix, "__post_init__", counted_init)
             report = blocks.block_commutator_check(bc, lam_blk)
         assert report.overall and report.total == b * (b - 1) // 2 + 1
         assert shapes == ([(b * n, n, b * n)] if b >= 2 else [])
+        assert sorted(built) == (sorted([(b * n, n), (n, b * n), (b * n, b * n)]) if b >= 2 else [])
         seen.add(b)
     assert {1, 2, 5} <= seen
 
@@ -472,7 +545,7 @@ def test_closed_form_never_multiplies_matrices(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(transport, "pl_operator", refuse)
-    assert_same_matrix(commutator_closed_form(cfg, 0, 1), want)
+    assert_same_matrix(Matrix(3, 3, *commutator_closed_form(cfg, 0, 1)), want)
     assert not want.is_zero()
 
 
@@ -483,5 +556,5 @@ def test_closed_form_matches_reference(data):
     cycles = [data.draw(vectors(space.dim)) for _ in (0, 1)]
     cfg = CycleConfiguration.from_vectors(space, cycles)
     i, j = data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
-    assert_same_matrix(commutator_closed_form(cfg, i, j),
+    assert_same_matrix(Matrix(space.dim, space.dim, *commutator_closed_form(cfg, i, j)),
                        reference.commutator_closed_form(space, cycles[i], cycles[j]))

@@ -1,12 +1,15 @@
 import random
+import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightsectors.linalg import Matrix, parse_rational
+from lightsectors import scenarios
+from lightsectors.linalg import Matrix, parse_rational, rational_parts
 from lightsectors.scenarios import (
     BUILTIN_NAMES,
     ScenarioError,
@@ -356,3 +359,83 @@ def test_empty_scenario_analyzes():
     pkg = to_package(scenario)
     assert pkg.r == 0 and pkg.atom.is_split
     assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+# -- the grid reader against the per-token reader -------------------------------
+
+
+def _per_token_grid(rows, field, width=None):
+    """The grid reader with every token read through rational_parts, as each
+    was before rows of plain integers were read whole."""
+    grid, ragged = [], width is None
+    for ln, text in rows:
+        try:
+            row = [rational_parts(tok) for tok in text.split()]
+        except ValueError as exc:
+            raise ScenarioError(str(exc), line=ln, field=field) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            what = f"{scenarios._ROW_NAMES.get(field, field)} has {len(row)} entries, expected {width}"
+            raise ScenarioError(f"ragged {field} rows" if ragged else what, line=ln, field=field)
+        grid.append(row)
+    den = lcm(*(d for row in grid for _, d in row))
+    num = tuple(tuple(n * (den // d) for n, d in row) for row in grid)
+    return Matrix(len(grid), width or 0, num, den)
+
+
+def _read_both(rows, field, width):
+    """(Matrix, None) or (None, (message, line, field)) from each reader."""
+    results = []
+    for reader in (scenarios._read_grid, _per_token_grid):
+        try:
+            results.append((reader(rows, field, width), None))
+        except ScenarioError as exc:
+            results.append((None, (str(exc), exc.line, exc.field)))
+    return results
+
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+grid_tokens = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["0", "-0", "007", "-12", "3/4", "-6/8", "1/0", "5/-2", "+5", "1_0",
+                     "٣", "１", "1-2", "--1", "1.5", "-", "/", "1/", "x",
+                     "9" * 4301, "-" + "9" * 4300, "9" * 4300 + "/7"]),
+)
+separators = st.one_of(st.just(" "), st.sampled_from(WHITESPACE), st.sampled_from(["", "-", "/"]),
+                       st.lists(st.sampled_from(WHITESPACE), min_size=2, max_size=3).map("".join))
+
+
+@st.composite
+def grid_rows(draw):
+    rows = []
+    for ln in range(1, draw(st.integers(1, 4)) + 1):
+        tokens = draw(st.lists(grid_tokens, max_size=5))
+        text = "".join(tok + draw(separators) for tok in tokens[:-1]) + "".join(tokens[-1:])
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(WHITESPACE)) + text + draw(st.sampled_from(WHITESPACE))
+        rows.append((ln, text))
+    return rows
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rows=grid_rows(), field=st.sampled_from(["gram", "cycles", "incidence"]),
+       width=st.one_of(st.none(), st.integers(0, 5)))
+def test_grid_reader_matches_per_token_reader(rows, field, width):
+    """The same Matrix, or the same ScenarioError message, line and field."""
+    fast, slow = _read_both(rows, field, width)
+    assert fast == slow
+
+
+def test_integer_row_pattern_splits_where_split_does():
+    """The whole-row pattern joins two integers across exactly the
+    characters str.split() splits on, and rejects what int() alone would
+    take or what is not two tokens."""
+    for c in map(chr, range(sys.maxunicode + 1)):
+        text = f"1{c}-2"
+        assert bool(scenarios._INT_ROW.fullmatch(text)) == (text.split() == ["1", "-2"])
+    for text in ("1-2", "+5", "1_0", "٣", "1 １", "-", "1 2 ", ""):
+        assert not scenarios._INT_ROW.fullmatch(text)
+    for text in ("1-2", "+5", "1_0", "٣"):
+        fast, slow = _read_both([(7, text)], "cycles", 1)
+        assert fast == slow and fast[1][1:] == (7, "cycles")

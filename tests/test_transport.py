@@ -248,17 +248,20 @@ def test_reduced_matrix_is_an_interaction_matrix(name):
 
 def test_commutator_with_self_is_zero():
     op = pl_operator(_a2_config(), 0)
-    assert commutator([op, op])[0].is_zero()
+    (grid, _), = commutator([op, op])
+    assert not any(map(any, grid))
 
 
 def test_commutator_split_pair_is_zero():
     cfg = _a1xa1_config()
-    assert commutator([pl_operator(cfg, 0), pl_operator(cfg, 1)])[0].is_zero()
+    (grid, _), = commutator([pl_operator(cfg, 0), pl_operator(cfg, 1)])
+    assert not any(map(any, grid))
 
 
 def test_commutator_coupled_pair_is_nonzero():
     cfg = _a2_config()
-    c, = commutator([pl_operator(cfg, 0), pl_operator(cfg, 1)])
+    (grid, den), = commutator([pl_operator(cfg, 0), pl_operator(cfg, 1)])
+    c = Matrix(2, 2, grid, den)
     assert not c.is_zero()
     # Product oracle, computed by hand from the two nilpotent matrices.
     assert c == Matrix.from_rows([[-1, 0], [0, 1]])
@@ -277,9 +280,12 @@ def test_commutator_matches_closed_form(cfg):
     ops = [pl_operator(cfg, i) for i in range(cfg.r)]
     dense = commutator(ops)
     assert len(dense) == cfg.r * (cfg.r - 1) // 2
-    for (i, j), m in zip(itertools.combinations(range(cfg.r), 2), dense):
-        assert m == commutator_closed_form(cfg, i, j)
-        assert -m == commutator_closed_form(cfg, j, i)
+    # One configuration puts both routes over one denominator, so they agree
+    # as raw integer grids, not only in value.
+    for (i, j), (grid, den) in zip(itertools.combinations(range(cfg.r), 2), dense):
+        assert (grid, den) == commutator_closed_form(cfg, i, j)
+        negated = tuple(tuple(-x for x in row) for row in grid)
+        assert (negated, den) == commutator_closed_form(cfg, j, i)
     for i in range(cfg.r):
         assert commutator([ops[i], ops[i]])[0] == commutator_closed_form(cfg, i, i)
 
@@ -289,7 +295,7 @@ def test_commutator_matches_closed_form(cfg):
 def test_commutes_all_iff_commutators_vanish(cfg):
     lam = interaction_matrix(cfg)
     ops = [pl_operator(cfg, i) for i in range(cfg.r)]
-    brute = all(m.is_zero() for m in commutator(ops))
+    brute = not any(any(map(any, grid)) for grid, _ in commutator(ops))
     assert commutes_all(lam) == brute
 
 

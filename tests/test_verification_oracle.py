@@ -62,7 +62,8 @@ def _with_sections(pkg: LightSectorPackage, **sections) -> LightSectorPackage:
 
 
 def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
-    """The closed form, plus the identity on the calls numbered in bad_calls.
+    """The closed form, plus the identity on the calls numbered in bad_calls:
+    its denominator added to each diagonal entry of its grid.
 
     Calls are numbered modulo n_pairs, one run's worth: every run of the
     commutator check asks for each block pair once, in the same order.
@@ -71,8 +72,10 @@ def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
     real = blocks.commutator_closed_form
 
     def closed_form(cfg, a, b):
-        m = real(cfg, a, b)
-        return m + Matrix.identity(cfg.space.dim) if next(calls) % n_pairs in bad_calls else m
+        grid, den = real(cfg, a, b)
+        if next(calls) % n_pairs in bad_calls:
+            grid = tuple(row[:k] + (row[k] + den,) + row[k + 1:] for k, row in enumerate(grid))
+        return grid, den
 
     return closed_form
 
