@@ -11,8 +11,7 @@ the collapse from r raw directions to one per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, count, permutations, product
 from typing import Sequence, Union
 
 from .linalg import (
@@ -66,19 +65,9 @@ class BlockDecomposition:
         normalized = tuple(sorted(tuple(sorted(b)) for b in blocks))
         return cls(r, normalized)
 
-    @classmethod
-    def singletons(cls, r: int) -> "BlockDecomposition":
-        return cls(r, tuple((k,) for k in range(r)))
-
     @property
     def count(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, node: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if node in block:
-                return b
-        raise IndexError(f"node {node} not in decomposition")
 
 
 @dataclass(frozen=True)
@@ -265,17 +254,16 @@ def relation_lattice_from_blocks(part: BlockDecomposition) -> Subspace:
     The star differences e_a - e_last within each block generate the full
     pairwise set.  Each has its leading 1 at a and its only other entry, -1,
     at the block's largest member, which is never a pivot; sorted by a they
-    are the reduced-echelon basis itself, so they are built directly and no
-    elimination runs.  The quotient of QQ^r by this lattice has one
-    dimension per block.
+    are the reduced-echelon basis itself, so they are built directly as
+    integer rows and no elimination runs.  The quotient of QQ^r by this
+    lattice has one dimension per block.
     """
-    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
     rows = []
     for a, last in sorted((a, block[-1]) for block in part.blocks for a in block[:-1]):
-        row = [zero] * part.r
-        row[a], row[last] = one, minus_one
+        row = [0] * part.r
+        row[a], row[last] = 1, -1
         rows.append(tuple(row))
-    return Subspace(part.r, tuple(rows))
+    return Subspace(part.r, Matrix(len(rows), part.r, tuple(rows)))
 
 
 def blocks_from_indicator_basis(
@@ -289,12 +277,14 @@ def blocks_from_indicator_basis(
     """
     supports: list[tuple[int, ...]] = []
     covered: set[int] = set()
-    for vec in v_geom.basis:
-        if any(x not in (0, 1) for x in vec):
-            return NotBlockAdapted("basis vector has entries outside {0,1}", vec)
-        support = tuple(i for i, x in enumerate(vec) if x == 1)
+    basis = v_geom.basis
+    for k, row in enumerate(basis.num):
+        # Entry x / den is 0 or 1 iff x is 0 or den.
+        if any(x and x != basis.den for x in row):
+            return NotBlockAdapted("basis vector has entries outside {0,1}", basis.entries[k])
+        support = tuple(compress(count(), row))
         if covered & set(support):
-            return NotBlockAdapted("basis vector supports overlap", vec)
+            return NotBlockAdapted("basis vector supports overlap", basis.entries[k])
         covered.update(support)
         supports.append(support)
     if covered != set(range(v_geom.ambient_dim)):

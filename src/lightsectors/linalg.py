@@ -8,11 +8,12 @@ equality *is* subspace equality.
 
 A ``Matrix`` is an ``int`` grid ``num`` over one positive denominator
 ``den``, reduced to lowest terms on construction, so dataclass equality and
-hashing are value equality.  Sums, products, transposes and zero and skew
-tests run on the integers, as with FLINT's ``fmpq_mat_mul_cleared``.
-Fractions appear only at the boundaries: the cached ``Matrix.entries`` view,
-``apply`` and ``pairing.pair`` (the two readers of ``cleared``), and
-elimination (``rref``, ``kernel``, ``Subspace``).
+hashing are value equality.  Sums, products, transposes, zero and skew tests
+and elimination run on the integers, as with FLINT's ``fmpq_mat_mul_cleared``
+and ``fmpz_mat_rref``: ``rref`` is fraction-free, and a ``Subspace`` basis is
+a ``Matrix``.  Fractions appear only at the boundaries: the cached
+``Matrix.entries`` view and the readers of ``cleared`` (``apply``,
+``pairing.pair`` and ``Subspace.contains``, which take mixed input).
 
 A product A·B (A m×n, B n×p) is a Kronecker substitution, as FLINT packs
 integer polynomials: row k of B becomes one ``int`` P_k = Σ_j b_kj·2^(w·j),
@@ -105,13 +106,6 @@ def vector(entries: Iterable[object]) -> Vector:
     return tuple(_q(x) for x in entries)
 
 
-def basis_vector(n: int, k: int) -> Vector:
-    """Standard basis vector e_k (0-based) in dimension n."""
-    if not 0 <= k < n:
-        raise IndexError(f"basis index {k} out of range for dimension {n}")
-    return tuple(Fraction(1 if i == k else 0) for i in range(n))
-
-
 def cleared(v: Sequence[Fraction]) -> Cleared:
     """v over the least common multiple of its denominators."""
     den = lcm(*(x.denominator for x in v))
@@ -180,12 +174,6 @@ class Matrix:
     def entries(self) -> tuple[Vector, ...]:
         """The entries as Fractions, row-major."""
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
 
     def transpose(self) -> "Matrix":
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
@@ -295,28 +283,33 @@ def first_skew_violation(m: Matrix) -> tuple[int, int] | None:
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row-echelon form and rank, via deterministic leftmost pivoting."""
-    grid = [list(row) for row in m.entries]
-    pivot_row = 0
+    """Reduced row-echelon form and rank, via deterministic leftmost pivoting.
+
+    Fraction-free Gauss-Jordan on the integer rows (Bareiss): for a pivot p
+    after a pivot d, every other row becomes (p*row - row[col]*pivot_row) / d.
+    After k pivots every entry is a minor of m.num, so the division is exact,
+    and every pivot equals the last one; the form is the grid over it.
+    """
+    grid = list(m.num)
+    d, rk = 1, 0
     for col in range(m.cols):
-        pivot = None
-        for i in range(pivot_row, m.rows):
-            if grid[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(rk, m.rows) if grid[i][col]), None)
         if pivot is None:
             continue
-        grid[pivot_row], grid[pivot] = grid[pivot], grid[pivot_row]
-        inv = 1 / grid[pivot_row][col]
-        grid[pivot_row] = [x * inv for x in grid[pivot_row]]
-        for i in range(m.rows):
-            if i != pivot_row and grid[i][col] != 0:
-                factor = grid[i][col]
-                grid[i] = [x - factor * y for x, y in zip(grid[i], grid[pivot_row])]
-        pivot_row += 1
-        if pivot_row == m.rows:
+        top = grid[pivot]
+        grid[pivot], grid[rk] = grid[rk], top
+        p = top[col]
+        for i, row in enumerate(grid):
+            a = row[col]
+            if i == rk or not a and p == d:
+                continue
+            grid[i] = [(p * x - a * y) // d for x, y in zip(row, top)]
+        d, rk = p, rk + 1
+        if rk == m.rows:
             break
-    return Matrix.from_rows(grid, cols=m.cols), pivot_row
+    if d < 0:
+        grid, d = [[-x for x in row] for row in grid], -d
+    return Matrix(m.rows, m.cols, tuple(map(tuple, grid)), d), rk
 
 
 def rank(m: Matrix) -> int:
@@ -327,30 +320,34 @@ def rank(m: Matrix) -> int:
 class Subspace:
     """A subspace of QQ^n in canonical reduced-echelon basis.
 
-    The basis rows are the nonzero rows of the reduced row-echelon form of
-    any spanning set, with pivots in ascending coordinate order.  That form
-    is unique per subspace, so dataclass equality coincides with equality
-    of subspaces.
+    The basis is the rk x n Matrix of the nonzero rows of the reduced
+    row-echelon form of any spanning set, pivots in ascending coordinate
+    order: integer rows over one denominator, each leading entry equal to
+    it.  That form is unique per subspace and Matrix equality is value
+    equality, so dataclass equality coincides with equality of subspaces.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    basis: Matrix
 
     def __post_init__(self) -> None:
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise DimensionMismatchError("basis vector has wrong length")
+        if self.ambient_dim < 0:
+            raise ValueError(f"negative ambient dimension {self.ambient_dim}")
+        if not isinstance(self.basis, Matrix):
+            raise TypeError(f"subspace basis must be a Matrix, not {type(self.basis).__name__}")
+        if self.basis.cols != self.ambient_dim:
+            raise DimensionMismatchError("basis vector has wrong length")
         if not Subspace._is_canonical(self.basis):
             raise ValueError("basis is not in canonical reduced-echelon form")
 
     @staticmethod
-    def _is_canonical(rows: Sequence[Vector]) -> bool:
-        """Whether rows are a reduced row-echelon form without zero rows,
-        i.e. exactly what _canonical_basis makes of them."""
+    def _is_canonical(basis: Matrix) -> bool:
+        """Whether the rows are a reduced row-echelon form without zero rows,
+        i.e. exactly what rref makes of them."""
         leads, rest, last = set(), [], -1
-        for row in rows:
+        for row in basis.num:
             support = list(compress(count(), row))
-            if not support or support[0] <= last or row[support[0]] != 1:
+            if not support or support[0] <= last or row[support[0]] != basis.den:
                 return False
             last = support[0]
             leads.add(last)
@@ -358,13 +355,6 @@ class Subspace:
         # Entries left of a row's lead are zero, so the pivot columns are clear
         # outside their own rows iff no non-leading entry falls on a lead.
         return leads.isdisjoint(rest)
-
-    @staticmethod
-    def _canonical_basis(vectors: Sequence[Vector], ambient_dim: int) -> tuple[Vector, ...]:
-        if not vectors:
-            return ()
-        reduced, rk = rref(Matrix.from_rows(vectors, cols=ambient_dim))
-        return reduced.entries[:rk]
 
     @classmethod
     def spanned_by(cls, vectors: Sequence[Sequence[object]], ambient_dim: int) -> "Subspace":
@@ -374,19 +364,19 @@ class Subspace:
                 raise DimensionMismatchError(
                     f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        return cls(ambient_dim, cls._canonical_basis(vecs, ambient_dim))
+        return _row_space(Matrix.from_rows(vecs, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls(ambient_dim, Matrix(0, ambient_dim, ()))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(basis_vector(ambient_dim, i) for i in range(ambient_dim)))
+        return cls(ambient_dim, Matrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.rows
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -397,40 +387,47 @@ class Subspace:
             raise DimensionMismatchError(
                 f"vector of length {len(vec)} in ambient dimension {self.ambient_dim}"
             )
-        residual = list(vec)
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            coeff = residual[pivot]
-            if coeff != 0:
-                for i in range(self.ambient_dim):
-                    residual[i] -= coeff * row[i]
-        return all(x == 0 for x in residual)
+        # v is in the span iff v equals the sum of the rows, each times v's
+        # entry at the row's pivot; over the two denominators, in integers.
+        ints, _ = cleared(vec)
+        residual = [self.basis.den * x for x in ints]
+        for row in self.basis.num:
+            c = ints[next(compress(count(), row))]
+            if c:
+                residual = [x - c * y for x, y in zip(residual, row)]
+        return not any(residual)
+
+
+def _row_space(m: Matrix) -> Subspace:
+    """The span of the rows of m; no elimination runs when there are none."""
+    if not m.rows:
+        return Subspace.zero(m.cols)
+    reduced, rk = rref(m)
+    return Subspace(m.cols, Matrix(rk, m.cols, reduced.num[:rk], reduced.den))
 
 
 def column_space(m: Matrix) -> Subspace:
     """Canonical subspace spanned by the columns of m."""
-    return Subspace.spanned_by(m.columns(), m.rows)
+    return _row_space(m.transpose())
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Canonical subspace of all v with m v = 0 (rank-nullity holds exactly)."""
+    """Canonical subspace of all v with m v = 0 (rank-nullity holds exactly).
+
+    Each free column f gives the generator with den at f and minus the
+    reduced rows' integers at the pivots: the usual one, scaled by den.
+    """
     reduced, rk = rref(m)
-    pivot_cols: list[int] = []
-    col = 0
-    for i in range(rk):
-        while reduced.entries[i][col] == 0:
-            col += 1
-        pivot_cols.append(col)
-        col += 1
-    free_cols = [j for j in range(m.cols) if j not in pivot_cols]
+    rows = reduced.num[:rk]
+    pivots = [next(compress(count(), row)) for row in rows]
     generators = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivot_cols):
-            v[p] = -reduced.entries[i][f]
+    for f in sorted(set(range(m.cols)).difference(pivots)):
+        v = [0] * m.cols
+        v[f] = reduced.den
+        for p, row in zip(pivots, rows):
+            v[p] = -row[f]
         generators.append(tuple(v))
-    return Subspace.spanned_by(generators, m.cols)
+    return _row_space(Matrix(len(generators), m.cols, tuple(generators)))
 
 
 def quotient_dim(ambient: int, sub: Subspace) -> int:

@@ -112,6 +112,14 @@ class CycleConfiguration:
         """The cycles as Fraction vectors."""
         return self.matrix.entries
 
+    @cached_property
+    def gram_images(self) -> tuple[tuple[int, ...], ...]:
+        """Row i is g c_i for C over dc and G over dg, so G delta_i is row i
+        over dg dc.  Only the closed form reads it; pl_operator forms its own
+        weights, so the two commutator routes stay independent."""
+        gram = self.space.gram.num
+        return tuple(tuple(sum(map(mul, row, c)) for row in gram) for c in self.matrix.num)
+
     @property
     def r(self) -> int:
         return self.matrix.rows

@@ -132,7 +132,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
             "ambient_dim": pkg.r,
             "realized_dim": pkg.realized.v_geom.dim,
             "realized_basis": [
-                [format_rational(x) for x in v] for v in pkg.realized.v_geom.basis
+                [format_rational(x) for x in v] for v in pkg.realized.v_geom.basis.entries
             ],
             "ambient_default": pkg.ambient_default,
             "verdict": c.extension_side.value,

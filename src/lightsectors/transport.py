@@ -196,9 +196,10 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
     form.
 
     Column k is <e_k, delta_b> lambda_ba delta_a - <e_k, delta_a> lambda_ab delta_b
-    with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and the
-    Gram grid itself, independent of pl_operator and of the dense matrix
-    product, so the two routes can cross-check each other.
+    with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and of
+    cfg.gram_images (the rows g c_i, formed once per configuration),
+    independent of pl_operator and of the dense matrix product, so the two
+    routes can cross-check each other.
     """
     if not (0 <= a < cfg.r and 0 <= b < cfg.r):
         raise IndexError(f"node indices {a}, {b} out of range for {cfg.r} nodes")
@@ -208,7 +209,7 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
     # and lambda_ab = p / (dg dc^2) with p = d_a . (g d_b).  As lambda_ba =
     # -lambda_ab, entry (j, k) is -lambda_ab ((G delta_b)[k] delta_a[j] +
     # (G delta_a)[k] delta_b[j]): an integer over dg^2 dc^4.
-    ga, gb = ([sum(map(mul, row, d)) for row in g.num] for d in (da, db))
+    ga, gb = cfg.gram_images[a], cfg.gram_images[b]
     p = sum(map(mul, da, gb))
     grid = tuple(tuple(-p * (y * x + z * w) for y, z in zip(gb, ga)) for x, w in zip(da, db))
     return grid, (g.den * c.den * c.den) ** 2

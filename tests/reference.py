@@ -4,7 +4,10 @@ The arithmetic functions are plain loops over ``Matrix.entries``, the
 Fraction view of a matrix the package stores as integers over one
 denominator.  Every one adds, negates and multiplies Fractions entry by
 entry and builds its result with ``Matrix.from_rows``, so a test can require
-the integer kernel's results to equal them exactly, entry by entry.
+the integer kernel's results to equal them exactly, entry by entry.  ``rref``,
+``canonical_basis``, ``is_canonical``, ``contains`` and ``kernel`` are the
+Fraction elimination the package ran before it eliminated on integer rows;
+a subspace here is its canonical basis, a tuple of Fraction vectors.
 
 ``dense_grid``, ``commutes_all`` and ``atom_splitting`` read an interaction
 matrix one node entry at a time, so they do not depend on its class form.
@@ -135,6 +138,78 @@ def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector
         for j in range(n)
     )
     return Matrix.from_rows(grid, cols=n)
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Gauss-Jordan on the Fraction entries, leftmost pivot first: the
+    reduced row-echelon form, zero rows kept, and the rank."""
+    grid = [list(row) for row in m.entries]
+    pivot_row = 0
+    for col in range(m.cols):
+        pivot = None
+        for i in range(pivot_row, m.rows):
+            if grid[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        grid[pivot_row], grid[pivot] = grid[pivot], grid[pivot_row]
+        inv = 1 / grid[pivot_row][col]
+        grid[pivot_row] = [x * inv for x in grid[pivot_row]]
+        for i in range(m.rows):
+            if i != pivot_row and grid[i][col] != 0:
+                factor = grid[i][col]
+                grid[i] = [x - factor * y for x, y in zip(grid[i], grid[pivot_row])]
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    return Matrix.from_rows(grid, cols=m.cols), pivot_row
+
+
+def canonical_basis(vectors: Sequence[Vector], ambient_dim: int) -> tuple[Vector, ...]:
+    """The nonzero rows of the reduced row-echelon form of the vectors."""
+    if not vectors:
+        return ()
+    reduced, rk = rref(Matrix.from_rows(vectors, cols=ambient_dim))
+    return reduced.entries[:rk]
+
+
+def is_canonical(rows: Sequence[Vector], ambient_dim: int) -> bool:
+    """Whether rows are already their own canonical basis."""
+    return canonical_basis(rows, ambient_dim) == tuple(map(tuple, rows))
+
+
+def contains(basis: Sequence[Vector], v: Vector) -> bool:
+    """Whether v lies in the span of a canonical basis: subtract from it each
+    row times v's entry at that row's pivot."""
+    residual = list(v)
+    for row in basis:
+        pivot = next(i for i, x in enumerate(row) if x != 0)
+        coeff = residual[pivot]
+        if coeff != 0:
+            residual = [x - coeff * y for x, y in zip(residual, row)]
+    return all(x == 0 for x in residual)
+
+
+def kernel(m: Matrix) -> tuple[Vector, ...]:
+    """The canonical basis of {v : m v = 0}: one generator per free column,
+    then reduced."""
+    reduced, rk = rref(m)
+    pivot_cols: list[int] = []
+    col = 0
+    for i in range(rk):
+        while reduced.entries[i][col] == 0:
+            col += 1
+        pivot_cols.append(col)
+        col += 1
+    generators = []
+    for f in (j for j in range(m.cols) if j not in pivot_cols):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivot_cols):
+            v[p] = -reduced.entries[i][f]
+        generators.append(tuple(v))
+    return canonical_basis(generators, m.cols)
 
 
 def first_skew_violation(m: Matrix) -> tuple[int, int] | None:

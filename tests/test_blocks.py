@@ -8,7 +8,6 @@ from lightsectors.linalg import (
     DimensionMismatchError,
     Matrix,
     Subspace,
-    basis_vector,
     column_space,
     quotient_dim,
     vector,
@@ -52,7 +51,7 @@ def test_decomposition_normalizes_order():
     part = BlockDecomposition.from_blocks(4, [(3, 2), (1, 0)])
     assert part.blocks == ((0, 1), (2, 3))
     assert part.count == 2
-    assert part.block_of(3) == 1
+    assert [3 in block for block in part.blocks].index(True) == 1
 
 
 @pytest.mark.parametrize(
@@ -89,7 +88,7 @@ def test_singleton_blocks_always_separate():
     cfg = CycleConfiguration.from_vectors(
         standard_symplectic(1), [(1, 0), (0, 1), (1, 1)]
     )
-    bc = check_block_separation(cfg, BlockDecomposition.singletons(3))
+    bc = check_block_separation(cfg, BlockDecomposition.from_blocks(3, [(0,), (1,), (2,)]))
     assert isinstance(bc, BlockClasses)
     assert bc.classes == cfg
 
@@ -97,7 +96,7 @@ def test_singleton_blocks_always_separate():
 def test_separation_size_mismatch():
     space, cfg, part = _four_node_config()
     with pytest.raises(DimensionMismatchError):
-        check_block_separation(cfg, BlockDecomposition.singletons(3))
+        check_block_separation(cfg, BlockDecomposition.from_blocks(3, [(0,), (1,), (2,)]))
 
 
 # -- reduced matrix ----------------------------------------------------------
@@ -204,7 +203,7 @@ def test_lattice_two_blocks():
 
 
 def test_lattice_singletons_and_one_block():
-    singles = BlockDecomposition.singletons(4)
+    singles = BlockDecomposition.from_blocks(4, [(k,) for k in range(4)])
     assert relation_lattice_from_blocks(singles).dim == 0
     assert quotient_dim(4, relation_lattice_from_blocks(singles)) == 4
     whole = BlockDecomposition.from_blocks(4, [(0, 1, 2, 3)])
@@ -233,7 +232,7 @@ def test_lattice_matches_chained_differences():
             groups.setdefault(rng.randrange(b), []).append(node)
         part = BlockDecomposition.from_blocks(r, list(groups.values()))
         chained = [
-            tuple(x - y for x, y in zip(basis_vector(r, a), basis_vector(r, c)))
+            tuple(int(i == a) - int(i == c) for i in range(r))
             for block in part.blocks
             for a, c in zip(block, block[1:])
         ]
@@ -251,7 +250,8 @@ def test_infer_blocks_from_indicator_columns():
 
 def test_infer_blocks_identity_gives_singletons():
     inc = Matrix.identity(3)
-    assert blocks_from_indicator_basis(column_space(inc)) == BlockDecomposition.singletons(3)
+    singles = BlockDecomposition.from_blocks(3, [(0,), (1,), (2,)])
+    assert blocks_from_indicator_basis(column_space(inc)) == singles
 
 
 def test_infer_blocks_rejects_non_indicator():
@@ -291,7 +291,7 @@ def test_random_separated_configurations_verify():
         assert pkg.separation_holds
         lam = pkg.interaction
         part = pkg.partition
-        owner = {k: part.block_of(k) for k in range(pkg.r)}
+        owner = {k: b for b, block in enumerate(part.blocks) for k in block}
         for a in range(pkg.r):
             for b in range(pkg.r):
                 if a != b and owner[a] == owner[b]:

@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 
 import reference
 from lightsectors import blocks, cli, linalg, transport
-from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, cleared,
-                                 first_skew_violation, vector)
+from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, Subspace, cleared,
+                                 column_space, first_skew_violation, format_rational, kernel,
+                                 rref, vector)
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
@@ -165,7 +166,7 @@ def test_matmul_coprime_denominators_and_zero_lines():
                           ["1/37", 0, "-1/41"]])
     got = a @ b
     assert_same_matrix(got, reference.matmul(a, b))
-    assert got.column(1) == (0, 0, 0) and got.entries[1] == (0, 0, 0)
+    assert got.transpose().entries[1] == (0, 0, 0) and got.entries[1] == (0, 0, 0)
 
 
 def _slot_edge_products():
@@ -551,6 +552,23 @@ def test_closed_form_never_multiplies_matrices(monkeypatch):
 
 @kernel_settings
 @given(data=st.data())
+def test_gram_images_are_formed_once_per_configuration(data):
+    """Row i of cfg.gram_images is G delta_i over dg dc, formed on first read
+    and shared by every closed-form pair of the configuration."""
+    space = data.draw(spaces())
+    cycles = [data.draw(vectors(space.dim)) for _ in range(3)]
+    cfg = CycleConfiguration.from_vectors(space, cycles)
+    images = cfg.gram_images
+    scale = space.gram.den * cfg.matrix.den
+    assert [tuple(Fraction(x, scale) for x in row) for row in images] == [
+        reference.apply(space.gram, c) for c in cycles]
+    for i, j in itertools.permutations(range(3), 2):
+        commutator_closed_form(cfg, i, j)
+    assert cfg.gram_images is images
+
+
+@kernel_settings
+@given(data=st.data())
 def test_closed_form_matches_reference(data):
     space = data.draw(spaces())
     cycles = [data.draw(vectors(space.dim)) for _ in (0, 1)]
@@ -558,3 +576,145 @@ def test_closed_form_matches_reference(data):
     i, j = data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
     assert_same_matrix(Matrix(space.dim, space.dim, *commutator_closed_form(cfg, i, j)),
                        reference.commutator_closed_form(space, cycles[i], cycles[j]))
+
+
+# -- elimination ---------------------------------------------------------------
+
+@st.composite
+def deficient_matrices(draw, max_dim=4):
+    """A matrix from ``matrices``, then up to three more rows put anywhere:
+    each a copy of one of its rows, its negation, or a sum of two of them
+    times small factors, so ranks fall short and rows repeat."""
+    m = draw(matrices(max_dim=max_dim))
+    rows = list(m.entries)
+    for _ in range(draw(st.integers(0, 3 if rows else 0))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.one_of(st.sampled_from(((1, 0), (-1, 0))), st.tuples(small, small)))
+        rows.insert(draw(st.integers(0, len(rows))), tuple(s * x + t * y for x, y in zip(a, b)))
+    return Matrix.from_rows(rows, cols=m.cols)
+
+
+def _forms(x):
+    """The inputs spanned_by and contains take for one entry."""
+    return [x, format_rational(x)] + ([x.numerator] if x.denominator == 1 else [])
+
+
+@kernel_settings
+@given(m=deficient_matrices())
+def test_rref_matches_reference(m):
+    got, rk = rref(m)
+    want, want_rk = reference.rref(m)
+    assert rk == want_rk
+    assert_same_matrix(got, want)
+
+
+@kernel_settings
+@given(m=deficient_matrices(), data=st.data())
+def test_spanned_by_matches_reference(m, data):
+    rows = [[data.draw(st.sampled_from(_forms(x))) for x in row] for row in m.entries]
+    sub = Subspace.spanned_by(rows, m.cols)
+    want = reference.canonical_basis(m.entries, m.cols)
+    assert sub.basis == Matrix.from_rows(want, cols=m.cols)
+    assert_same_matrix(sub.basis, Matrix.from_rows(want, cols=m.cols))
+    assert sub.dim == len(want) and sub.ambient_dim == m.cols
+
+
+@kernel_settings
+@given(m=deficient_matrices(), data=st.data())
+def test_contains_matches_reference(m, data):
+    sub = Subspace.spanned_by(m.entries, m.cols)
+    basis = reference.canonical_basis(m.entries, m.cols)
+    member = bool(m.rows) and data.draw(st.booleans())
+    if member:
+        coeffs = [data.draw(small) for _ in m.entries]
+        v = tuple(sum((c * row[j] for c, row in zip(coeffs, m.entries)), Fraction(0))
+                  for j in range(m.cols))
+    else:
+        v = data.draw(vectors(m.cols))
+    got = sub.contains([data.draw(st.sampled_from(_forms(x))) for x in v])
+    assert got == reference.contains(basis, v)
+    assert got or not member
+
+
+@kernel_settings
+@given(m=deficient_matrices())
+def test_kernel_matches_reference(m):
+    got = kernel(m)
+    assert_same_matrix(got.basis, Matrix.from_rows(reference.kernel(m), cols=m.cols))
+    for v in got.basis.entries:
+        assert not any(reference.apply(m, v))
+
+
+@kernel_settings
+@given(m=deficient_matrices())
+def test_column_space_matches_reference(m):
+    want = reference.canonical_basis(reference.transpose(m).entries, m.rows)
+    assert_same_matrix(column_space(m).basis, Matrix.from_rows(want, cols=m.rows))
+
+
+@st.composite
+def candidate_bases(draw):
+    """A canonical basis, as it is or after one change: an entry replaced, a
+    row scaled, two rows swapped, a zero row put in, or one row added to
+    another."""
+    m = draw(deficient_matrices())
+    n, rows = m.cols, list(reference.canonical_basis(m.entries, m.cols))
+    change = draw(st.sampled_from(("none", "entry", "scale", "swap", "zero row", "add")))
+    if change == "zero row" or (change != "none" and not rows):
+        rows.insert(draw(st.integers(0, len(rows))), (Fraction(0),) * n)
+    elif change == "entry" and n:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:j] + (draw(entries),) + rows[i][j + 1:]
+    elif change == "scale":
+        i, c = draw(st.integers(0, len(rows) - 1)), draw(small.filter(bool))
+        rows[i] = tuple(c * x for x in rows[i])
+    elif change == "swap" and len(rows) > 1:
+        i = draw(st.integers(0, len(rows) - 2))
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    elif change == "add" and len(rows) > 1:
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        rows[i] = tuple(x + y for x, y in zip(rows[i], rows[j]))
+    return n, tuple(rows)
+
+
+@kernel_settings
+@given(case=candidate_bases())
+def test_canonical_check_matches_reference(case):
+    """Subspace(n, basis) accepts exactly the bases the Fraction rref leaves
+    as they are."""
+    n, rows = case
+    try:
+        Subspace(n, Matrix.from_rows(rows, cols=n))
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == reference.is_canonical(rows, n)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)])
+def test_elimination_of_empty_shapes(rows, cols):
+    m = Matrix.zero(rows, cols)
+    got, rk = rref(m)
+    assert got == m == reference.rref(m)[0] and rk == 0
+    assert kernel(m) == Subspace.full(cols)
+    assert column_space(m) == Subspace.zero(rows)
+    assert Subspace.spanned_by(m.entries, cols) == Subspace.zero(cols)
+    assert Subspace.zero(cols).contains((0,) * cols)
+
+
+def test_elimination_past_the_int_text_limit():
+    """4302-digit entries over mixed denominators, in a 4x5 matrix of rank 3:
+    one row is a combination of two others."""
+    rng = random.Random(4302)
+    rows = [[Fraction(rng.choice((1, -1)) * (HUGE + rng.randint(0, 10 ** 6)),
+                      rng.choice((1, 2, 3, 7))) for _ in range(5)] for _ in range(3)]
+    rows.insert(1, [3 * x - Fraction(1, 2) * y for x, y in zip(rows[0], rows[2])])
+    m = Matrix.from_rows(rows)
+    got, rk = rref(m)
+    assert rk == 3
+    assert_same_matrix(got, reference.rref(m)[0])
+    sub = Subspace.spanned_by(rows, 5)
+    assert sub.basis.entries == reference.canonical_basis(m.entries, 5)
+    assert sub.contains(rows[1]) and not sub.contains([x + 1 for x in rows[1]])
+    assert_same_matrix(kernel(m).basis, Matrix.from_rows(reference.kernel(m), cols=5))

@@ -169,7 +169,7 @@ def test_results_stay_in_lowest_terms(m):
 
 def test_column_space_single_column():
     sub = column_space(Matrix.from_columns([(1, 1)], rows=2))
-    assert sub.basis == (vector([1, 1]),)
+    assert sub.basis.entries == (vector([1, 1]),)
 
 
 def test_column_space_identity_is_full():
@@ -179,7 +179,7 @@ def test_column_space_identity_is_full():
 def test_column_space_two_columns():
     sub = column_space(Matrix.from_columns([(1, 1, 0), (0, 0, 1)], rows=3))
     assert sub.dim == 2
-    assert sub.basis == (vector([1, 1, 0]), vector([0, 0, 1]))
+    assert sub.basis.entries == (vector([1, 1, 0]), vector([0, 0, 1]))
 
 
 def test_kernel_identity_and_zero():
@@ -190,7 +190,7 @@ def test_kernel_identity_and_zero():
 def test_kernel_one_equation():
     # Solving x + y = 0 by hand gives the line through (1, -1).
     sub = kernel(Matrix.from_rows([[1, 1]]))
-    assert sub.basis == (vector([1, -1]),)
+    assert sub.basis.entries == (vector([1, -1]),)
 
 
 @settings(max_examples=50)
@@ -205,7 +205,7 @@ def test_column_space_invariant_under_invertible_recombination(data, m):
 
 @given(m=matrices(max_dim=4))
 def test_kernel_vectors_annihilate(m):
-    for v in kernel(m).basis:
+    for v in kernel(m).basis.entries:
         assert all(x == 0 for x in m.apply(v))
 
 
@@ -241,7 +241,32 @@ def test_contains_length_mismatch():
 
 def test_non_canonical_basis_rejected():
     with pytest.raises(ValueError):
-        Subspace(2, (vector([2, 0]),))
+        Subspace(2, Matrix.from_rows([[2, 0]]))
+
+
+def test_negative_ambient_dimension_rejected():
+    with pytest.raises(ValueError, match="negative ambient dimension"):
+        Subspace(-1, ())
+
+
+@pytest.mark.parametrize("basis", [((1.0, 0.5),), [(1, 0)], (vector([1, 0]),)],
+                         ids=["floats", "unhashable-list", "fraction-tuple"])
+def test_basis_that_is_not_a_matrix_rejected(basis):
+    with pytest.raises(TypeError, match="must be a Matrix"):
+        Subspace(2, basis)
+
+
+def test_basis_of_the_wrong_width_rejected():
+    with pytest.raises(DimensionMismatchError):
+        Subspace(3, Matrix.identity(2))
+    with pytest.raises(DimensionMismatchError):
+        Subspace(3, Matrix(0, 2, ()))
+
+
+def test_subspaces_hash_as_values():
+    a = Subspace.spanned_by([(2, 4, "2/3")], 3)
+    b = Subspace(3, Matrix(1, 3, ((3, 6, 1),), 3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def _drawn_bases():
@@ -254,7 +279,7 @@ def _drawn_bases():
         )
         if rng.random() < 0.5:
             # Start from an rref basis, then maybe break one entry of it.
-            basis = Subspace.spanned_by(basis, n).basis
+            basis = Subspace.spanned_by(basis, n).basis.entries
             if basis and rng.random() < 0.5:
                 i, j = rng.randrange(len(basis)), rng.randrange(n)
                 row = list(basis[i])
@@ -267,7 +292,7 @@ def _orbit_lattice_bases():
     """The 125-node quintic_orbits relation lattice, then a copy with one
     nonzero entry put into the pivot column of the next row."""
     part = to_package(builtin_scenario("quintic_orbits")).partition
-    basis = relation_lattice_from_blocks(part).basis
+    basis = relation_lattice_from_blocks(part).basis.entries
     yield part.r, basis
     lead = next(j for j, x in enumerate(basis[1]) if x)
     row = list(basis[0])
@@ -282,7 +307,7 @@ def test_canonical_basis_check_matches_rref():
         reduced, rk = rref(Matrix.from_rows(basis, cols=n))
         canonical = reduced.entries[:rk] == basis
         try:
-            Subspace(n, basis)
+            Subspace(n, Matrix.from_rows(basis, cols=n))
         except ValueError:
             accepted = False
         else:

@@ -54,7 +54,7 @@ def test_assemble_coupled_pair():
     pkg = to_package(builtin_scenario("a2"))
     c = classify(pkg)
     assert pkg.realized.v_geom.dim == 1
-    assert pkg.realized.v_geom.basis == (vector([1, 1]),)
+    assert pkg.realized.v_geom.basis.entries == (vector([1, 1]),)
     assert c.extension_side is ExtensionVerdict.INTERACTING
     assert c.collapsed_dim == 1
     assert c.atom_side is AtomVerdict.NON_SPLIT
@@ -176,7 +176,7 @@ def test_verify_path_skips_unread_sections(monkeypatch, scenario):
 def test_assemble_checks_sizes_before_returning():
     space, cycles = standard_symplectic(1), [(1, 0), (0, 1)]
     with pytest.raises(DimensionMismatchError, match="partition of 3 nodes"):
-        assemble(space, cycles, partition=BlockDecomposition.singletons(3))
+        assemble(space, cycles, partition=BlockDecomposition.from_blocks(3, [(0,), (1,), (2,)]))
     with pytest.raises(DimensionMismatchError, match="corrected class of length 3"):
         assemble(space, cycles, corrected_class=vector((1, 0, 0)))
 
@@ -200,7 +200,7 @@ def test_partition_incidence_discrepancy_flagged():
     space = standard_symplectic(1)
     cycles = [(1, 0), (1, 0), (0, 1)]
     incidence = Matrix.from_columns([(1, 1, 0), (0, 0, 1)], rows=3)
-    partition = BlockDecomposition.singletons(3)
+    partition = BlockDecomposition.from_blocks(3, [(0,), (1,), (2,)])
     pkg = assemble(space, cycles, incidence=incidence, partition=partition)
     assert pkg.partition_matches_incidence is False
     # The user partition drives block analysis: singletons always separate.

@@ -90,6 +90,17 @@ def test_four_node_blocks_report_golden_file():
     assert rendered == golden
 
 
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("machine", "json")])
+def test_rational_incidence_report_golden_file(fmt, suffix):
+    """A realized space whose canonical basis has non-integer entries
+    (1/2, -2/3, 3/4, 1/3), from an incidence with a rational entry, and a
+    rational corrected class that lies in it."""
+    scenario = parse_scenario((DATA / "rational_incidence.scenario").read_text(encoding="utf-8"))
+    rendered = render_report(analysis_document(to_package(scenario), scenario.name), fmt)
+    golden = (DATA / f"rational_incidence.analysis.golden.{suffix}").read_bytes()
+    assert rendered == golden
+
+
 def test_machine_reports_byte_deterministic():
     for name in ("a1xa1", "a2", "three_node"):
         assert render_report(_doc(name), "machine") == render_report(_doc(name), "machine")

@@ -11,7 +11,6 @@ from lightsectors.linalg import (
     DimensionMismatchError,
     InvariantError,
     Matrix,
-    basis_vector,
     rank,
     vector,
 )
@@ -131,7 +130,8 @@ def test_rank_one_factor_matches_dense_reference():
     kinds = set()
     for space, delta in cases:
         op = pl_operator(CycleConfiguration.from_vectors(space, (delta,)), 0)
-        weights = [pair(space, basis_vector(space.dim, k), delta) for k in range(space.dim)]
+        weights = [pair(space, vector(int(i == k) for i in range(space.dim)), delta)
+                   for k in range(space.dim)]
         n_grid = tuple(
             tuple(weights[k] * delta[j] for k in range(space.dim)) for j in range(space.dim)
         )
