@@ -614,7 +614,6 @@ def test_spanned_by_matches_reference(m, data):
     rows = [[data.draw(st.sampled_from(_forms(x))) for x in row] for row in m.entries]
     sub = Subspace.spanned_by(rows, m.cols)
     want = reference.canonical_basis(m.entries, m.cols)
-    assert sub.basis == Matrix.from_rows(want, cols=m.cols)
     assert_same_matrix(sub.basis, Matrix.from_rows(want, cols=m.cols))
     assert sub.dim == len(want) and sub.ambient_dim == m.cols
 
