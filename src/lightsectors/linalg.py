@@ -80,15 +80,31 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*rational_parts(text))
 
 
+def _unlimited_text(num: int, den: int) -> str:
+    # Past the interpreter's int-to-str digit limit; Decimal prints an
+    # integer's every digit without that limit.
+    text = str(Decimal(num))
+    return text if den == 1 else f"{text}/{Decimal(den)}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num/den (den positive) in canonical lowest-terms text, exact at any size."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        return _unlimited_text(num, den)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical text form, e.g. '-3/7', '0', '5', exact at any size."""
     try:
         return str(q)
     except ValueError:
-        # Past the interpreter's int-to-str digit limit; Decimal prints an
-        # integer's every digit without that limit.
-        num = str(Decimal(q.numerator))
-        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+        return _unlimited_text(q.numerator, q.denominator)
 
 
 def _q(x: object) -> Fraction:

@@ -5,8 +5,11 @@ README); the machine format is its JSON serialization with sorted keys, so
 identical inputs yield byte-identical output.  Its bytes equal what
 json.dumps writes with an indent of 2 and sorted keys, plus a newline.  A
 small writer produces them without the standard library's pure-Python
-indent encoder: it writes a list of strings once per (indent, content), and
-a list of plain ints or a list of non-empty plain-int lists in one join.
+indent encoder, and writes each O(r^2) section whole: a list of plain-int
+rows of one width (mixing_edges, equal-size blocks) through one %d row
+template, and a list of string rows (the interaction matrices, the realized
+basis) one distinct row at a time, each row written once however often it
+repeats.  Nothing is memoized across sections or calls.
 The text format renders the same data section by section: extension side,
 transport side, atom side, blocks.  All node and block indices in documents
 and text are 1-based; rationals appear in canonical lowest-terms form.
@@ -18,7 +21,7 @@ import json
 from itertools import chain
 from typing import Sequence
 
-from .linalg import format_rational
+from .linalg import Matrix, format_ratio, format_rational
 from .blocks import (
     BlockDecomposition,
     BlockSeparationViolation,
@@ -49,6 +52,13 @@ def _matrix_cells(lam: InteractionMatrix) -> list[list[str]]:
     text = [[format_rational(x) for x in row] for row in lam.pairings.entries]
     rows = [[cells[d] for d in lam.node_class] for cells in text]
     return [list(rows[c]) for c in lam.node_class]
+
+
+def _basis_cells(basis: Matrix) -> list[list[str]]:
+    # Each integer cell over the one denominator, in lowest terms, with no
+    # Fraction view of the basis.
+    den = basis.den
+    return [[format_ratio(x, den) for x in row] for row in basis.num]
 
 
 def _one_based(blocks: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -131,9 +141,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
         "extension": {
             "ambient_dim": pkg.r,
             "realized_dim": pkg.realized.v_geom.dim,
-            "realized_basis": [
-                [format_rational(x) for x in v] for v in pkg.realized.v_geom.basis.entries
-            ],
+            "realized_basis": _basis_cells(pkg.realized.v_geom.basis),
             "ambient_default": pkg.ambient_default,
             "verdict": c.extension_side.value,
             "relation_collapse": _collapse_text(c),
@@ -209,11 +217,19 @@ def _render_matrix_text(cells: list[list[str]]) -> list[str]:
     if not cells or not cells[0]:
         return ["  (empty)"]
     # Rows repeat when cycle classes do: measure and render each distinct row once.
-    distinct = dict.fromkeys(map(tuple, cells))
+    keys = list(map(tuple, cells))
+    distinct = dict.fromkeys(keys)
     widths = [max(map(len, column)) for column in zip(*distinct)]
     for row in distinct:
         distinct[row] = "  " + "  ".join(map(str.rjust, row, widths))
-    return [distinct[tuple(row)] for row in cells]
+    return list(map(distinct.__getitem__, keys))
+
+
+def _edges_text(edges: Sequence[Sequence[int]]) -> str:
+    # One "(%s,%s)" template over the flattened pairs, checked to be pairs.
+    if set(map(len, edges)) != {2}:
+        raise ValueError("every mixing edge must be a pair of nodes")
+    return " ".join(["(%s,%s)"] * len(edges)) % tuple(chain.from_iterable(edges))
 
 
 def _cluster_text(clusters: Sequence[Sequence[int]]) -> str:
@@ -278,10 +294,7 @@ def _render_analysis_text(doc: ReportDocument) -> str:
         f"atom: {atom['verdict']}",
     ]
     if atom["mixing_edges"]:
-        lines.append(
-            "mixing edges: "
-            + " ".join(f"({i},{j})" for i, j in atom["mixing_edges"])
-        )
+        lines.append("mixing edges: " + _edges_text(atom["mixing_edges"]))
     lines.append(
         "mixing clusters (artifact-derived): " + _cluster_text(atom["mixing_clusters"])
     )
@@ -338,14 +351,52 @@ _LIST = {list}
 _encode = json.JSONEncoder().encode
 
 
-def _write_json(obj: object, indent: str, out: list[str], memo: dict) -> None:
+def _int_rows(rows: list[list], indent: str) -> str | None:
+    """The rows, each a non-empty list, as json writes them nested at indent
+    and joined by its separator; None when a cell is not a plain int."""
+    cells = tuple(chain.from_iterable(rows))
+    if set(map(type, cells)) != _INT:
+        return None
+    deeper = indent + "  "
+    head, cell_sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + indent + "]"
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        # One %d template for the whole section; %d of a plain int is its str.
+        row = head + cell_sep.join(["%d"] * widths.pop()) + tail
+        return (",\n" + indent).join([row] * len(rows)) % cells
+    join = cell_sep.join
+    return (",\n" + indent).join([head + join(map(str, row)) + tail for row in rows])
+
+
+def _str_rows(rows: list[list], indent: str) -> str | None:
+    """As _int_rows, for rows of plain strs: each distinct row is checked and
+    written once.  None when a cell is unhashable or not a plain str."""
+    keys = list(map(tuple, rows))
+    try:
+        distinct = dict.fromkeys(keys)
+    except TypeError:  # a list or dict cell
+        return None
+    if set(map(type, chain.from_iterable(distinct))) != _STR:
+        return None
+    deeper = indent + "  "
+    head, join, tail = "[\n" + deeper, (",\n" + deeper).join, "\n" + indent + "]"
+    for row in distinct:
+        distinct[row] = head + join(map(_encode, row)) + tail
+    return (",\n" + indent).join(map(distinct.__getitem__, keys))
+
+
+def _write_json(obj: object, indent: str, out: list[str]) -> None:
     """Append obj as json.dumps writes it with an indent of 2 and sorted keys,
     nested at indent; keys are strings, as in every report document.
 
-    A list of strings is written once per (indent, content) and reused from
-    memo; a list of plain ints (bool excluded), and a list of non-empty plain
-    int lists, are each one join.  A plain int is its str, as json writes it;
-    every other scalar and every key goes through the library's encoder.
+    A list of plain strs, or of plain ints (bool excluded), is one join.  A
+    list of non-empty lists is written whole when every cell has one type:
+    rows of plain ints through one %d row template when they have one width
+    (a join per row when they do not), and rows of plain strs one distinct
+    row at a time, each written once and reused wherever it repeats.  Any
+    other list, a bool, float or None cell, or an unhashable cell among strs
+    goes item by item.  A plain int is its str, as json writes it; every
+    other scalar and every key goes through the library's encoder.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -355,7 +406,7 @@ def _write_json(obj: object, indent: str, out: list[str], memo: dict) -> None:
         sep = "{\n" + inner
         for key in sorted(obj):
             out.append(sep + _encode(key) + ": ")
-            _write_json(obj[key], inner, out, memo)
+            _write_json(obj[key], inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(obj, (list, tuple)):
@@ -365,26 +416,23 @@ def _write_json(obj: object, indent: str, out: list[str], memo: dict) -> None:
         inner = indent + "  "
         sep = ",\n" + inner
         types = set(map(type, obj))
+        body = None
         if types == _STR:
-            key = (indent, *obj)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = "[\n" + inner + sep.join(map(_encode, obj)) + "\n" + indent + "]"
-            out.append(text)
+            body = sep.join(map(_encode, obj))
         elif types == _INT:
-            out.append("[\n" + inner + sep.join(map(str, obj)) + "\n" + indent + "]")
-        elif types == _LIST and all(obj) and set(map(type, chain.from_iterable(obj))) == _INT:
-            deeper = inner + "  "
-            head, join, tail = "[\n" + deeper, (",\n" + deeper).join, "\n" + inner + "]"
-            rows = [head + join(map(str, row)) + tail for row in obj]
-            out.append("[\n" + inner + sep.join(rows) + "\n" + indent + "]")
-        else:
-            out.append("[\n" + inner)
-            _write_json(obj[0], inner, out, memo)
-            for item in obj[1:]:
-                out.append(sep)
-                _write_json(item, inner, out, memo)
-            out.append("\n" + indent + "]")
+            body = sep.join(map(str, obj))
+        elif types == _LIST and all(obj):
+            write_rows = _str_rows if type(obj[0][0]) is str else _int_rows
+            body = write_rows(obj, inner)
+        if body is not None:
+            out.append("[\n" + inner + body + "\n" + indent + "]")
+            return
+        out.append("[\n" + inner)
+        _write_json(obj[0], inner, out)
+        for item in obj[1:]:
+            out.append(sep)
+            _write_json(item, inner, out)
+        out.append("\n" + indent + "]")
     elif type(obj) is int:
         out.append(str(obj))
     else:
@@ -395,7 +443,7 @@ def render_report(doc: ReportDocument, format: str = "text") -> bytes:
     """Render a document as UTF-8 bytes in 'text' or 'machine' (JSON) format."""
     if format == "machine":
         out: list[str] = []
-        _write_json(doc, "", out, {})
+        _write_json(doc, "", out)
         out.append("\n")
         return "".join(out).encode("utf-8")
     if format != "text":

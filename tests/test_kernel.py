@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 import reference
 from lightsectors import blocks, cli, linalg, transport
 from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, Subspace, cleared,
-                                 column_space, first_skew_violation, format_rational, kernel,
-                                 rref, vector)
+                                 column_space, first_skew_violation, format_ratio,
+                                 format_rational, kernel, rref, vector)
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
@@ -717,3 +717,26 @@ def test_elimination_past_the_int_text_limit():
     assert sub.basis.entries == reference.canonical_basis(m.entries, 5)
     assert sub.contains(rows[1]) and not sub.contains([x + 1 for x in rows[1]])
     assert_same_matrix(kernel(m).basis, Matrix.from_rows(reference.kernel(m), cols=5))
+
+
+@kernel_settings
+@given(x=entries, k=st.integers(1, 50))
+def test_ratio_text_matches_fraction_text(x, k):
+    """An integer cell over a denominator, unreduced by k, prints as its
+    lowest-terms Fraction does."""
+    assert format_ratio(k * x.numerator, k * x.denominator) == str(x) == format_rational(x)
+
+
+def test_ratio_text_past_the_int_text_limit():
+    """A 4301-digit numerator over a denominator it shares a factor with, as a
+    basis cell over basis.den: reduced, every digit kept, with the
+    interpreter's 4300-digit limit in force."""
+    num = 6 * (10 ** 4300 + 7)  # 4301 digits
+    assert len(str(num)) == 4301
+    half, third = str(Fraction(num, 4)), str(num // 3)
+    sys.set_int_max_str_digits(4300)
+    with pytest.raises(ValueError):
+        str(num)
+    assert format_ratio(num, 4) == half and half.endswith("/2")
+    assert format_ratio(-num, 4) == "-" + half
+    assert format_ratio(num, 3) == third

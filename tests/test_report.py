@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lightsectors.report as report_module
+from lightsectors.cli import main
 from lightsectors.linalg import format_rational
 from lightsectors.package import BlockSeparationRequiredError, verify_block_structure
 from lightsectors.report import (
@@ -161,6 +164,74 @@ def test_analyze_path_never_builds_the_dense_grid():
     ]
 
 
+def test_realized_basis_never_builds_the_fraction_view():
+    pkg = to_package(builtin_scenario("quintic_orbits"))
+    doc = analysis_document(pkg, "quintic_orbits")
+    basis = pkg.realized.v_geom.basis
+    assert "entries" not in vars(basis)
+    # The cells still read like the Fraction view, entry by entry.
+    assert doc["extension"]["realized_basis"] == [
+        [format_rational(x) for x in row] for row in basis.entries
+    ]
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("machine", "json")])
+def test_quintic_orbits_report_digest(tmp_path, fmt, suffix):
+    """`lightsectors analyze` of the emitted 125-node scenario, both formats,
+    against the digests in tests/data (the file `sha256sum -c` reads)."""
+    digests = {}
+    for line in (DATA / "quintic_orbits.analysis.sha256").read_text().splitlines():
+        digest, name = line.split()
+        digests[name] = digest
+    scenario = tmp_path / "q.scenario"
+    out = tmp_path / f"quintic_orbits.analysis.{suffix}"
+    assert main(["scenario", "quintic_orbits", "--emit", str(scenario)]) == 0
+    assert main(["analyze", str(scenario), "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[out.name]
+
+
+def _edge_line(text: str) -> str | None:
+    lines = [line for line in text.splitlines() if line.startswith("mixing edges: ")]
+    assert len(lines) <= 1
+    return lines[0] if lines else None
+
+
+@pytest.mark.parametrize("name, count", [("a1xa1", 0), ("a2", 1), ("quintic_orbits", 6250)])
+def test_mixing_edges_line_matches_per_edge_format(name, count):
+    doc = _doc(name)
+    edges = doc["atom"]["mixing_edges"]
+    assert len(edges) == count
+    line = _edge_line(render_report(doc, "text").decode())
+    if count == 0:
+        assert line is None
+    else:
+        assert line == "mixing edges: " + " ".join(f"({i},{j})" for i, j in edges)
+
+
+@pytest.mark.parametrize("edges", [[[1, 2, 3], [4]], [[1, 2], [3]], [[1, 2, 3]]])
+def test_mixing_edge_that_is_not_a_pair_raises(edges):
+    doc = _doc("a2")
+    doc["atom"]["mixing_edges"] = edges
+    with pytest.raises(ValueError):
+        render_report(doc, "text")
+
+
+def test_equal_string_rows_are_written_once(monkeypatch):
+    encoded = []
+    real = report_module._encode
+
+    def counted(s):
+        encoded.append(s)
+        return real(s)
+
+    monkeypatch.setattr(report_module, "_encode", counted)
+    row = ["0", "-1/2", "3"]
+    # Shared row objects and equal-content copies alike are one distinct row.
+    doc = {"m": [row] * 40 + [list(row) for _ in range(40)] + [["7"]]}
+    assert render_report(doc, "machine") == _json_oracle(doc)
+    assert sorted(encoded) == sorted(["m", *row, "7"])
+
+
 def test_verification_document_render():
     scenario = parse_scenario((DATA / "four_node_blocks.scenario").read_text())
     report = verify_block_structure(to_package(scenario))
@@ -239,8 +310,48 @@ _ints = st.one_of(
     st.integers(-(10**30) - 2, -(10**30) + 2),
 )
 _int_or_bool = st.one_of(_ints, st.booleans())
+_str_row = st.lists(_text, min_size=1, max_size=3)
 # One string row per example, drawn wherever the tree holds a shared row.
-_row = st.shared(st.lists(_text, min_size=1, max_size=3), key="row")
+_row = st.shared(_str_row, key="row")
+
+
+@st.composite
+def _fixed_width_int_rows(draw):
+    """Plain-int rows of one width, now and then with one bool, float or None
+    cell, which json writes differently from %d."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_ints, min_size=width, max_size=width), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        k, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+        rows[k] = rows[k][:j] + [draw(st.one_of(st.booleans(), st.floats(), st.none()))] + rows[k][j + 1:]
+    return rows
+
+
+@st.composite
+def _repeated_str_rows(draw):
+    """A few string rows, repeated as shared objects and as equal copies."""
+    rows = draw(st.lists(_str_row, min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.sampled_from(rows), st.booleans()), min_size=1, max_size=6))
+    return [list(row) if copy else row for row, copy in picks]
+
+
+@st.composite
+def _str_rows_with_odd_cell(draw):
+    """String rows, then a copy of one with an int, None, list, dict or tuple
+    cell: unhashable or not a str, so the rows must go item by item."""
+    rows = draw(st.lists(_str_row, min_size=1, max_size=3))
+    odd = draw(st.one_of(
+        _ints,
+        st.none(),
+        st.lists(_text, max_size=2),
+        st.dictionaries(_text, _ints, max_size=2),
+        st.tuples(_text),
+    ))
+    later = list(draw(st.sampled_from(rows)))
+    later.insert(draw(st.integers(0, len(later))), odd)
+    return rows + [later]
+
+
 _leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -251,6 +362,11 @@ _leaves = st.one_of(
     st.lists(_text, max_size=3),
     st.lists(_int_or_bool, max_size=4),
     st.lists(st.lists(_int_or_bool, max_size=3), max_size=4),
+    _fixed_width_int_rows(),
+    _repeated_str_rows(),
+    _str_rows_with_odd_cell(),
+    st.lists(st.one_of(st.lists(_ints, min_size=1, max_size=3), _str_row), min_size=1, max_size=1),
+    st.lists(st.lists(_ints, min_size=1, max_size=3), min_size=2, max_size=4),
 )
 _trees = st.recursive(
     _leaves,
@@ -267,8 +383,10 @@ _trees = st.recursive(
 @example(tree=[[]], row=["a"])
 @example(tree=[[1], []], row=["a"])
 @example(tree={"b": {}, "a": [[], {}, [[]]], "c": [1, True, 0, False]}, row=["a"])
+@example(tree=[[1, 2], [3, True]], row=["a"])
+@example(tree=[["a"], ["a", ["b"]]], row=["a"])
 def test_machine_writer_matches_json_dumps(tree, row):
-    # The shared row also sits at two fixed depths, so the memo must key the indent.
+    # The shared row also sits at two fixed depths, written at two indents.
     doc = {"row": row, "deeper": [{"row": row}], "tree": tree}
     assert render_report(doc, "machine") == _json_oracle(doc)
 
