@@ -6,10 +6,10 @@ identical inputs yield byte-identical output.  Its bytes equal what
 json.dumps writes with an indent of 2 and sorted keys, plus a newline.  A
 small writer produces them without the standard library's pure-Python
 indent encoder, and writes each O(r^2) section whole: a list of plain-int
-rows of one width (mixing_edges, equal-size blocks) through one %d row
-template, and a list of string rows (the interaction matrices, the realized
-basis) one distinct row at a time, each row written once however often it
-repeats.  Nothing is memoized across sections or calls.
+rows (mixing_edges, the blocks) through one %d row template per width,
+filled at once, and a list of string rows (the interaction matrices, the
+realized basis) one distinct row at a time, each row written once however
+often it repeats.  Nothing is memoized across sections or calls.
 The text format renders the same data section by section: extension side,
 transport side, atom side, blocks.  All node and block indices in documents
 and text are 1-based; rationals appear in canonical lowest-terms form.
@@ -47,18 +47,17 @@ WORD_CONVENTION = (
 ReportDocument = dict
 
 
+def _cells(m: Matrix) -> list[list[str]]:
+    # Each integer cell over the one denominator, in lowest terms, with no
+    # Fraction view of the matrix.
+    den = m.den
+    return [[format_ratio(x, den) for x in row] for row in m.num]
+
+
 def _matrix_cells(lam: InteractionMatrix) -> list[list[str]]:
     # Format each class pairing once, and give each document row its own list.
-    text = [[format_rational(x) for x in row] for row in lam.pairings.entries]
-    rows = [[cells[d] for d in lam.node_class] for cells in text]
+    rows = [[cells[d] for d in lam.node_class] for cells in _cells(lam.pairings)]
     return [list(rows[c]) for c in lam.node_class]
-
-
-def _basis_cells(basis: Matrix) -> list[list[str]]:
-    # Each integer cell over the one denominator, in lowest terms, with no
-    # Fraction view of the basis.
-    den = basis.den
-    return [[format_ratio(x, den) for x in row] for row in basis.num]
 
 
 def _one_based(blocks: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -141,7 +140,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
         "extension": {
             "ambient_dim": pkg.r,
             "realized_dim": pkg.realized.v_geom.dim,
-            "realized_basis": _basis_cells(pkg.realized.v_geom.basis),
+            "realized_basis": _cells(pkg.realized.v_geom.basis),
             "ambient_default": pkg.ambient_default,
             "verdict": c.extension_side.value,
             "relation_collapse": _collapse_text(c),
@@ -359,13 +358,11 @@ def _int_rows(rows: list[list], indent: str) -> str | None:
         return None
     deeper = indent + "  "
     head, cell_sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + indent + "]"
-    widths = set(map(len, rows))
-    if len(widths) == 1:
-        # One %d template for the whole section; %d of a plain int is its str.
-        row = head + cell_sep.join(["%d"] * widths.pop()) + tail
-        return (",\n" + indent).join([row] * len(rows)) % cells
-    join = cell_sep.join
-    return (",\n" + indent).join([head + join(map(str, row)) + tail for row in rows])
+    # One %d row template per width, filled for the whole section at once;
+    # %d of a plain int is its str.
+    lens = list(map(len, rows))
+    template = {w: head + cell_sep.join(["%d"] * w) + tail for w in set(lens)}
+    return (",\n" + indent).join(map(template.__getitem__, lens)) % cells
 
 
 def _str_rows(rows: list[list], indent: str) -> str | None:
@@ -391,8 +388,8 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
 
     A list of plain strs, or of plain ints (bool excluded), is one join.  A
     list of non-empty lists is written whole when every cell has one type:
-    rows of plain ints through one %d row template when they have one width
-    (a join per row when they do not), and rows of plain strs one distinct
+    rows of plain ints through one %d row template per width, filled from
+    the flattened cells in one step, and rows of plain strs one distinct
     row at a time, each written once and reused wherever it repeats.  Any
     other list, a bool, float or None cell, or an unhashable cell among strs
     goes item by item.  A plain int is its str, as json writes it; every
