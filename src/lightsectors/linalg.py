@@ -11,9 +11,10 @@ A ``Matrix`` is an ``int`` grid ``num`` over one positive denominator
 hashing are value equality.  Sums, products, transposes, zero and skew tests
 and elimination run on the integers, as with FLINT's ``fmpq_mat_mul_cleared``
 and ``fmpz_mat_rref``: ``rref`` is fraction-free, and a ``Subspace`` basis is
-a ``Matrix``.  Fractions appear only at the boundaries: the cached
-``Matrix.entries`` view and the readers of ``cleared`` (``apply``,
-``pairing.pair`` and ``Subspace.contains``, which take mixed input).
+a ``Matrix``.  Fractions appear only at the boundaries: the ``entries`` view,
+built on request, and the readers of ``cleared`` (``apply``, ``pairing.pair``
+and ``Subspace.contains``, which take mixed input).  Rational text has one
+writer, ``format_ratio``; ``format_cells`` applies it to a matrix's int rows.
 
 A product A·B (A m×n, B n×p) is a Kronecker substitution, as FLINT packs
 integer polynomials: row k of B becomes one ``int`` P_k = Σ_j b_kj·2^(w·j),
@@ -80,13 +81,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*rational_parts(text))
 
 
-def _unlimited_text(num: int, den: int) -> str:
-    # Past the interpreter's int-to-str digit limit; Decimal prints an
-    # integer's every digit without that limit.
-    text = str(Decimal(num))
-    return text if den == 1 else f"{text}/{Decimal(den)}"
-
-
 def format_ratio(num: int, den: int) -> str:
     """num/den (den positive) in canonical lowest-terms text, exact at any size."""
     g = gcd(num, den)
@@ -96,15 +90,15 @@ def format_ratio(num: int, den: int) -> str:
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        return _unlimited_text(num, den)
+        # Past the interpreter's int-to-str digit limit; Decimal prints an
+        # integer's every digit without that limit.
+        text = str(Decimal(num))
+        return text if den == 1 else f"{text}/{Decimal(den)}"
 
 
 def format_rational(q: Fraction) -> str:
     """Canonical text form, e.g. '-3/7', '0', '5', exact at any size."""
-    try:
-        return str(q)
-    except ValueError:
-        return _unlimited_text(q.numerator, q.denominator)
+    return format_ratio(q.numerator, q.denominator)
 
 
 def _q(x: object) -> Fraction:
@@ -165,9 +159,7 @@ class Matrix:
             raise DimensionMismatchError(f"matrix rows do not all have {cols} entries")
         den = lcm(*(x.denominator for row in grid for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid)
-        m = cls(len(grid), cols, num, den)
-        m.__dict__["entries"] = grid
-        return m
+        return cls(len(grid), cols, num, den)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]], rows: int | None = None) -> "Matrix":
@@ -237,6 +229,12 @@ class Matrix:
         ints, den = cleared(v)
         den *= self.den
         return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.num)
+
+
+def format_cells(m: Matrix) -> list[list[str]]:
+    """Each entry of m as format_ratio text, from its integer rows over m.den."""
+    den = m.den
+    return [[format_ratio(x, den) for x in row] for row in m.num]
 
 
 # Native signed array typecodes by item size in bytes; which C type has which

@@ -18,7 +18,6 @@ from typing import Sequence
 from .linalg import (
     DimensionMismatchError,
     Matrix,
-    Vector,
     cleared,
     first_skew_violation,
     vector,
@@ -66,11 +65,11 @@ def standard_symplectic(g: int) -> PairingSpace:
     if g < 0:
         raise ValueError("g must be nonnegative")
     n = 2 * g
-    grid = [[Fraction(0)] * n for _ in range(n)]
+    grid = [[0] * n for _ in range(n)]
     for k in range(g):
-        grid[2 * k][2 * k + 1] = Fraction(1)
-        grid[2 * k + 1][2 * k] = Fraction(-1)
-    return PairingSpace(Matrix.from_rows(grid, cols=n))
+        grid[2 * k][2 * k + 1] = 1
+        grid[2 * k + 1][2 * k] = -1
+    return PairingSpace(Matrix(n, n, tuple(map(tuple, grid))))
 
 
 def pair(space: PairingSpace, a: Sequence[object], b: Sequence[object]) -> Fraction:
@@ -106,11 +105,6 @@ class CycleConfiguration:
             if len(c) != space.dim:
                 raise DimensionMismatchError(f"cycle {k + 1} has length {len(c)}, expected {space.dim}")
         return cls(space, Matrix.from_rows(cycles, cols=space.dim))
-
-    @cached_property
-    def cycles(self) -> tuple[Vector, ...]:
-        """The cycles as Fraction vectors."""
-        return self.matrix.entries
 
     @cached_property
     def gram_images(self) -> tuple[tuple[int, ...], ...]:

@@ -21,7 +21,7 @@ import json
 from itertools import chain
 from typing import Sequence
 
-from .linalg import Matrix, format_ratio, format_rational
+from .linalg import format_cells, format_rational
 from .blocks import (
     BlockDecomposition,
     BlockSeparationViolation,
@@ -47,16 +47,9 @@ WORD_CONVENTION = (
 ReportDocument = dict
 
 
-def _cells(m: Matrix) -> list[list[str]]:
-    # Each integer cell over the one denominator, in lowest terms, with no
-    # Fraction view of the matrix.
-    den = m.den
-    return [[format_ratio(x, den) for x in row] for row in m.num]
-
-
 def _matrix_cells(lam: InteractionMatrix) -> list[list[str]]:
     # Format each class pairing once, and give each document row its own list.
-    rows = [[cells[d] for d in lam.node_class] for cells in _cells(lam.pairings)]
+    rows = [[cells[d] for d in lam.node_class] for cells in format_cells(lam.pairings)]
     return [list(rows[c]) for c in lam.node_class]
 
 
@@ -140,7 +133,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
         "extension": {
             "ambient_dim": pkg.r,
             "realized_dim": pkg.realized.v_geom.dim,
-            "realized_basis": _cells(pkg.realized.v_geom.basis),
+            "realized_basis": format_cells(pkg.realized.v_geom.basis),
             "ambient_default": pkg.ambient_default,
             "verdict": c.extension_side.value,
             "relation_collapse": _collapse_text(c),

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Vector, format_rational, rational_parts
+from .linalg import Matrix, Vector, format_cells, format_rational, rational_parts
 from .pairing import CycleConfiguration, NotSkewSymmetricError, PairingSpace, standard_symplectic
 from .blocks import BlockDecomposition
 from .package import LightSectorPackage, assemble
@@ -255,15 +255,25 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
 def _grid_lines(field: str, m: Matrix) -> list[str]:
     if m.rows and not m.cols:  # a row is a line of entries: no line holds an empty one
         raise ValueError(f"cannot serialize field '{field}': {m.rows} rows of no entries")
-    return [f"{field}:", *(" ".join(format_rational(x) for x in row) for row in m.entries)]
+    return [f"{field}:", *map(" ".join, format_cells(m))]
+
+
+def _scalar_line(field: str, text: str) -> str:
+    # parse_scenario reads a scalar back as the rest of one line, stripped.
+    if len(text.splitlines()) > 1 or text != text.strip():
+        raise ValueError(f"cannot serialize field '{field}': {text!r} would not read back")
+    return f"{field}: {text}"
 
 
 def serialize_scenario(s: ScenarioFile) -> str:
-    """Canonical text form; parse_scenario(serialize_scenario(s)) == s.
-    A ValueError names a grid field whose rows have no entries."""
+    """Canonical text form; parse_scenario(serialize_scenario(s)) == s.  A
+    ValueError names a field that would not read back: a grid whose rows have
+    no entries, an empty name, or a name or notes not one stripped line."""
+    if not s.name:
+        raise ValueError("cannot serialize field 'name': it is empty")
     lines = [
         f"format_version: {s.format_version}",
-        f"name: {s.name}",
+        _scalar_line("name", s.name),
         f"dim: {s.dim}",
         *_grid_lines("gram", s.gram),
         *_grid_lines("cycles", s.cycles),
@@ -278,7 +288,7 @@ def serialize_scenario(s: ScenarioFile) -> str:
             "corrected_class: " + " ".join(format_rational(x) for x in s.corrected_class)
         )
     if s.notes is not None:
-        lines.append(f"notes: {s.notes}")
+        lines.append(_scalar_line("notes", s.notes))
     return "\n".join(lines) + "\n"
 
 

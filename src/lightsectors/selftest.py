@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from .linalg import Matrix, quotient_dim, rank, vector
 from .pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
@@ -23,7 +24,8 @@ from .package import (AtomVerdict, Classification, LightSectorPackage, Transport
                       classify, verify_block_structure)
 from .gluing import ExtensionVerdict
 from .report import analysis_document, render_report
-from .scenarios import builtin_scenario, parse_scenario, serialize_scenario, to_package
+from .scenarios import (ScenarioFile, builtin_scenario, parse_scenario, serialize_scenario,
+                        to_package)
 from .modelgen import random_block_scenario
 
 SELFTEST_SEED = 20250808
@@ -117,9 +119,8 @@ def _check_criterion_equivalences() -> str:
     return f"{count} pool configurations, all criteria equivalent"
 
 
-def _check_determinism() -> str:
-    for name in ("a1xa1", "a2", "three_node"):
-        scenario = builtin_scenario(name)
+def _check_determinism(scenarios: Iterable[ScenarioFile]) -> str:
+    for scenario in scenarios:
         assert parse_scenario(serialize_scenario(scenario)) == scenario
         pkg = to_package(scenario)
         doc = analysis_document(pkg, scenario.name)
@@ -135,20 +136,19 @@ GROUPS = (
      lambda: _check_transport_invariants(random.Random(SELFTEST_SEED + 1), 200)),
     ("block structure", lambda: _check_block_structure(random.Random(SELFTEST_SEED + 2), 60)),
     ("criterion equivalences", _check_criterion_equivalences),
-    ("determinism", _check_determinism),
+    ("determinism",
+     lambda: _check_determinism(map(builtin_scenario, ("a1xa1", "a2", "three_node")))),
 )
 
 
-def run_selftest(quiet: bool = False) -> bool:
+def run_selftest() -> bool:
     ok = True
     for label, fn in GROUPS:
         try:
             detail = fn()
         except AssertionError as exc:
             ok = False
-            if not quiet:
-                print(f"selftest {label}: FAILED {exc}")
+            print(f"selftest {label}: FAILED {exc}")
         else:
-            if not quiet:
-                print(f"selftest {label}: ok ({detail})")
+            print(f"selftest {label}: ok ({detail})")
     return ok

@@ -293,9 +293,9 @@ def block_consistency_checks(
 
 def block_commutator_checks(bc: blocks.BlockClasses, lam_blk: InteractionMatrix) -> list[EagerCheck]:
     b = bc.decomposition.count
-    block_cfg = CycleConfiguration.from_vectors(bc.classes.space, bc.classes.cycles)
+    block_cfg = CycleConfiguration.from_vectors(bc.classes.space, bc.classes.matrix.entries)
     gram = bc.classes.space.gram
-    ns = [n_matrix(d, apply(gram, d)) for d in bc.classes.cycles]
+    ns = [n_matrix(d, apply(gram, d)) for d in bc.classes.matrix.entries]
     checks = []
     all_zero = True
     for i in range(b):

@@ -70,7 +70,7 @@ def test_separation_holds_on_duplicated_classes():
     space, cfg, part = _four_node_config()
     bc = check_block_separation(cfg, part)
     assert isinstance(bc, BlockClasses)
-    assert bc.classes.cycles == (vector([1, 0]), vector([0, 1]))
+    assert bc.classes.matrix.entries == (vector([1, 0]), vector([0, 1]))
 
 
 def test_separation_violation_names_first_offending_pair():

@@ -424,7 +424,7 @@ def test_raw_grid_agreement_is_value_agreement():
     for _ in range(25):
         cfg = to_package(random_block_scenario(rng, max_nodes=9, max_genus=3)).block_classes.classes
         n, b = cfg.space.dim, cfg.r
-        ns = [reference.n_matrix(d, reference.apply(cfg.space.gram, d)) for d in cfg.cycles]
+        ns = [reference.n_matrix(d, reference.apply(cfg.space.gram, d)) for d in cfg.matrix.entries]
         dense = commutator([transport.pl_operator(cfg, i) for i in range(b)])
         for (i, j), pair in zip(itertools.combinations(range(b), 2), dense):
             want = reference.commutator(ns[i], ns[j])

@@ -100,7 +100,7 @@ def test_assemble_builds_one_operator_per_class(monkeypatch, gram, cycles):
     assert built == []
     transport = pkg.transport
     firsts = {}
-    for i, c in enumerate(pkg.cycles.cycles):
+    for i, c in enumerate(pkg.cycles.matrix.entries):
         firsts.setdefault(c, i)
     assert built == list(firsts.values())
     assert pkg.transport is transport
@@ -269,10 +269,9 @@ def test_verify_path_reads_the_cycle_matrix_in_integers(text):
     pkg = to_package(parse_scenario(text))
     doc = verification_document("t", verify_block_structure(pkg))
     assert doc["overall"] and doc["checks_failed"] == 0
-    assert "cycles" not in pkg.cycles.__dict__
-    assert "entries" not in pkg.cycles.matrix.__dict__
+    assert "entries" not in vars(pkg.cycles.matrix)
     # Each block-class row is read once, as an integer row of C.
-    assert "cycles" not in vars(pkg.block_classes.classes)
+    assert "entries" not in vars(pkg.block_classes.classes.matrix)
 
 
 def test_analyze_path_builds_one_cycle_row_per_class():
@@ -280,5 +279,5 @@ def test_analyze_path_builds_one_cycle_row_per_class():
     scenario = builtin_scenario("quintic_orbits")
     pkg = to_package(scenario)
     analysis_document(pkg, scenario.name)
-    assert "cycles" not in vars(pkg.cycles)
+    assert "entries" not in vars(pkg.cycles.matrix)
     assert [op.delta for op in pkg.transport] == list(pkg.cycles.matrix.num)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightsectors import scenarios
-from lightsectors.linalg import Matrix, parse_rational, rational_parts
+from lightsectors import cli, scenarios
+from lightsectors.linalg import Matrix, format_rational, parse_rational, rational_parts
 from lightsectors.scenarios import (
     BUILTIN_NAMES,
     ScenarioError,
@@ -335,16 +336,89 @@ def test_grid_reader_matches_fraction_path(grids):
     assert s.incidence == Matrix.from_rows(fractions(incidence), cols=len(incidence[0]) if incidence else 0)
     assert s.corrected_class == tuple(fractions([corrected])[0])
 
+    # The serializer writes each drawn token in lowest terms, one by one.
+    def lines(rows):
+        return [" ".join(format_rational(parse_rational(t)) for t in row) for row in rows]
+
+    assert serialize_scenario(s) == "\n".join([
+        "format_version: 1", "name: t", f"dim: {len(gram)}",
+        "gram:", *lines(gram), "cycles:", *lines(cycles), "incidence:", *lines(incidence),
+        "corrected_class: " + lines([corrected])[0],
+    ]) + "\n"
+
+
+def test_serialize_past_the_int_text_limit():
+    """A 4301-digit cycle entry over a denominator it shares a factor with is
+    written as its Decimal digits in lowest terms, with the interpreter's
+    4300-digit limit in force."""
+    num = 6 * (10 ** 4300 + 7)  # 4301 digits
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        half = str(num // 2)
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(num)
+        # The coprime 1 keeps the Matrix over 4, so the cell reduces alone.
+        s = ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
+                         cycles=Matrix(1, 2, ((num, 1),), 4))
+        text = serialize_scenario(s)
+        assert text.splitlines()[6:8] == ["cycles:", f"{half}/2 1/4"]
+        sys.set_int_max_str_digits(0)
+        assert parse_scenario(text) == s
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _two_node(name="t", **fields):
+    return ScenarioFile(name=name, dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
+                        cycles=((1, 0), (0, 1)), **fields)
+
 
 @pytest.mark.parametrize("scenario,field", [
     (ScenarioFile(name="t", dim=0, gram=Matrix.zero(0, 0), cycles=((), ())), "cycles"),
-    (ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
-                  cycles=((1, 0), (0, 1)), incidence=Matrix.zero(2, 0)), "incidence"),
-], ids=["cycles", "incidence"])
+    (_two_node(incidence=Matrix.zero(2, 0)), "incidence"),
+    (_two_node(name="a\nb"), "name"),
+    (_two_node(notes="one\ntwo"), "notes"),
+    (_two_node(name=" x"), "name"),
+    (_two_node(notes=" padded "), "notes"),
+    (_two_node(name=""), "name"),
+], ids=["cycles", "incidence", "name-two-lines", "notes-two-lines", "name-padded",
+        "notes-padded", "name-empty"])
 def test_serialize_rejects_rows_of_no_entries(scenario, field):
-    # A row is a line of entries, so these rows would not read back.
+    # Each of these would not read back: a row is a line of entries, and a
+    # name or notes is the rest of one line, stripped; a name is nonempty.
     with pytest.raises(ValueError, match=f"field '{field}'"):
         serialize_scenario(scenario)
+
+
+def test_serializing_builds_no_fraction_view():
+    s = builtin_scenario("quintic_orbits")
+    serialize_scenario(s)
+    assert not any("entries" in vars(m) for m in (s.gram, s.cycles, s.incidence))
+
+
+# `lightsectors scenario ARGS --emit FILE` for each file the digests name.
+EMITTED = {
+    "a1xa1.scenario": ["a1xa1"],
+    "a2.scenario": ["a2"],
+    "three_node.scenario": ["three_node"],
+    "quintic_orbits.scenario": ["quintic_orbits"],
+    "a2.coupling_2_3.scenario": ["a2", "--coupling", "2/3"],
+    "quintic_orbits.orbits_70_20_15_10_10.scenario":
+        ["quintic_orbits", "--orbits", "70,20,15,10,10"],
+}
+
+
+def test_emitted_scenarios_match_their_digests(tmp_path):
+    """The bytes of each emitted built-in against tests/data (the file
+    `sha256sum -c` reads)."""
+    digests = dict(line.split()[::-1] for line in
+                   (DATA / "builtin_scenarios.sha256").read_text().splitlines())
+    assert digests.keys() == EMITTED.keys()
+    for name, args in EMITTED.items():
+        assert cli.main(["scenario", *args, "--emit", str(tmp_path / name)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
 
 
 def test_serialization_is_canonical():
