@@ -20,7 +20,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    format_rational,
+    format_ratio,
 )
 from .pairing import CycleConfiguration
 from .transport import (
@@ -180,24 +180,28 @@ def verify_block_consistency(
     for b, block in enumerate(part.blocks):
         for k in block:
             owner[k] = b
+    # Both matrices are integer pairings over one denominator each, and
+    # x / dp == y / dq iff x dq == y dp: the comparison builds no Fraction.
+    p, dp, node_class = lam.pairings.num, lam.pairings.den, lam.node_class
+    q, dq, block_class = lam_blk.pairings.num, lam_blk.pairings.den, lam_blk.node_class
     # Node i's entries are fixed by its (class, block) key, and two nodes with
     # one key meet at two zero diagonals: distinct keys decide every i != j.
-    pairings = lam.pairings.entries
-    keys = dict.fromkeys(zip(lam.node_class, owner))
+    keys = dict.fromkeys(zip(node_class, owner))
     total = part.r * (part.r - 1)
-    if all(pairings[c][d] == lam_blk.entry(beta, gamma)
+    if all(p[c][d] * dq == q[block_class[beta]][block_class[gamma]] * dp
            for (c, beta), (d, gamma) in permutations(keys, 2)):
         return VerificationReport(total, ())
     failures = []
     for i, j in product(range(part.r), repeat=2):
-        expected, actual = lam_blk.entry(owner[i], owner[j]), lam.entry(i, j)
-        if i != j and expected != actual:
+        expected = q[block_class[owner[i]]][block_class[owner[j]]]
+        actual = p[node_class[i]][node_class[j]]
+        if i != j and expected * dp != actual * dq:
             tag = " [intra-block]" if owner[i] == owner[j] else ""
             failures.append(
                 Check(
                     name=f"lambda({i + 1},{j + 1}){tag}",
-                    expected=format_rational(expected),
-                    actual=format_rational(actual),
+                    expected=format_ratio(expected, dq),
+                    actual=format_ratio(actual, dp),
                 )
             )
     return VerificationReport(total, tuple(failures))

@@ -22,8 +22,9 @@ and row i of the product is the one sum Σ_k a_ik·P_k, whose w-bit slots are
 the entries.  The slot width w is the bit length of
 max(n·max|a|, 1)·max|b|, which bounds every product entry and every entry
 of B, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes
-past 8.  Every a_ik·b_kj term is still formed, so this is the dense product
-in other arithmetic.
+past 8.  A product multiplies each distinct row of A once, and equal rows
+of A share one result row; for each of those every a_ik·b_kj term is still
+formed, so this is the dense product in other arithmetic.
 
 Pivoting is deterministic (leftmost nonzero in scan order); identical inputs
 produce bit-identical outputs regardless of platform or scheduling.
@@ -243,19 +244,22 @@ _TYPECODES = {array(t).itemsize: t for t in "bhilq"}
 
 
 def _packed_product(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int
+    a: Sequence[tuple[int, ...]], b: Sequence[Sequence[int]], cols: int
 ) -> tuple[tuple[int, ...], ...]:
     """The integer grid a·b, with b n×cols, by Kronecker substitution (see
     the module docstring).
 
-    A row of slots is bytes in native order.  For 1, 2, 4 and 8 bytes an
-    ``array`` packs one and a ``memoryview`` unpacks it in C; wider slots go
-    through ``int.to_bytes`` and ``int.from_bytes`` one slot at a time.
+    Each distinct row of a is multiplied once, and equal rows share one
+    result tuple.  A row of slots is bytes in native order.  For 1, 2, 4 and
+    8 bytes an ``array`` packs one and a ``memoryview`` unpacks it in C;
+    wider slots go through ``int.to_bytes`` and ``int.from_bytes`` one slot
+    at a time.
     """
     if not (a and b and cols):  # no entries, or every entry an empty sum
         return ((0,) * cols,) * len(a)
+    distinct = dict.fromkeys(a)
     # The largest absolute entries, from each row's max and min: no abs() per entry.
-    amax = max(max(map(max, a)), -min(map(min, a)))
+    amax = max(max(map(max, distinct)), -min(map(min, distinct)))
     bmax = max(max(map(max, b)), -min(map(min, b)))
     need = (max(len(b) * amax, 1) * bmax).bit_length() // 8 + 1  # one sign bit
     # Round up to a power of two for an array type; past 8 bytes no type fits.
@@ -276,13 +280,14 @@ def _packed_product(
     # Adding tops lifts every slot into [0, 2^w) with no carry between slots;
     # clearing the top bits again leaves each slot in two's complement.
     data = b"".join([((sum(map(mul, row, packed)) + tops) ^ tops).to_bytes(size, order)
-                     for row in a])
+                     for row in distinct])
     if code:
         values = memoryview(data).cast(code).tolist()
     else:
         values = [int.from_bytes(data[i:i + width], order, signed=True)
                   for i in range(0, len(data), width)]
-    return tuple(zip(*[iter(values)] * cols))
+    products = dict(zip(distinct, zip(*[iter(values)] * cols)))
+    return tuple(map(products.__getitem__, a))
 
 
 def first_skew_violation(m: Matrix) -> tuple[int, int] | None:

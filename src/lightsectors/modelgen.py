@@ -44,8 +44,11 @@ def random_block_scenario(
     owner_of = {node: bi for bi, block in enumerate(blocks) for node in block}
     cycles = tuple(classes[owner_of[k]] for k in range(r))
 
-    indicator_columns = [[1 if k in block else 0 for k in range(r)] for block in blocks]
-    incidence = Matrix.from_columns(indicator_columns, rows=r)
+    # Row k of the indicator incidence is 1 in the column of node k's block.
+    indicator_rows = tuple(
+        tuple(int(owner_of[k] == bi) for bi in range(len(blocks))) for k in range(r)
+    )
+    incidence = Matrix(r, len(blocks), indicator_rows)
     partition = tuple(tuple(k + 1 for k in block) for block in blocks)
 
     corrected = None

@@ -109,10 +109,14 @@ class CycleConfiguration:
     @cached_property
     def gram_images(self) -> tuple[tuple[int, ...], ...]:
         """Row i is g c_i for C over dc and G over dg, so G delta_i is row i
-        over dg dc.  Only the closed form reads it; pl_operator forms its own
-        weights, so the two commutator routes stay independent."""
+        over dg dc.  Each distinct row of C is multiplied once, and equal rows
+        share one image.  The interaction matrix and the closed form read it;
+        pl_operator forms its own weights, so the two commutator routes stay
+        independent."""
         gram = self.space.gram.num
-        return tuple(tuple(sum(map(mul, row, c)) for row in gram) for c in self.matrix.num)
+        images = {c: tuple(sum(map(mul, row, c)) for row in gram)
+                  for c in dict.fromkeys(self.matrix.num)}
+        return tuple(map(images.__getitem__, self.matrix.num))
 
     @property
     def r(self) -> int:

@@ -267,10 +267,20 @@ def _scalar_line(field: str, text: str) -> str:
 
 def serialize_scenario(s: ScenarioFile) -> str:
     """Canonical text form; parse_scenario(serialize_scenario(s)) == s.  A
-    ValueError names a field that would not read back: a grid whose rows have
-    no entries, an empty name, or a name or notes not one stripped line."""
+    ValueError names a field that would not read back: a format_version
+    other than FORMAT_VERSION, a grid whose rows have no entries, an empty
+    name, a name or notes not one stripped line, a partition with an empty
+    block, or a corrected_class whose length is not r."""
+    if s.format_version != FORMAT_VERSION:
+        raise ValueError(f"cannot serialize field 'format_version': {s.format_version!r} "
+                         f"is not {FORMAT_VERSION}")
     if not s.name:
         raise ValueError("cannot serialize field 'name': it is empty")
+    if s.partition is not None and not all(s.partition):
+        raise ValueError("cannot serialize field 'partition': it has an empty block")
+    if s.corrected_class is not None and len(s.corrected_class) != s.r:
+        raise ValueError(f"cannot serialize field 'corrected_class': "
+                         f"{len(s.corrected_class)} entries for {s.r} nodes")
     lines = [
         f"format_version: {s.format_version}",
         _scalar_line("name", s.name),
@@ -391,20 +401,21 @@ def builtin_scenario(
         r = sum(sizes)
         cycles = []
         partition = []
+        # Row k of the indicator incidence is the unit row of node k's orbit.
+        units = [tuple(int(beta == gamma) for gamma in range(b)) for beta in range(b)]
+        indicator_rows = []
         node = 1
         for beta, size in enumerate(sizes):
             cycles.extend([classes[beta]] * size)
+            indicator_rows.extend([units[beta]] * size)
             partition.append(tuple(range(node, node + size)))
             node += size
-        indicator_columns = [
-            [1 if k + 1 in block else 0 for k in range(r)] for block in partition
-        ]
         return ScenarioFile(
             name="quintic_orbits",
             dim=2,
             gram=standard_symplectic(1).gram,
             cycles=tuple(cycles),
-            incidence=Matrix.from_columns(indicator_columns, rows=r),
+            incidence=Matrix(r, b, tuple(indicator_rows)),
             partition=tuple(partition),
             notes=(
                 f"125-node symmetry-orbit model, {b} orbits of sizes "

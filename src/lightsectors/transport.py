@@ -11,7 +11,8 @@ collects the pairwise cycle pairings lambda_ij = <delta_i, delta_j>; its
 off-diagonal vanishing is exactly pairwise commutativity of the transports.
 It is stored in class form: the k x k pairings of the distinct cycle classes
 and each node's class, so lambda_ij = mu_(B(i) B(j)) and its work scales
-with the classes, not with r^2.
+with the classes, not with r^2; each mu is a dot product of a class row with
+its configuration's gram_images, so no matrix product runs for it.
 
 The commutators N_i N_j - N_j N_i of a family of b operators come from one
 dense product, commutator(ops), for every pair i < j in row-major order; it
@@ -146,15 +147,19 @@ def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     """Matrix of pairings <delta_i, delta_j> over all cycle pairs, in class form.
 
     Over one common denominator, equal cycles have equal integer rows, so the
-    distinct rows are the classes and the pairings are C G C^T over them.
-    Classes are numbered in order of first occurrence: one form per
-    configuration.
+    distinct rows are the classes and the pairings are C G C^T over them:
+    with C over dc and G over dg, mu_cd is the dot product c_c . (g c_d) of
+    a class row and a row of cfg.gram_images, over dc^2 dg.  No matrix
+    product runs.  Classes are numbered in order of first occurrence: one
+    form per configuration.
     """
     c = cfg.matrix
-    slot = {row: s for s, row in enumerate(dict.fromkeys(c.num))}
-    classes = Matrix(len(slot), c.cols, tuple(slot), c.den)
-    pairings = classes @ cfg.space.gram @ classes.transpose()
-    return InteractionMatrix(pairings, tuple(slot[row] for row in c.num))
+    # Keys in order of first occurrence; equal rows have equal images.
+    images = dict(zip(c.num, cfg.gram_images))
+    grid = tuple(tuple(sum(map(mul, row, image)) for image in images.values()) for row in images)
+    pairings = Matrix(len(images), len(images), grid, c.den * c.den * cfg.space.gram.den)
+    slot = {row: s for s, row in enumerate(images)}
+    return InteractionMatrix(pairings, tuple(map(slot.__getitem__, c.num)))
 
 
 def commutator(ops: Sequence[TransportOperator]) -> list[tuple[Grid, int]]:
@@ -197,7 +202,8 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
 
     Column k is <e_k, delta_b> lambda_ba delta_a - <e_k, delta_a> lambda_ab delta_b
     with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and of
-    cfg.gram_images (the rows g c_i, formed once per configuration),
+    cfg.gram_images (the rows g c_i, formed once per configuration and shared
+    with its interaction matrix),
     independent of pl_operator and of the dense matrix product, so the two
     routes can cross-check each other.
     """

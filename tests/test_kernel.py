@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors import blocks, cli, linalg, transport
+from lightsectors import blocks, cli, linalg, pairing, transport
 from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, Subspace, cleared,
                                  column_space, first_skew_violation, format_ratio,
                                  format_rational, kernel, rref, vector)
@@ -275,6 +275,35 @@ def test_matmul_matches_reference(data):
 
 @kernel_settings
 @given(data=st.data())
+def test_matmul_with_repeated_and_zero_left_rows_matches_reference(data):
+    """Each distinct left row is multiplied once; a left operand whose rows
+    repeat a few distinct ones, zero rows among them, as the stacked
+    commutator's does, gives the reference product exactly, and equal left
+    rows share one result row."""
+    b = data.draw(matrices(max_dim=6))
+    pool = data.draw(st.lists(st.lists(entries, min_size=b.rows, max_size=b.rows),
+                              min_size=1, max_size=3)) + [[Fraction(0)] * b.rows]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9))
+    a = Matrix.from_rows([pool[k] for k in picks], cols=b.rows)
+    assert_same_matrix(a @ b, reference.matmul(a, b))
+    first = {}
+    for row, out in zip(a.num, linalg._packed_product(a.num, b.num, b.cols)):
+        assert first.setdefault(row, out) is out
+
+
+def test_product_multiplies_each_distinct_left_row_once(monkeypatch):
+    a = Matrix(4, 2, ((1, 2), (0, 0), (1, 2), (0, 0)))
+    b = Matrix(2, 3, ((1, 0, -1), (2, 5, 7)))
+    terms = []
+    monkeypatch.setattr(linalg, "mul", lambda x, y: terms.append(1) or x * y)
+    got = a @ b
+    assert len(terms) == 2 * 2  # two distinct rows of two terms each
+    assert got.num == ((5, 10, 13), (0, 0, 0)) * 2
+    assert got.num[0] is got.num[2] and got.num[1] is got.num[3]
+
+
+@kernel_settings
+@given(data=st.data())
 def test_add_sub_neg_transpose_match_reference(data):
     a = data.draw(matrices())
     b = data.draw(matrices(rows=a.rows, cols=a.cols))
@@ -359,6 +388,32 @@ def test_interaction_matrix_matches_reference(data):
     for i, j in itertools.combinations(range(len(cycles)), 2):
         assert (lam.node_class[i] == lam.node_class[j]) == (cycles[i] == cycles[j])
     assert list(dict.fromkeys(lam.node_class)) == list(range(lam.pairings.rows))
+
+
+past_10_30 = st.builds(lambda n, d, sign: Fraction(sign * (10 ** 30 + n), d),
+                      st.integers(0, 10 ** 40), st.sampled_from((1,) + PRIMES),
+                      st.sampled_from((1, -1)))
+
+
+@kernel_settings
+@given(data=st.data())
+def test_interaction_matrix_is_the_reference_c_g_ct(data):
+    """The class pairings are dot products of class rows with their Gram
+    images, formed once per distinct row; node by node they are the Fraction
+    product C G C^T, on cycles that repeat, over several denominators and
+    with entries past 10^30."""
+    space = data.draw(coupled_spaces())
+    cells = st.one_of(entries, past_10_30)
+    pool = data.draw(st.lists(st.lists(cells, min_size=space.dim, max_size=space.dim),
+                              min_size=1, max_size=3)) + [[Fraction(0)] * space.dim]
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9))
+    cfg = CycleConfiguration.from_vectors(space, [pool[k] for k in picks])
+    c = cfg.matrix
+    want = reference.matmul(reference.matmul(c, space.gram), reference.transpose(c))
+    assert_same_matrix(interaction_matrix(cfg).entries, want)
+    # Equal rows of C share one Gram image.
+    images = dict(zip(c.num, cfg.gram_images))
+    assert all(image is images[row] for row, image in zip(c.num, cfg.gram_images))
 
 
 @st.composite
@@ -565,6 +620,17 @@ def test_gram_images_are_formed_once_per_configuration(data):
     for i, j in itertools.permutations(range(3), 2):
         commutator_closed_form(cfg, i, j)
     assert cfg.gram_images is images
+
+
+def test_gram_images_multiply_each_distinct_row_once(monkeypatch):
+    cfg = CycleConfiguration.from_vectors(
+        standard_symplectic(2), [(1, 0, 2, 0), (0, 1, 0, 0), (1, 0, 2, 0), (1, 0, 2, 0)])
+    terms = []
+    monkeypatch.setattr(pairing, "mul", lambda x, y: terms.append(1) or x * y)
+    images = cfg.gram_images
+    assert len(terms) == 2 * 4 * 4  # two distinct rows, a 4x4 Gram grid
+    assert images == ((0, -1, 0, -2), (1, 0, 0, 0)) + ((0, -1, 0, -2),) * 2
+    assert images[0] is images[2] is images[3]
 
 
 @kernel_settings

@@ -274,6 +274,20 @@ def test_verify_path_reads_the_cycle_matrix_in_integers(text):
     assert "entries" not in vars(pkg.block_classes.classes.matrix)
 
 
+@pytest.mark.parametrize("scenario", [
+    parse_scenario((DATA / "four_node_blocks.scenario").read_text()),
+    builtin_scenario("quintic_orbits"),
+    *(random_block_scenario(random.Random(seed)) for seed in range(8)),
+], ids=["four_node_blocks", "quintic_orbits", *(f"random-{seed}" for seed in range(8))])
+def test_passing_verify_compares_the_pairings_in_integers(scenario):
+    """The nodewise and reduced pairings are compared over their two
+    denominators by cross-multiplying: no Fraction view of either."""
+    pkg = to_package(scenario)
+    assert verify_block_structure(pkg).overall
+    assert "entries" not in vars(pkg.interaction.pairings)
+    assert "entries" not in vars(pkg.reduced.pairings)
+
+
 def test_analyze_path_builds_one_cycle_row_per_class():
     """pl_operator reads row i of C; the r x dim Fraction view is never built."""
     scenario = builtin_scenario("quintic_orbits")

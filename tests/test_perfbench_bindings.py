@@ -49,3 +49,18 @@ def test_tracer_sees_the_counted_and_traced_calls():
         assert any(name == "linalg.matmul" and parent >= 0
                    and tracer.spans[parent][0] == "transport.commutator"
                    for name, _, _, parent, _ in tracer.spans)
+
+
+def test_verify_makes_one_counted_product_under_the_commutator():
+    """The interaction matrices are dot products with the shared Gram images,
+    so the verify path's one matrix product is the dense commutator's."""
+    texts = [(DATA / "four_node_blocks.scenario").read_text(),
+             scenarios.serialize_scenario(scenarios.builtin_scenario("quintic_orbits"))]
+    for text in texts:
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            pkg = scenarios.to_package(scenarios.parse_scenario(text))
+            assert package.verify_block_structure(pkg).overall
+        assert tracer.counts["linalg.matmul.calls"] == 1
+        products = [parent for name, _, _, parent, _ in tracer.spans if name == "linalg.matmul"]
+        assert [tracer.spans[p][0] for p in products] == ["transport.commutator"]

@@ -383,13 +383,32 @@ def _two_node(name="t", **fields):
     (_two_node(name=" x"), "name"),
     (_two_node(notes=" padded "), "notes"),
     (_two_node(name=""), "name"),
+    (_two_node(partition=((1,), (), (2,))), "partition"),
+    (_two_node(corrected_class=(Fraction(1),)), "corrected_class"),
+    (_two_node(format_version=2), "format_version"),
 ], ids=["cycles", "incidence", "name-two-lines", "notes-two-lines", "name-padded",
-        "notes-padded", "name-empty"])
+        "notes-padded", "name-empty", "partition-empty-block", "corrected-class-short",
+        "format-version-2"])
 def test_serialize_rejects_rows_of_no_entries(scenario, field):
     # Each of these would not read back: a row is a line of entries, and a
     # name or notes is the rest of one line, stripped; a name is nonempty.
+    # An empty block is a blank line, which reading skips; reading rejects a
+    # corrected class of another length than r, and any other version.
     with pytest.raises(ValueError, match=f"field '{field}'"):
         serialize_scenario(scenario)
+
+
+def test_indicator_incidences_are_built_from_int_rows(monkeypatch):
+    """quintic_orbits and modelgen write the 0/1 incidence as integer rows,
+    not through from_columns, which makes a Fraction of every cell."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("indicator incidence built through from_columns")
+
+    monkeypatch.setattr(Matrix, "from_columns", refuse)
+    s = builtin_scenario("quintic_orbits", orbit_sizes=(70, 20, 15, 10, 10))
+    assert s.incidence.num[69:71] == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
+    m = random_block_scenario(random.Random(3)).incidence
+    assert all(sorted(row) == [0] * (m.cols - 1) + [1] for row in m.num)
 
 
 def test_serializing_builds_no_fraction_view():

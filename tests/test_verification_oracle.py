@@ -24,7 +24,7 @@ from lightsectors.atoms import atom_splitting
 from lightsectors.linalg import Matrix
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.package import LightSectorPackage, verify_block_structure
-from lightsectors.scenarios import to_package
+from lightsectors.scenarios import builtin_scenario, to_package
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
 from lightsectors.transport import InteractionMatrix, interaction_matrix
 
@@ -178,3 +178,16 @@ def test_shared_row_checked_against_each_block():
         report = blocks.verify_block_consistency(lam, bc, lam_blk)
         assert_same_record(report, reference.block_consistency_checks(lam, bc, lam_blk))
         assert [f.name for f in report.failures] == names
+
+
+def test_reduced_numerators_over_another_denominator_fail():
+    """The pairings compare over their two denominators: the clean reduced
+    numerators over three times the denominator are other values, and every
+    nonzero inter-block pair fails, as the reference records it."""
+    pkg = to_package(builtin_scenario("quintic_orbits"))
+    lam, bc, p = pkg.interaction, pkg.block_classes, pkg.reduced.pairings
+    scaled = InteractionMatrix(Matrix(p.rows, p.cols, p.num, 3 * p.den), pkg.reduced.node_class)
+    assert scaled.pairings.num == p.num and not p.is_zero()
+    report = blocks.verify_block_consistency(lam, bc, scaled)
+    assert not report.overall
+    assert_same_record(report, reference.block_consistency_checks(lam, bc, scaled))
