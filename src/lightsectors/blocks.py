@@ -114,7 +114,9 @@ def check_block_separation(
 
     Returns the common class per block on success, or the first offending
     block and node pair on failure.  Equality is exact vector equality, not
-    proportionality, and compares the integer rows of C.
+    proportionality, and compares the integer rows of C.  The classes share
+    cfg's Gram images (CycleConfiguration.select), so the nodewise and the
+    reduced pairings and the closed form read one set of images.
     """
     if part.r != cfg.r:
         raise DimensionMismatchError(
@@ -125,8 +127,7 @@ def check_block_separation(
         for k in block[1:]:
             if c.num[k] != c.num[block[0]]:
                 return BlockSeparationViolation(b, block[0], k)
-    classes = Matrix(part.count, c.cols, tuple(c.num[block[0]] for block in part.blocks), c.den)
-    return BlockClasses(part, CycleConfiguration(cfg.space, classes))
+    return BlockClasses(part, cfg.select([block[0] for block in part.blocks]))
 
 
 def reduced_matrix(bc: BlockClasses) -> InteractionMatrix:

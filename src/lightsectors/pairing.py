@@ -110,13 +110,29 @@ class CycleConfiguration:
     def gram_images(self) -> tuple[tuple[int, ...], ...]:
         """Row i is g c_i for C over dc and G over dg, so G delta_i is row i
         over dg dc.  Each distinct row of C is multiplied once, and equal rows
-        share one image.  The interaction matrix and the closed form read it;
-        pl_operator forms its own weights, so the two commutator routes stay
-        independent."""
+        share one image.  The interaction matrix and the closed form read it,
+        and select passes it on; pl_operator forms its own weights, so the two
+        commutator routes stay independent."""
         gram = self.space.gram.num
         images = {c: tuple(sum(map(mul, row, c)) for row in gram)
                   for c in dict.fromkeys(self.matrix.num)}
         return tuple(map(images.__getitem__, self.matrix.num))
+
+    def select(self, nodes: Sequence[int]) -> "CycleConfiguration":
+        """The configuration of the cycles at nodes (0-based), in that order,
+        whose gram_images are taken from this one's, not formed again.  The
+        selected rows over dc reduce to lowest terms by g = gcd(dc, their
+        entries), so each image, linear in its row, divides exactly by g."""
+        c = self.matrix
+        sub = CycleConfiguration(
+            self.space, Matrix(len(nodes), c.cols, tuple(c.num[k] for k in nodes), c.den))
+        images = [self.gram_images[k] for k in nodes]
+        g = c.den // sub.matrix.den
+        if g != 1:
+            scaled = {im: tuple(x // g for x in im) for im in images}
+            images = map(scaled.__getitem__, images)
+        vars(sub)["gram_images"] = tuple(images)  # seeds the cached_property
+        return sub
 
     @property
     def r(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Sequence
 
@@ -97,22 +98,30 @@ def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None
     """The (line, text) rows of a rational grid as one Matrix over the lcm of
     its denominators.  Each row must have width entries, or with no width as
     many as the first row; an error names the row's line and the field.
+
+    Each distinct row text is read once, at its first line, so a read error
+    names the line it would name if every line were read; the width check
+    runs on every line.  Equal texts share one integer row.
     """
-    grid, ragged = [], width is None
+    read: dict[str, tuple[tuple[int, ...], int]] = {}
+    ragged = width is None
     for ln, text in rows:
-        try:
-            row, d = _read_row(text)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), line=ln, field=field) from exc
+        got = read.get(text)
+        if got is None:
+            try:
+                got = read[text] = _read_row(text)
+            except ValueError as exc:
+                raise ScenarioError(str(exc), line=ln, field=field) from exc
+        n = len(got[0])
         if width is None:
-            width = len(row)
-        elif len(row) != width:
-            what = f"{_ROW_NAMES.get(field, field)} has {len(row)} entries, expected {width}"
+            width = n
+        elif n != width:
+            what = f"{_ROW_NAMES.get(field, field)} has {n} entries, expected {width}"
             raise ScenarioError(f"ragged {field} rows" if ragged else what, line=ln, field=field)
-        grid.append((row, d))
-    den = lcm(*(d for _, d in grid))
-    num = tuple(row if d == den else tuple(x * (den // d) for x in row) for row, d in grid)
-    return Matrix(len(grid), width or 0, num, den)
+    den = lcm(*(d for _, d in read.values()))
+    scaled = {text: row if d == den else tuple(x * (den // d) for x in row)
+              for text, (row, d) in read.items()}
+    return Matrix(len(rows), width or 0, tuple(scaled[text] for _, text in rows), den)
 
 
 def _uint(text: str, line: int, field: str, what: str) -> int:
@@ -270,14 +279,22 @@ def serialize_scenario(s: ScenarioFile) -> str:
     ValueError names a field that would not read back: a format_version
     other than FORMAT_VERSION, a grid whose rows have no entries, an empty
     name, a name or notes not one stripped line, a partition with an empty
-    block, or a corrected_class whose length is not r."""
+    block, with blocks or members out of sorted order, or not naming each
+    node of 1..r exactly once, or a corrected_class whose length is not r."""
     if s.format_version != FORMAT_VERSION:
         raise ValueError(f"cannot serialize field 'format_version': {s.format_version!r} "
                          f"is not {FORMAT_VERSION}")
     if not s.name:
         raise ValueError("cannot serialize field 'name': it is empty")
-    if s.partition is not None and not all(s.partition):
-        raise ValueError("cannot serialize field 'partition': it has an empty block")
+    if s.partition is not None:
+        if not all(s.partition):
+            raise ValueError("cannot serialize field 'partition': it has an empty block")
+        if s.partition != tuple(sorted(tuple(sorted(block)) for block in s.partition)):
+            raise ValueError("cannot serialize field 'partition': its blocks or their "
+                             "members are not in sorted order")
+        if sorted(chain.from_iterable(s.partition)) != list(range(1, s.r + 1)):
+            raise ValueError(f"cannot serialize field 'partition': it does not name "
+                             f"each node of 1..{s.r} exactly once")
     if s.corrected_class is not None and len(s.corrected_class) != s.r:
         raise ValueError(f"cannot serialize field 'corrected_class': "
                          f"{len(s.corrected_class)} entries for {s.r} nodes")

@@ -202,10 +202,9 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
 
     Column k is <e_k, delta_b> lambda_ba delta_a - <e_k, delta_a> lambda_ab delta_b
     with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and of
-    cfg.gram_images (the rows g c_i, formed once per configuration and shared
-    with its interaction matrix),
-    independent of pl_operator and of the dense matrix product, so the two
-    routes can cross-check each other.
+    cfg.gram_images (the rows g c_i, formed once per package and shared with
+    the interaction matrices), independent of pl_operator and of the dense
+    matrix product, so the two routes can cross-check each other.
     """
     if not (0 <= a < cfg.r and 0 <= b < cfg.r):
         raise IndexError(f"node indices {a}, {b} out of range for {cfg.r} nodes")

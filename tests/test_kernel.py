@@ -633,6 +633,44 @@ def test_gram_images_multiply_each_distinct_row_once(monkeypatch):
     assert images[0] is images[2] is images[3]
 
 
+def test_block_classes_share_the_nodewise_gram_images(monkeypatch):
+    """On seeded modelgen draws the block classes' images, taken from the
+    nodewise ones, equal those of a freshly formed configuration of the
+    classes, and forming them multiplies nothing more.  Every row of C is
+    some block's class, so the classes keep C's denominator; the selection
+    that reduces is the next test's."""
+    for seed in range(30):
+        pkg = to_package(random_block_scenario(random.Random(seed)))
+        pkg.cycles.gram_images
+        terms = []
+        with monkeypatch.context() as m:
+            m.setattr(pairing, "mul", lambda x, y: terms.append(1) or x * y)
+            classes = pkg.block_classes.classes
+            images = classes.gram_images
+        assert not terms, seed
+        assert classes.matrix.den == pkg.cycles.matrix.den, seed
+        fresh = CycleConfiguration(classes.space, classes.matrix)
+        assert images == fresh.gram_images, seed
+        nodes = [block[0] for block in pkg.partition.blocks]
+        assert all(images[b] is pkg.cycles.gram_images[k] for b, k in enumerate(nodes)), seed
+
+
+def test_selected_images_divide_by_the_reduced_denominator():
+    """Rows 1/2 e1 and e3 over 2 are (1,0,0,0) and (0,0,2,0); selecting the
+    second alone reduces it to (0,0,1,0) over 1, and its image by 2."""
+    cfg = CycleConfiguration.from_vectors(
+        standard_symplectic(2), [("1/2", 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0), ("1/2", 0, 0, 0)])
+    assert cfg.matrix.den == 2
+    for nodes in ([1], [2, 1], [1, 0, 3], []):
+        sub = cfg.select(nodes)
+        fresh = CycleConfiguration(sub.space, sub.matrix)
+        assert sub.matrix == Matrix.from_rows([cfg.matrix.entries[k] for k in nodes], cols=4)
+        assert sub.gram_images == fresh.gram_images, nodes
+    assert cfg.select([1]).matrix.den == 1 and cfg.select([1]).gram_images == ((0, 0, 0, -1),)
+    shared = cfg.select([2, 1]).gram_images
+    assert shared[0] is shared[1]
+
+
 @kernel_settings
 @given(data=st.data())
 def test_closed_form_matches_reference(data):

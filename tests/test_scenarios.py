@@ -218,6 +218,13 @@ _TOKEN_FAULTS = [
                      "expected 3 gram rows, found 2", id="gram-rows-for-another-dim"),
         pytest.param(_minimal_text(cycles="1 0\n0"), 9, "cycles",
                      "cycle row has 1 entries, expected 2", id="cycles-short-row"),
+        # A repeated row is read once, and its first line is named.
+        pytest.param(_minimal_text(cycles="1 1/0\n0 1\n1 1/0"), 8, "cycles",
+                     "zero denominator in rational '1/0'", id="cycles-bad-token-twice"),
+        pytest.param(_minimal_text(cycles="1 0\n0\n1 0\n0"), 9, "cycles",
+                     "cycle row has 1 entries, expected 2", id="cycles-short-row-twice"),
+        pytest.param(_minimal_text() + "incidence:\n1 0\n1\n1 0\n1\n", 12, "incidence",
+                     "ragged incidence rows", id="incidence-ragged-twice"),
         pytest.param(_minimal_text() + "incidence:\n1 0\n1\n", 12, "incidence",
                      "ragged incidence rows", id="incidence-ragged"),
         pytest.param(_minimal_text() + "corrected_class: 1\n", 10, "corrected_class",
@@ -386,14 +393,22 @@ def _two_node(name="t", **fields):
     (_two_node(partition=((1,), (), (2,))), "partition"),
     (_two_node(corrected_class=(Fraction(1),)), "corrected_class"),
     (_two_node(format_version=2), "format_version"),
+    (_two_node(partition=((2,), (1,))), "partition"),
+    (_two_node(partition=((2, 1),)), "partition"),
+    (_two_node(partition=((1,), (2, 3))), "partition"),
+    (_two_node(partition=((1,), (1, 2))), "partition"),
+    (_two_node(partition=((1,),)), "partition"),
 ], ids=["cycles", "incidence", "name-two-lines", "notes-two-lines", "name-padded",
         "notes-padded", "name-empty", "partition-empty-block", "corrected-class-short",
-        "format-version-2"])
+        "format-version-2", "partition-blocks-unsorted", "partition-members-unsorted",
+        "partition-node-out-of-range", "partition-node-twice", "partition-node-missing"])
 def test_serialize_rejects_rows_of_no_entries(scenario, field):
     # Each of these would not read back: a row is a line of entries, and a
     # name or notes is the rest of one line, stripped; a name is nonempty.
     # An empty block is a blank line, which reading skips; reading rejects a
     # corrected class of another length than r, and any other version.
+    # Reading sorts a partition's blocks and members, and rejects one that
+    # does not name each node of 1..r exactly once.
     with pytest.raises(ValueError, match=f"field '{field}'"):
         serialize_scenario(scenario)
 
@@ -501,14 +516,19 @@ separators = st.one_of(st.just(" "), st.sampled_from(WHITESPACE), st.sampled_fro
 
 @st.composite
 def grid_rows(draw):
-    rows = []
-    for ln in range(1, draw(st.integers(1, 4)) + 1):
+    """Rows of drawn tokens and separators; a row may repeat an earlier row's
+    text, so that a bad token or a ragged row can occur twice."""
+    texts = []
+    for _ in range(draw(st.integers(1, 5))):
+        if texts and draw(st.booleans()):
+            texts.append(draw(st.sampled_from(texts)))
+            continue
         tokens = draw(st.lists(grid_tokens, max_size=5))
         text = "".join(tok + draw(separators) for tok in tokens[:-1]) + "".join(tokens[-1:])
         if draw(st.booleans()):
             text = draw(st.sampled_from(WHITESPACE)) + text + draw(st.sampled_from(WHITESPACE))
-        rows.append((ln, text))
-    return rows
+        texts.append(text)
+    return list(enumerate(texts, start=1))
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -518,6 +538,12 @@ def test_grid_reader_matches_per_token_reader(rows, field, width):
     """The same Matrix, or the same ScenarioError message, line and field."""
     fast, slow = _read_both(rows, field, width)
     assert fast == slow
+
+
+def test_equal_row_texts_share_one_integer_row():
+    cycles = parse_scenario(_minimal_text(cycles="1/2 1\n0 1\n1/2 1\n0 1")).cycles
+    assert cycles == Matrix.from_rows([["1/2", 1], [0, 1], ["1/2", 1], [0, 1]])
+    assert cycles.num[0] is cycles.num[2] and cycles.num[1] is cycles.num[3]
 
 
 def test_integer_row_pattern_splits_where_split_does():
