@@ -7,9 +7,13 @@ json.dumps writes with an indent of 2 and sorted keys, plus a newline.  A
 small writer produces them without the standard library's pure-Python
 indent encoder, and writes each O(r^2) section whole: a list of plain-int
 rows (mixing_edges, the blocks) through one %d row template per width,
-filled at once, and a list of string rows (the interaction matrices, the
-realized basis) one distinct row at a time, each row written once however
-often it repeats.  Nothing is memoized across sections or calls.
+repeated whole when every row has one width, filled at once and added to
+the output as its own piece, and a list of string rows (the interaction
+matrices, the realized basis) one distinct row at a time, each row written
+once however often it repeats.  Nothing is memoized across sections or calls.
+The document's mixing_edges rows are written in one pass from the atom
+report's per-class runs (AtomSplittingReport.edge_rows), the only place an
+analysis builds the edges; the verify path builds none.
 The text format renders the same data section by section: extension side,
 transport side, atom side, blocks.  All node and block indices in documents
 and text are 1-based; rationals appear in canonical lowest-terms form.
@@ -150,7 +154,7 @@ def analysis_document(pkg: LightSectorPackage, scenario_name: str) -> ReportDocu
         },
         "atom": {
             "verdict": c.atom_side.value,
-            "mixing_edges": [[i + 1, j + 1] for i, j in pkg.atom.mixing_edges],
+            "mixing_edges": pkg.atom.edge_rows(1),
             "mixing_clusters": _one_based(pkg.atom.clusters),
         },
         "blocks": {
@@ -353,9 +357,13 @@ def _int_rows(rows: list[list], indent: str) -> str | None:
     head, cell_sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + indent + "]"
     # One %d row template per width, filled for the whole section at once;
     # %d of a plain int is its str.
-    lens = list(map(len, rows))
-    template = {w: head + cell_sep.join(["%d"] * w) + tail for w in set(lens)}
-    return (",\n" + indent).join(map(template.__getitem__, lens)) % cells
+    row_sep = ",\n" + indent
+    widths = set(map(len, rows))
+    template = {w: head + cell_sep.join(["%d"] * w) + tail for w in widths}
+    if len(widths) == 1:  # one width: repeat its template, with no lookup per row
+        (row,) = template.values()
+        return row_sep.join([row] * len(rows)) % cells
+    return row_sep.join(map(template.__getitem__, map(len, rows))) % cells
 
 
 def _str_rows(rows: list[list], indent: str) -> str | None:
@@ -383,7 +391,9 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
     list of non-empty lists is written whole when every cell has one type:
     rows of plain ints through one %d row template per width, filled from
     the flattened cells in one step, and rows of plain strs one distinct
-    row at a time, each written once and reused wherever it repeats.  Any
+    row at a time, each written once and reused wherever it repeats.  A
+    list written whole goes to out as three pieces, so its body is not
+    copied into a bracketed string.  Any
     other list, a bool, float or None cell, or an unhashable cell among strs
     goes item by item.  A plain int is its str, as json writes it; every
     other scalar and every key goes through the library's encoder.
@@ -415,7 +425,7 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
             write_rows = _str_rows if type(obj[0][0]) is str else _int_rows
             body = write_rows(obj, inner)
         if body is not None:
-            out.append("[\n" + inner + body + "\n" + indent + "]")
+            out += ("[\n" + inner, body, "\n" + indent + "]")
             return
         out.append("[\n" + inner)
         _write_json(obj[0], inner, out)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from typing import Sequence
@@ -76,6 +77,12 @@ class ScenarioFile:
     @property
     def r(self) -> int:
         return self.cycles.rows
+
+    @cached_property
+    def space(self) -> PairingSpace:
+        """The pairing space of gram, checked once: parse_scenario seeds it
+        with the space it checked, and a hand-built file checks on first read."""
+        return PairingSpace(self.gram)
 
 
 def _read_row(text: str) -> tuple[tuple[int, ...], int]:
@@ -149,7 +156,8 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _FIELD_LINE.match(line)
+        # A field line holds a ':', a grid row never does.
+        m = _FIELD_LINE.match(line) if ":" in line else None
         if m:
             key, rest = m.group(1), m.group(2).strip()
             skipping_unknown = False
@@ -203,7 +211,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
                             line=headers["gram"], field="gram")
     gram = _read_grid(grids["gram"], "gram", dim)
     try:
-        PairingSpace(gram)
+        space = PairingSpace(gram)
     except NotSkewSymmetricError as exc:
         raise ScenarioError(str(exc), line=grids["gram"][exc.i][0], field="gram") from exc
 
@@ -249,7 +257,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     if "notes" in scalars:
         notes = scalars["notes"][1]
 
-    return ScenarioFile(
+    scenario = ScenarioFile(
         name=name,
         dim=dim,
         gram=gram,
@@ -259,6 +267,8 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         corrected_class=corrected_class,
         notes=notes,
     )
+    vars(scenario)["space"] = space  # seeds the cached_property
+    return scenario
 
 
 def _grid_lines(field: str, m: Matrix) -> list[str]:
@@ -326,8 +336,7 @@ def to_package(s: ScenarioFile) -> LightSectorPackage:
         partition = BlockDecomposition.from_blocks(
             s.r, [[k - 1 for k in block] for block in s.partition]
         )
-    space = PairingSpace(s.gram)
-    return assemble(space, CycleConfiguration(space, s.cycles), incidence=s.incidence,
+    return assemble(s.space, CycleConfiguration(s.space, s.cycles), incidence=s.incidence,
                     partition=partition, corrected_class=s.corrected_class)
 
 

@@ -114,7 +114,8 @@ def _check_criterion_equivalences() -> str:
             brute = not any(any(map(any, grid)) for grid, _ in commutator(ops))
             report = atom_splitting(lam)
             singles = all(len(c) == 1 for c in report.clusters)
-            assert commutes_all(lam) == brute == report.is_split == singles
+            no_edges = not report.mixing_edges
+            assert commutes_all(lam) == brute == report.is_split == singles == no_edges
             count += 1
     return f"{count} pool configurations, all criteria equivalent"
 

@@ -10,7 +10,9 @@ Fraction elimination the package ran before it eliminated on integer rows;
 a subspace here is its canonical basis, a tuple of Fraction vectors.
 
 ``dense_grid``, ``commutes_all`` and ``atom_splitting`` read an interaction
-matrix one node entry at a time, so they do not depend on its class form.
+matrix one node entry at a time, so they do not depend on its class form;
+the report ``atom_splitting`` returns holds the edges it found, so comparing
+a package report with it compares the package's expanded edges with them.
 
 The ``*_checks`` functions are the verification builders the package used
 before its reports kept only a count and their failures: they record every
@@ -254,7 +256,16 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
     for k in range(lam.r):
         groups.setdefault(find(k), []).append(k)
     clusters = tuple(tuple(groups[root]) for root in sorted(groups))
-    return AtomSplittingReport(lam.r, not edges, tuple(edges), clusters)
+    # One class per node, each run its node's neighbours in ascending order.
+    partners: list[list[int]] = [[] for _ in range(lam.r)]
+    for i, j in edges:
+        partners[i].append(j)
+        partners[j].append(i)
+    report = AtomSplittingReport(lam.r, not edges, clusters, tuple(range(lam.r)),
+                                 tuple(map(tuple, partners)))
+    # The expected edges are the ones found here, not expanded from the runs.
+    vars(report)["mixing_edges"] = tuple(edges)
+    return report
 
 
 class EagerCheck(NamedTuple):

@@ -1,13 +1,14 @@
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors.linalg import Matrix
+from lightsectors.linalg import InvariantError, Matrix
 from lightsectors.pairing import CycleConfiguration, PairingSpace, standard_symplectic
 from lightsectors.transport import InteractionMatrix, commutes_all, interaction_matrix
-from lightsectors.atoms import atom_splitting, blockwise_atom_splitting
+from lightsectors.atoms import AtomSplittingReport, atom_splitting, blockwise_atom_splitting
 from lightsectors.scenarios import to_package
 from lightsectors.modelgen import random_block_scenario
 
@@ -122,3 +123,41 @@ def test_class_form_readers_match_nodewise_reference(lam):
                for i in range(lam.r) for j in range(lam.r))
     assert commutes_all(lam) == reference.commutes_all(lam)
     assert atom_splitting(lam) == reference.atom_splitting(lam)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lam=class_forms())
+@example(lam=InteractionMatrix(Matrix.zero(0, 0), ()))
+def test_edge_rows_match_nodewise_reference_and_check_the_verdict(lam):
+    """The 1-based rows the analysis document writes are the reference's
+    edges; runs that contradict the verdict raise wherever they are expanded."""
+    report = atom_splitting(lam)
+    expected = [[i + 1, j + 1] for i, j in reference.atom_splitting(lam).mixing_edges]
+    assert report.edge_rows(1) == expected
+    with pytest.raises(InvariantError):
+        AtomSplittingReport(lam.r, not report.is_split, report.clusters,
+                            report.node_class, report.partners)
+    if report.is_split:
+        if lam.r < 2:
+            return  # no cluster of two nodes to claim mixing with
+        broken = AtomSplittingReport(lam.r, False, (tuple(range(lam.r)),),
+                                     report.node_class, report.partners)
+    else:
+        broken = AtomSplittingReport(lam.r, True, tuple((k,) for k in range(lam.r)),
+                                     report.node_class, report.partners)
+    with pytest.raises(InvariantError):
+        broken.edge_rows(1)
+    with pytest.raises(InvariantError):
+        broken.mixing_edges
+
+
+def test_reports_with_equal_clusters_differ_by_their_edges():
+    """A path and a triangle on three nodes share one cluster and the
+    verdict; report equality still tells them apart by their edges."""
+    path_lam = InteractionMatrix(Matrix.from_rows([[0, 1, 0], [-1, 0, 1], [0, -1, 0]]), (0, 1, 2))
+    triangle_lam = InteractionMatrix(Matrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]), (0, 1, 2))
+    path, triangle = atom_splitting(path_lam), atom_splitting(triangle_lam)
+    assert path.clusters == triangle.clusters == ((0, 1, 2),)
+    assert path.mixing_edges == ((0, 1), (1, 2))
+    assert path != triangle
+    assert path == reference.atom_splitting(path_lam) != triangle

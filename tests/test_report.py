@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lightsectors.report as report_module
+import reference
+from lightsectors.atoms import AtomSplittingReport
 from lightsectors.cli import main
 from lightsectors.linalg import format_rational
 from lightsectors.package import BlockSeparationRequiredError, verify_block_structure
@@ -17,7 +20,14 @@ from lightsectors.report import (
     verification_document,
     verification_unavailable_document,
 )
-from lightsectors.scenarios import BUILTIN_NAMES, builtin_scenario, parse_scenario, to_package
+from lightsectors.modelgen import random_block_scenario
+from lightsectors.scenarios import (
+    BUILTIN_NAMES,
+    builtin_scenario,
+    parse_scenario,
+    serialize_scenario,
+    to_package,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -175,19 +185,29 @@ def test_realized_basis_never_builds_the_fraction_view():
     ]
 
 
+# The report stem each quintic_orbits digest names, and its `scenario` arguments.
+ORBIT_REPORTS = {
+    "quintic_orbits": [],
+    "quintic_orbits.orbits_70_20_15_10_10": ["--orbits", "70,20,15,10,10"],
+}
+
+
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("machine", "json")])
 def test_quintic_orbits_report_digest(tmp_path, fmt, suffix):
-    """`lightsectors analyze` of the emitted 125-node scenario, both formats,
+    """`lightsectors analyze` of each emitted 125-node scenario, both formats,
     against the digests in tests/data (the file `sha256sum -c` reads)."""
     digests = {}
     for line in (DATA / "quintic_orbits.analysis.sha256").read_text().splitlines():
         digest, name = line.split()
         digests[name] = digest
-    scenario = tmp_path / "q.scenario"
-    out = tmp_path / f"quintic_orbits.analysis.{suffix}"
-    assert main(["scenario", "quintic_orbits", "--emit", str(scenario)]) == 0
-    assert main(["analyze", str(scenario), "--format", fmt, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[out.name]
+    assert digests.keys() == {f"{stem}.analysis.{ext}"
+                              for stem in ORBIT_REPORTS for ext in ("txt", "json")}
+    for stem, args in ORBIT_REPORTS.items():
+        scenario = tmp_path / f"{stem}.scenario"
+        out = tmp_path / f"{stem}.analysis.{suffix}"
+        assert main(["scenario", "quintic_orbits", *args, "--emit", str(scenario)]) == 0
+        assert main(["analyze", str(scenario), "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[out.name], out.name
 
 
 def _edge_line(text: str) -> str | None:
@@ -206,6 +226,36 @@ def test_mixing_edges_line_matches_per_edge_format(name, count):
         assert line is None
     else:
         assert line == "mixing edges: " + " ".join(f"({i},{j})" for i, j in edges)
+
+
+def test_only_the_analysis_document_expands_the_mixing_edges(tmp_path, monkeypatch):
+    """`verify` reads only the splitting verdicts, so it builds no edge;
+    `analyze` builds them once, for the analysis document."""
+    expansions = []
+    real = AtomSplittingReport.edge_rows
+
+    def counted(self, base=0):
+        expansions.append(base)
+        return real(self, base)
+
+    monkeypatch.setattr(AtomSplittingReport, "edge_rows", counted)
+    rng = random.Random(5)
+    draws = [random_block_scenario(rng, name=f"draw_{k}") for k in range(6)]
+    assert any(not to_package(s).atom.is_split for s in draws)
+    for s in (builtin_scenario("quintic_orbits"), *draws):
+        path = tmp_path / f"{s.name}.scenario"
+        path.write_text(serialize_scenario(s))
+        expansions.clear()
+        for fmt in ("text", "machine"):
+            out = tmp_path / f"{s.name}.verify.{fmt}"
+            assert main(["verify", str(path), "--format", fmt, "--out", str(out)]) == 0
+        assert expansions == [], s.name
+        out = tmp_path / f"{s.name}.analysis.json"
+        assert main(["analyze", str(path), "--format", "machine", "--out", str(out)]) == 0
+        assert expansions == [1], s.name
+        lam = to_package(s).interaction
+        expected = [[i + 1, j + 1] for i, j in reference.atom_splitting(lam).mixing_edges]
+        assert json.loads(out.read_text())["atom"]["mixing_edges"] == expected, s.name
 
 
 @pytest.mark.parametrize("edges", [[[1, 2, 3], [4]], [[1, 2], [3]], [[1, 2, 3]]])

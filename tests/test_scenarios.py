@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightsectors import cli, scenarios
+from lightsectors import cli, pairing, scenarios
 from lightsectors.linalg import Matrix, format_rational, parse_rational, rational_parts
 from lightsectors.scenarios import (
     BUILTIN_NAMES,
@@ -558,3 +558,48 @@ def test_integer_row_pattern_splits_where_split_does():
     for text in ("1-2", "+5", "1_0", "٣"):
         fast, slow = _read_both([(7, text)], "cycles", 1)
         assert fast == slow and fast[1][1:] == (7, "cycles")
+
+
+def test_gram_is_skew_checked_once_per_case(monkeypatch):
+    """parse_scenario hands the PairingSpace it checked on to to_package; a
+    hand-built ScenarioFile is checked once, when to_package first reads it."""
+    calls = []
+    real = pairing.first_skew_violation
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(pairing, "first_skew_violation", counted)
+    rng = random.Random(11)
+    built = [builtin_scenario(name) for name in BUILTIN_NAMES]
+    built += [random_block_scenario(rng, name=f"draw_{k}") for k in range(5)]
+    texts = [serialize_scenario(s) for s in built]
+    texts.append((DATA / "four_node_blocks.scenario").read_text())
+    for s in built:
+        calls.clear()
+        to_package(s)
+        to_package(s)
+        assert len(calls) == 1, s.name
+    for text in texts:
+        calls.clear()
+        to_package(parse_scenario(text))
+        assert len(calls) == 1
+
+
+def test_grid_rows_skip_the_field_pattern(monkeypatch):
+    """Only a line holding a ':' can be a field line, so no grid row is
+    matched against the field pattern."""
+    matched = []
+    real = scenarios._FIELD_LINE
+
+    class Counted:
+        def match(self, line):
+            matched.append(line)
+            return real.match(line)
+
+    monkeypatch.setattr(scenarios, "_FIELD_LINE", Counted())
+    text = serialize_scenario(builtin_scenario("quintic_orbits"))
+    parse_scenario(text)
+    assert matched == [line for line in text.splitlines() if ":" in line]
+    assert len(matched) == 8
