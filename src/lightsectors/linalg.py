@@ -19,12 +19,18 @@ writer, ``format_ratio``; ``format_cells`` applies it to a matrix's int rows.
 A product A·B (A m×n, B n×p) is a Kronecker substitution, as FLINT packs
 integer polynomials: row k of B becomes one ``int`` P_k = Σ_j b_kj·2^(w·j),
 and row i of the product is the one sum Σ_k a_ik·P_k, whose w-bit slots are
-the entries.  The slot width w is the bit length of
-max(n·max|a|, 1)·max|b|, which bounds every product entry and every entry
-of B, plus a sign bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes
-past 8.  A product multiplies each distinct row of A once, and equal rows
-of A share one result row; for each of those every a_ik·b_kj term is still
-formed, so this is the dense product in other arithmetic.
+the entries.  ``Slots`` is the one packing: it picks the slot width w from
+a bound on every entry it packs or reads back (its bit length plus a sign
+bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes past 8), packs a
+row into one signed ``int``, and unpacks many packed rows in one
+``memoryview`` cast.  The product reads it, with the bound
+max(n·max|a|, 1)·max|b| over every product entry and every entry of B, and
+so does the closed-form commutator of two rank-one transports
+(``transport``), whose rows are combinations of two packed Gram images
+(``CycleConfiguration.packed_images``).  A product multiplies each
+distinct row of A once, and equal rows of A share one result row; for each
+of those every a_ik·b_kj term is still formed, so this is the dense product
+in other arithmetic.
 
 Pivoting is deterministic (leftmost nonzero in scan order); identical inputs
 produce bit-identical outputs regardless of platform or scheduling.
@@ -42,7 +48,7 @@ from functools import cached_property
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -243,50 +249,80 @@ def format_cells(m: Matrix) -> list[list[str]]:
 _TYPECODES = {array(t).itemsize: t for t in "bhilq"}
 
 
+def abs_max(rows: Collection[Sequence[int]]) -> int:
+    """The largest absolute entry of nonempty int rows, from each row's max and
+    min: no abs() per entry."""
+    return max(max(map(max, rows)), -min(map(min, rows)))
+
+
+class Slots:
+    """Rows of cols ints, each of absolute value at most bound, as one signed
+    int per row: row x packs to Σ_j x_j·2^(8·width·j), with the width the
+    module docstring gives.  Sums of multiples of packed rows are packed
+    rows, and unpack reads them back while every slot stays within the bound.
+
+    A row of slots is bytes in native order: for 1, 2, 4 and 8 bytes an
+    ``array`` packs one and a ``memoryview`` unpacks many at once in C;
+    wider slots go through ``int.to_bytes`` and ``int.from_bytes`` one slot
+    at a time.
+    """
+
+    __slots__ = ("width", "code", "cols", "tops")
+
+    def __init__(self, bound: int, cols: int):
+        need = bound.bit_length() // 8 + 1  # one sign bit
+        # Round up to a power of two for an array type; past 8 bytes no type fits.
+        width = 1 << (need - 1).bit_length()
+        self.code = _TYPECODES.get(width)
+        self.width = width if self.code else need
+        self.cols = cols
+        order = sys.byteorder
+        # The top bit of every slot.
+        self.tops = int.from_bytes(
+            (1 << (8 * self.width - 1)).to_bytes(self.width, order) * cols, order)
+
+    def pack(self, rows: Iterable[Sequence[int]]) -> list[int]:
+        """Each row as one signed int."""
+        width, code, tops, order = self.width, self.code, self.tops, sys.byteorder
+        if code:
+            data = (array(code, row).tobytes() for row in rows)
+        else:
+            data = (b"".join([x.to_bytes(width, order, signed=True) for x in row])
+                    for row in rows)
+        # Read as one unsigned int, a row of two's-complement slots is 2^w too
+        # large at each negative entry, the slots whose top bit is set.
+        return [u - ((u & tops) << 1) for u in map(int.from_bytes, data, repeat(order))]
+
+    def unpack(self, packed: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """The rows of the packed ints, each a tuple of cols ints."""
+        width, code, tops, cols, order = self.width, self.code, self.tops, self.cols, sys.byteorder
+        if not cols:
+            return repeat((), len(packed))
+        # Adding tops lifts every slot into [0, 2^w) with no carry between
+        # slots; clearing the top bits again leaves each slot in two's complement.
+        data = b"".join([((v + tops) ^ tops).to_bytes(width * cols, order) for v in packed])
+        if code:
+            values = memoryview(data).cast(code).tolist()
+        else:
+            values = [int.from_bytes(data[i:i + width], order, signed=True)
+                      for i in range(0, len(data), width)]
+        return zip(*[iter(values)] * cols)
+
+
 def _packed_product(
     a: Sequence[tuple[int, ...]], b: Sequence[Sequence[int]], cols: int
 ) -> tuple[tuple[int, ...], ...]:
     """The integer grid a·b, with b n×cols, by Kronecker substitution (see
-    the module docstring).
-
-    Each distinct row of a is multiplied once, and equal rows share one
-    result tuple.  A row of slots is bytes in native order.  For 1, 2, 4 and
-    8 bytes an ``array`` packs one and a ``memoryview`` unpacks it in C;
-    wider slots go through ``int.to_bytes`` and ``int.from_bytes`` one slot
-    at a time.
+    the module docstring): each row of b packed into Slots, row i of the
+    product the one sum Σ_k a_ik·P_k.  Each distinct row of a is multiplied
+    once, and equal rows share one result tuple.
     """
     if not (a and b and cols):  # no entries, or every entry an empty sum
         return ((0,) * cols,) * len(a)
     distinct = dict.fromkeys(a)
-    # The largest absolute entries, from each row's max and min: no abs() per entry.
-    amax = max(max(map(max, distinct)), -min(map(min, distinct)))
-    bmax = max(max(map(max, b)), -min(map(min, b)))
-    need = (max(len(b) * amax, 1) * bmax).bit_length() // 8 + 1  # one sign bit
-    # Round up to a power of two for an array type; past 8 bytes no type fits.
-    width = 1 << (need - 1).bit_length()
-    code = _TYPECODES.get(width)
-    if code is None:
-        width = need
-    size, order = width * cols, sys.byteorder
-    # The top bit of every slot.
-    tops = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, order) * cols, order)
-    if code:
-        row_bytes = (array(code, row).tobytes() for row in b)
-    else:
-        row_bytes = (b"".join([x.to_bytes(width, order, signed=True) for x in row]) for row in b)
-    # Read as one unsigned int, a row of two's-complement slots is 2^w too
-    # large at each negative entry, the slots whose top bit is set.
-    packed = [u - ((u & tops) << 1) for u in map(int.from_bytes, row_bytes, repeat(order))]
-    # Adding tops lifts every slot into [0, 2^w) with no carry between slots;
-    # clearing the top bits again leaves each slot in two's complement.
-    data = b"".join([((sum(map(mul, row, packed)) + tops) ^ tops).to_bytes(size, order)
-                     for row in distinct])
-    if code:
-        values = memoryview(data).cast(code).tolist()
-    else:
-        values = [int.from_bytes(data[i:i + width], order, signed=True)
-                  for i in range(0, len(data), width)]
-    products = dict(zip(distinct, zip(*[iter(values)] * cols)))
+    slots = Slots(max(len(b) * abs_max(distinct), 1) * abs_max(b), cols)
+    packed = slots.pack(b)
+    products = dict(zip(distinct, slots.unpack([sum(map(mul, row, packed)) for row in distinct])))
     return tuple(map(products.__getitem__, a))
 
 

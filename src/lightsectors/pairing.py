@@ -18,6 +18,8 @@ from typing import Sequence
 from .linalg import (
     DimensionMismatchError,
     Matrix,
+    Slots,
+    abs_max,
     cleared,
     first_skew_violation,
     vector,
@@ -117,6 +119,23 @@ class CycleConfiguration:
         images = {c: tuple(sum(map(mul, row, c)) for row in gram)
                   for c in dict.fromkeys(self.matrix.num)}
         return tuple(map(images.__getitem__, self.matrix.num))
+
+    @cached_property
+    def packed_images(self) -> tuple[Slots, tuple[int, ...]]:
+        """The rows of gram_images packed into one int each, and the Slots
+        that read them.  The slots hold every entry of a closed-form
+        commutator of two cycles here: with c and m the largest absolute
+        entries of C and of the images, a pairing d_a . (g d_b) is at most
+        n c m, so an entry is at most 2 n c^2 m^2.  Each distinct row is
+        packed once, and equal rows share one int; the closed form reads it
+        from transport.PACKED_MIN_DIM on.  Needs a node and n >= 1."""
+        images = self.gram_images
+        distinct = dict.fromkeys(images)
+        m = abs_max(distinct)
+        slots = Slots(max(2 * self.space.dim * abs_max(self.matrix.num) ** 2 * m, 1) * m,
+                      self.space.dim)
+        packed = dict(zip(distinct, slots.pack(distinct)))
+        return slots, tuple(map(packed.__getitem__, images))
 
     def select(self, nodes: Sequence[int]) -> "CycleConfiguration":
         """The configuration of the cycles at nodes (0-based), in that order,

@@ -5,7 +5,8 @@ model regressions, transport operator invariants, the block-structure
 checks on generated separated configurations, the criterion equivalences
 on a small exhaustive pool, and scenario/report round-trip determinism.
 The acceptance suite runs the same check bodies, the model regressions
-one body per model, with its own seeds and counts.
+one body per model, with its own seeds and counts.  Every check raises
+AssertionError itself (``_require``), so ``python -O`` runs them too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .modelgen import random_block_scenario
 SELFTEST_SEED = 20250808
 
 
+def _require(ok: object, what: object) -> None:
+    """Raise AssertionError(what) unless ok: a check that ``python -O``
+    keeps, where it strips every assert statement."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _random_skew_space(rng: random.Random, dim: int) -> PairingSpace:
     grid = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
     a = Matrix.from_rows(grid, cols=dim)
@@ -39,30 +47,39 @@ def _random_skew_space(rng: random.Random, dim: int) -> PairingSpace:
 
 def _check_a1xa1() -> LightSectorPackage:
     pkg = to_package(builtin_scenario("a1xa1"))
-    assert pkg.interaction.entries == Matrix.zero(2, 2)
-    assert pkg.realized.is_full and pkg.realized.v_geom.dim == 2 and pkg.atom.is_split
-    assert not any(any(map(any, grid)) for grid, _ in commutator(pkg.transport))
-    assert classify(pkg) == Classification(
-        ExtensionVerdict.SPLIT, TransportVerdict.COMMUTING, AtomVerdict.SPLIT, None)
+    _require(pkg.interaction.entries == Matrix.zero(2, 2), "a1xa1 interaction matrix")
+    _require(pkg.realized.is_full and pkg.realized.v_geom.dim == 2 and pkg.atom.is_split,
+             "a1xa1 realized space and atoms")
+    _require(not any(any(map(any, grid)) for grid, _ in commutator(pkg.transport)),
+             "a1xa1 commutators")
+    _require(classify(pkg) == Classification(
+        ExtensionVerdict.SPLIT, TransportVerdict.COMMUTING, AtomVerdict.SPLIT, None),
+        "a1xa1 classification")
     return pkg
 
 
 def _check_a2() -> LightSectorPackage:
     pkg = to_package(builtin_scenario("a2"))
-    assert pkg.interaction.entries == Matrix.from_rows([[0, 1], [-1, 0]])
-    assert pkg.realized.v_geom.dim == 1 and pkg.atom.clusters == ((0, 1),)
-    assert classify(pkg) == Classification(
-        ExtensionVerdict.INTERACTING, TransportVerdict.NONCOMMUTING, AtomVerdict.NON_SPLIT, 1)
+    _require(pkg.interaction.entries == Matrix.from_rows([[0, 1], [-1, 0]]),
+             "a2 interaction matrix")
+    _require(pkg.realized.v_geom.dim == 1 and pkg.atom.clusters == ((0, 1),),
+             "a2 realized space and atoms")
+    _require(classify(pkg) == Classification(
+        ExtensionVerdict.INTERACTING, TransportVerdict.NONCOMMUTING, AtomVerdict.NON_SPLIT, 1),
+        "a2 classification")
     return pkg
 
 
 def _check_three_node() -> LightSectorPackage:
     pkg = to_package(builtin_scenario("three_node"))
-    assert pkg.interaction.entries == Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    assert pkg.r == 3 and pkg.realized.v_geom.dim == 2 and pkg.atom.clusters == ((0, 1), (2,))
-    assert classify(pkg) == Classification(
-        ExtensionVerdict.INTERACTING, TransportVerdict.NONCOMMUTING, AtomVerdict.NON_SPLIT, 2)
-    assert isinstance(pkg.block_classes, BlockSeparationViolation)
+    _require(pkg.interaction.entries == Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+             "three_node interaction matrix")
+    _require(pkg.r == 3 and pkg.realized.v_geom.dim == 2 and pkg.atom.clusters == ((0, 1), (2,)),
+             "three_node realized space and atoms")
+    _require(classify(pkg) == Classification(
+        ExtensionVerdict.INTERACTING, TransportVerdict.NONCOMMUTING, AtomVerdict.NON_SPLIT, 2),
+        "three_node classification")
+    _require(isinstance(pkg.block_classes, BlockSeparationViolation), "three_node separation")
     return pkg
 
 
@@ -80,23 +97,23 @@ def _check_transport_invariants(rng: random.Random, n_cases: int) -> str:
         cfg = CycleConfiguration.from_vectors(space, (delta,))
         op = pl_operator(cfg, 0)
         n = op.n_matrix
-        assert (n @ n).is_zero()
-        assert rank(n) == op.nilpotent_rank <= 1
-        assert op.t_matrix @ op.inverse() == Matrix.identity(dim)
+        _require((n @ n).is_zero(), "N^2 = 0")
+        _require(rank(n) == op.nilpotent_rank <= 1, "rank N = nilpotent rank <= 1")
+        _require(op.t_matrix @ op.inverse() == Matrix.identity(dim), "T T^-1 = Id")
         alpha = vector([Fraction(rng.randint(-4, 4)) for _ in range(dim)])
         expected = tuple(pair(space, alpha, delta) * d for d in delta)
-        assert n.apply(alpha) == expected
+        _require(n.apply(alpha) == expected, "N(a) = <a, delta> delta")
     return f"{n_cases} random transport operators"
 
 
 def _check_block_structure(rng: random.Random, n_cases: int, **gen_kwargs: int) -> str:
     for i in range(n_cases):
         pkg = to_package(random_block_scenario(rng, name=f"block_{i}", **gen_kwargs))
-        assert pkg.separation_holds
+        _require(pkg.separation_holds, "block separation")
         report = verify_block_structure(pkg)
-        assert report.overall, [f.name for f in report.failures]
+        _require(report.overall, [f.name for f in report.failures])
         lattice = relation_lattice_from_blocks(pkg.partition)
-        assert quotient_dim(pkg.r, lattice) == pkg.partition.count
+        _require(quotient_dim(pkg.r, lattice) == pkg.partition.count, "relation lattice quotient")
     return f"{n_cases} generated block-separated configurations"
 
 
@@ -115,19 +132,23 @@ def _check_criterion_equivalences() -> str:
             report = atom_splitting(lam)
             singles = all(len(c) == 1 for c in report.clusters)
             no_edges = not report.mixing_edges
-            assert commutes_all(lam) == brute == report.is_split == singles == no_edges
+            _require(commutes_all(lam) == brute == report.is_split == singles == no_edges,
+                     f"criteria on {combo}")
             count += 1
     return f"{count} pool configurations, all criteria equivalent"
 
 
 def _check_determinism(scenarios: Iterable[ScenarioFile]) -> str:
     for scenario in scenarios:
-        assert parse_scenario(serialize_scenario(scenario)) == scenario
+        _require(parse_scenario(serialize_scenario(scenario)) == scenario,
+                 f"{scenario.name} round trip")
         pkg = to_package(scenario)
         doc = analysis_document(pkg, scenario.name)
         again = analysis_document(to_package(scenario), scenario.name)
-        assert render_report(doc, "machine") == render_report(again, "machine")
-        assert render_report(doc, "text") == render_report(again, "text")
+        _require(render_report(doc, "machine") == render_report(again, "machine"),
+                 f"{scenario.name} machine report")
+        _require(render_report(doc, "text") == render_report(again, "text"),
+                 f"{scenario.name} text report")
     return "round trips and byte-identical reports"
 
 

@@ -53,3 +53,24 @@ def test_entry_point_runs(runs, expected, tmp_path):
         output.append(done.stdout)
     output.extend(sorted(p.name for p in tmp_path.iterdir()))
     assert expected in "\n".join(output)
+
+
+# Selftest with TransportOperator.inverse broken to Id + N, in the interpreter
+# the test runs under.
+BROKEN_INVERSE_SELFTEST = """
+import sys
+from lightsectors import cli, transport
+from lightsectors.linalg import Matrix
+transport.TransportOperator.inverse = lambda op: Matrix.identity(op.dim) + op.n_matrix
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_selftest_fails_on_a_planted_fault(flags, tmp_path):
+    """``python -O`` strips assert statements, so every selftest check must
+    raise on its own: a broken inverse fails the transport group either way."""
+    done = _run([*flags, "-c", BROKEN_INVERSE_SELFTEST], tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert "selftest transport invariants: FAILED" in done.stdout
+    assert "selftest determinism: ok" in done.stdout

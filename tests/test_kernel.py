@@ -228,9 +228,10 @@ def test_matmul_of_rank_one_grids(scale):
 
 
 def test_matmul_on_a_big_endian_host(monkeypatch):
-    """The packed product reads and writes slots in native byte order; on a
-    host where that is big-endian, arrays and memoryviews hold big-endian
-    items, simulated here by swapping bytes around the real ones."""
+    """The packed product and the packed closed form read and write slots in
+    native byte order; on a host where that is big-endian, arrays and
+    memoryviews hold big-endian items, simulated here by swapping bytes
+    around the real ones."""
 
     class BigEndianArray:
         def __init__(self, code, items):
@@ -260,6 +261,14 @@ def test_matmul_on_a_big_endian_host(monkeypatch):
         a, b = (Matrix.from_rows([[rng.randint(-big, big) for _ in range(5)] for _ in range(5)])
                 for _ in (0, 1))
         assert_same_matrix(a @ b, reference.matmul(a, b))
+    n = PACKED + 2
+    space = standard_symplectic(n // 2)
+    for c, width in zip(CYCLE_MAGNITUDES, (1, 2, 4, 8, 11)):
+        cycles = [vector(_pool_row(rng, n, c)) for _ in (0, 1)]
+        cfg = CycleConfiguration.from_vectors(space, cycles)
+        assert_same_matrix(Matrix(n, n, *commutator_closed_form(cfg, 0, 1)),
+                           reference.commutator_closed_form(space, *cycles))
+        assert cfg.packed_images[0].width == width
 
 
 @kernel_settings
@@ -681,6 +690,116 @@ def test_closed_form_matches_reference(data):
     assert_same_matrix(Matrix(space.dim, space.dim, *commutator_closed_form(cfg, i, j)),
                        reference.commutator_closed_form(space, cycles[i], cycles[j]))
 
+
+
+# -- packed outer products -------------------------------------------------------
+
+PACKED = transport.PACKED_MIN_DIM
+# Largest cycle entries c that put the packed closed form of a symplectic
+# configuration of integer cycles, slot bound 2 n c^4, into 1-, 2-, 4-,
+# 8-byte and wider slots for PACKED <= n <= 2 PACKED.
+CYCLE_MAGNITUDES = (1, 3, 20, 1000, 10 ** 6, HUGE)
+
+
+def _pool_row(rng, n, c):
+    """n entries from {0, c, -c, one draw}: largest absolute entry c (for
+    n >= 4 or so), and rows that repeat."""
+    pool = (0, c, -c, rng.randint(-c, c))
+    return [rng.choice(pool) for _ in range(n)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
+def test_slots_round_trip_at_their_edges(width):
+    """Rows with entries at the slot bound +-(2^(8w-1) - 1) unpack as packed,
+    and so does a combination of packed rows whose slots stay in bound."""
+    top = 2 ** (8 * width - 1) - 1
+    slots = linalg.Slots(top, 4)
+    assert slots.width == width
+    rows = [(top, -top, 0, -1), (-top, 1, top, 0), (0, 0, 0, 0)]
+    packed = slots.pack(rows)
+    assert list(slots.unpack(packed)) == rows
+    half = (top // 2, -(top // 2), 1, -1)
+    (p,) = slots.pack([half])
+    assert list(slots.unpack([2 * p - packed[2], -p])) == [
+        tuple(2 * x for x in half), tuple(-x for x in half)]
+    assert list(linalg.Slots(top, 0).unpack([0, 0])) == [(), ()]
+
+
+def test_packed_closed_form_matches_reference(monkeypatch):
+    """The closed form against the reference on dimensions on both sides of
+    PACKED_MIN_DIM, dimension 0, slots of 1, 2, 4, 8 and more bytes with
+    4302-digit entries among the widest, pairs with pairing p = 0 (a cycle
+    with itself, with its negative and with zero), and repeated rows.  From
+    PACKED_MIN_DIM on, each distinct row (delta_a[j], delta_b[j]) is formed
+    once, equal rows share one tuple, and no matrix product or operator is
+    used; below it nothing is packed."""
+    def refuse(*_):
+        raise AssertionError("closed form used the matrix product or an operator")
+
+    unpacked, real_unpack = [], linalg.Slots.unpack
+
+    def spy(slots, packed):  # each unpack as (slot width, number of rows)
+        unpacked.append((slots.width, len(packed)))
+        return real_unpack(slots, packed)
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(transport, "pl_operator", refuse)
+    monkeypatch.setattr(linalg.Slots, "unpack", spy)
+    rng = random.Random(23)
+    widths, zero_pairings = set(), 0
+    for c in CYCLE_MAGNITUDES:
+        dims = (PACKED, 2 * PACKED) if c == HUGE else (0, 2, PACKED - 2, PACKED, PACKED + 2, 2 * PACKED)
+        for n in dims:
+            space = standard_symplectic(n // 2)
+            den = 1 if c in (1, HUGE) else rng.choice((1, 2, 6))
+            rows = [_pool_row(rng, n, c) for _ in (0, 1)]
+            cycles = [vector(Fraction(x, den) for x in row)
+                      for row in rows + [[-x for x in rows[0]], [0] * n]]
+            cfg = CycleConfiguration.from_vectors(space, cycles)
+            for i, j in itertools.product(range(len(cycles)), repeat=2):
+                unpacked.clear()
+                grid, gden = commutator_closed_form(cfg, i, j)
+                want = reference.commutator_closed_form(space, cycles[i], cycles[j])
+                assert_same_matrix(Matrix(n, n, grid, gden), want)
+                keys = list(zip(cfg.matrix.num[i], cfg.matrix.num[j]))
+                if n < PACKED:
+                    assert unpacked == []
+                    continue
+                assert unpacked == [(cfg.packed_images[0].width, len(set(keys)))]
+                first = {}
+                for key, row in zip(keys, grid):
+                    assert first.setdefault(key, row) is row
+                zero_pairings += reference.pair(space, cycles[i], cycles[j]) == 0
+                widths.add(unpacked[0][0])
+    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+    assert zero_pairings
+
+
+def test_packed_images_pack_each_distinct_row_once(monkeypatch):
+    packed_rows, real_pack = [], linalg.Slots.pack
+    monkeypatch.setattr(linalg.Slots, "pack",
+                        lambda slots, rows: packed_rows.append(len(rows)) or real_pack(slots, rows))
+    cfg = CycleConfiguration.from_vectors(
+        standard_symplectic(4), [(1, 0, 2, 0, 0, 0, 0, 3), (0, 1, 0, 0, 5, 0, 0, 0)] * 2)
+    slots, packed = cfg.packed_images
+    assert packed_rows == [2]
+    assert packed[0] is packed[2] and packed[1] is packed[3] and packed[0] != packed[1]
+    assert list(slots.unpack(packed)) == list(cfg.gram_images)
+
+def test_packed_closed_form_reaches_its_slot_bound():
+    """delta_a = (c, ..., c) and delta_b = (-c, c, -c, ...) in the symplectic
+    space pair to n c^2, and entry (1, 2) of their closed form is -2 n c^4,
+    the bound packed_images sizes its slots by.  At n = 8 and c = 7 that
+    takes 4-byte slots, where half of it would fit in 2 bytes."""
+    n, c = 8, 7
+    assert n >= PACKED
+    space = standard_symplectic(n // 2)
+    cycles = [vector([c] * n), vector([(-1) ** (j + 1) * c for j in range(n)])]
+    cfg = CycleConfiguration.from_vectors(space, cycles)
+    grid, den = commutator_closed_form(cfg, 0, 1)
+    assert grid[0][1] == min(map(min, grid)) == -2 * n * c ** 4
+    assert cfg.packed_images[0].width == 4
+    assert_same_matrix(Matrix(n, n, grid, den), reference.commutator_closed_form(space, *cycles))
 
 # -- elimination ---------------------------------------------------------------
 
