@@ -10,7 +10,7 @@ the collapse from r raw directions to one per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, compress, count, permutations, product
 from typing import Sequence, Union
 
@@ -35,14 +35,17 @@ from .transport import (
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """A partition of the 0-based node set {0..r-1}, blocks ordered by least member."""
+    """A partition of the 0-based node set {0..r-1}, blocks ordered by least
+    member.  Validation records owner, node k's block index, which is derived
+    and so takes no part in equality, hashing or repr."""
 
     r: int
     blocks: tuple[tuple[int, ...], ...]
+    owner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
+        owner: dict[int, int] = {}
+        for b, block in enumerate(self.blocks):
             if not block:
                 raise ValueError("empty block in decomposition")
             if tuple(sorted(block)) != block:
@@ -50,15 +53,16 @@ class BlockDecomposition:
             for k in block:
                 if not 0 <= k < self.r:
                     raise ValueError(f"node index {k} out of range 0..{self.r - 1}")
-                if k in seen:
+                if k in owner:
                     raise ValueError(f"node index {k} appears in two blocks")
-                seen.add(k)
-        if len(seen) != self.r:
-            missing = sorted(set(range(self.r)) - seen)
+                owner[k] = b
+        if len(owner) != self.r:
+            missing = sorted(set(range(self.r)) - owner.keys())
             raise ValueError(f"decomposition does not cover nodes {missing}")
         mins = [block[0] for block in self.blocks]
         if mins != sorted(mins):
             raise ValueError("blocks must be ordered by least member")
+        object.__setattr__(self, "owner", tuple(map(owner.__getitem__, range(self.r))))
 
     @classmethod
     def from_blocks(cls, r: int, blocks: Sequence[Sequence[int]]) -> "BlockDecomposition":
@@ -68,6 +72,13 @@ class BlockDecomposition:
     @property
     def count(self) -> int:
         return len(self.blocks)
+
+    @property
+    def indicator(self) -> Matrix:
+        """The r x count 0/1 incidence as integer rows, row k the unit row of
+        node k's block: the inverse of blocks_from_indicator_basis."""
+        units = [tuple(int(b == c) for c in range(self.count)) for b in range(self.count)]
+        return Matrix(self.r, self.count, tuple(units[b] for b in self.owner))
 
 
 @dataclass(frozen=True)
@@ -177,10 +188,7 @@ def verify_block_consistency(
         raise DimensionMismatchError(
             f"reduced matrix of size {lam_blk.r} against {part.count} blocks"
         )
-    owner = [0] * part.r
-    for b, block in enumerate(part.blocks):
-        for k in block:
-            owner[k] = b
+    owner = part.owner
     # Both matrices are integer pairings over one denominator each, and
     # x / dp == y / dq iff x dq == y dp: the comparison builds no Fraction.
     p, dp, node_class = lam.pairings.num, lam.pairings.den, lam.node_class

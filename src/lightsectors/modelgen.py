@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linalg import Matrix
+from .blocks import BlockDecomposition
 from .pairing import standard_symplectic
-from .scenarios import ScenarioFile
+from .scenarios import ScenarioFile, block_fields
 
 
 def random_block_scenario(
@@ -35,38 +35,24 @@ def random_block_scenario(
     members: dict[int, list[int]] = {}
     for node, owner in enumerate(owners):
         members.setdefault(owner, []).append(node)
-    blocks = sorted((tuple(sorted(ns)) for ns in members.values()), key=lambda t: t[0])
+    part = BlockDecomposition.from_blocks(r, list(members.values()))
 
     classes = [
         tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
-        for _ in blocks
+        for _ in part.blocks
     ]
-    owner_of = {node: bi for bi, block in enumerate(blocks) for node in block}
-    cycles = tuple(classes[owner_of[k]] for k in range(r))
-
-    # Row k of the indicator incidence is 1 in the column of node k's block.
-    indicator_rows = tuple(
-        tuple(int(owner_of[k] == bi) for bi in range(len(blocks))) for k in range(r)
-    )
-    incidence = Matrix(r, len(blocks), indicator_rows)
-    partition = tuple(tuple(k + 1 for k in block) for block in blocks)
 
     corrected = None
     if rng.random() < 0.5:
         # Constant on blocks, hence inside the realized indicator span.
-        coeffs = [Fraction(0)] * r
-        for bi, block in enumerate(blocks):
-            value = Fraction(rng.randint(-3, 3))
-            for k in block:
-                coeffs[k] = value
-        corrected = tuple(coeffs)
+        values = [Fraction(rng.randint(-3, 3)) for _ in part.blocks]
+        corrected = tuple(values[bi] for bi in part.owner)
 
     return ScenarioFile(
         name=name,
         dim=dim,
         gram=gram,
-        cycles=cycles,
-        incidence=incidence,
-        partition=partition,
+        cycles=tuple(classes[bi] for bi in part.owner),
         corrected_class=corrected,
+        **block_fields(part),
     )

@@ -6,8 +6,9 @@ A scenario is a line-oriented text document.  Scalar fields are single
 entries whitespace-separated; one reader takes each rational grid to a
 ``Matrix``.  Blank lines and ``#`` comments are ignored.
 Rationals use the canonical text form (``-3/7``, ``0``, ``5``; ``2/4`` is
-accepted and reduced).  Node indices in files are 1-based; conversion to
-0-based internals happens here and only here.
+accepted and reduced).  Node indices in files are 1-based; conversion between
+them and the 0-based internals happens here and only here (``to_package``,
+``serialize_scenario`` and ``block_fields``).
 
 Unknown fields are rejected unless parsing in lax mode, so a typo in a
 field name cannot silently drop mathematical input.
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, pairwise
 from math import lcm
 from typing import Sequence
 
@@ -287,24 +288,39 @@ def _scalar_line(field: str, text: str) -> str:
 def serialize_scenario(s: ScenarioFile) -> str:
     """Canonical text form; parse_scenario(serialize_scenario(s)) == s.  A
     ValueError names a field that would not read back: a format_version
-    other than FORMAT_VERSION, a grid whose rows have no entries, an empty
-    name, a name or notes not one stripped line, a partition with an empty
-    block, with blocks or members out of sorted order, or not naming each
-    node of 1..r exactly once, or a corrected_class whose length is not r."""
+    other than FORMAT_VERSION, an empty name, a name or notes not one
+    stripped line, a negative dim, a gram that is not dim x dim or not skew,
+    cycles not dim wide, an incidence without one row per node (or with
+    columns but no rows, whose width reading cannot recover), a grid whose
+    rows have no entries, a partition that is not a BlockDecomposition of
+    1..r (sorted members, blocks by least member, each node once), or a
+    corrected_class whose length is not r."""
     if s.format_version != FORMAT_VERSION:
         raise ValueError(f"cannot serialize field 'format_version': {s.format_version!r} "
                          f"is not {FORMAT_VERSION}")
     if not s.name:
         raise ValueError("cannot serialize field 'name': it is empty")
+    if s.dim < 0:
+        raise ValueError(f"cannot serialize field 'dim': {s.dim} is negative")
+    if (s.gram.rows, s.gram.cols) != (s.dim, s.dim):
+        raise ValueError(f"cannot serialize field 'gram': it is {s.gram.rows}x{s.gram.cols}, "
+                         f"not {s.dim}x{s.dim}")
+    try:
+        s.space  # the reader's own skew check
+    except NotSkewSymmetricError as exc:
+        raise ValueError(f"cannot serialize field 'gram': {exc}") from exc
+    if s.cycles.cols != s.dim:
+        raise ValueError(f"cannot serialize field 'cycles': {s.cycles.cols} entries "
+                         f"per row, not {s.dim}")
+    if s.incidence is not None and (s.incidence.rows != s.r or not s.r and s.incidence.cols):
+        raise ValueError(f"cannot serialize field 'incidence': it is {s.incidence.rows}x"
+                         f"{s.incidence.cols}, for {s.r} nodes")
     if s.partition is not None:
-        if not all(s.partition):
-            raise ValueError("cannot serialize field 'partition': it has an empty block")
-        if s.partition != tuple(sorted(tuple(sorted(block)) for block in s.partition)):
-            raise ValueError("cannot serialize field 'partition': its blocks or their "
-                             "members are not in sorted order")
-        if sorted(chain.from_iterable(s.partition)) != list(range(1, s.r + 1)):
-            raise ValueError(f"cannot serialize field 'partition': it does not name "
-                             f"each node of 1..{s.r} exactly once")
+        try:
+            BlockDecomposition(s.r, tuple(tuple(k - 1 for k in block) for block in s.partition))
+        except ValueError as exc:
+            raise ValueError(f"cannot serialize field 'partition': it is not a sorted "
+                             f"partition of 1..{s.r}") from exc
     if s.corrected_class is not None and len(s.corrected_class) != s.r:
         raise ValueError(f"cannot serialize field 'corrected_class': "
                          f"{len(s.corrected_class)} entries for {s.r} nodes")
@@ -331,13 +347,16 @@ def serialize_scenario(s: ScenarioFile) -> str:
 
 def to_package(s: ScenarioFile) -> LightSectorPackage:
     """Assemble the light-sector package described by a scenario."""
-    partition = None
-    if s.partition is not None:
-        partition = BlockDecomposition.from_blocks(
-            s.r, [[k - 1 for k in block] for block in s.partition]
-        )
+    partition = None if s.partition is None else BlockDecomposition.from_blocks(
+        s.r, [[k - 1 for k in block] for block in s.partition])
     return assemble(s.space, CycleConfiguration(s.space, s.cycles), incidence=s.incidence,
                     partition=partition, corrected_class=s.corrected_class)
+
+
+def block_fields(part: BlockDecomposition) -> dict[str, object]:
+    """A partition as a file's fields: its indicator incidence and its blocks, 1-based."""
+    return {"incidence": part.indicator,
+            "partition": tuple(tuple(k + 1 for k in block) for block in part.blocks)}
 
 
 def builtin_scenario(
@@ -365,8 +384,7 @@ def builtin_scenario(
             dim=4,
             gram=standard_symplectic(2).gram,
             cycles=((1, 0, 0, 0), (0, 0, 1, 0)),
-            incidence=Matrix.identity(2),
-            partition=((1,), (2,)),
+            **block_fields(BlockDecomposition(2, ((0,), (1,)))),
             notes="split two-node model: zero interaction, full realized space",
         )
 
@@ -381,7 +399,7 @@ def builtin_scenario(
             dim=2,
             gram=standard_symplectic(1).gram,
             cycles=((1, 0), (0, c)),
-            incidence=Matrix.from_columns([(1, 1)], rows=2),
+            incidence=block_fields(BlockDecomposition(2, ((0, 1),)))["incidence"],
             corrected_class=(Fraction(3), Fraction(3)),
             notes=f"interacting two-node model with coupling {format_rational(c)}",
         )
@@ -397,8 +415,7 @@ def builtin_scenario(
             dim=4,
             gram=standard_symplectic(2).gram,
             cycles=((1, 0, 0, 0), (0, c, 0, 0), (0, 0, 1, 0)),
-            incidence=Matrix.from_columns([(1, 1, 0), (0, 0, 1)], rows=3),
-            partition=((1, 2), (3,)),
+            **block_fields(BlockDecomposition(3, ((0, 1), (2,)))),
             notes=(
                 "coupled pair plus decoupled third node; "
                 f"coupling {format_rational(c)}"
@@ -424,25 +441,14 @@ def builtin_scenario(
             classes = [tuple(Fraction(x) for x in v) for v in orbit_classes]
             if any(len(v) != 2 for v in classes):
                 raise ValueError("orbit classes must be length-2 vectors")
-        r = sum(sizes)
-        cycles = []
-        partition = []
-        # Row k of the indicator incidence is the unit row of node k's orbit.
-        units = [tuple(int(beta == gamma) for gamma in range(b)) for beta in range(b)]
-        indicator_rows = []
-        node = 1
-        for beta, size in enumerate(sizes):
-            cycles.extend([classes[beta]] * size)
-            indicator_rows.extend([units[beta]] * size)
-            partition.append(tuple(range(node, node + size)))
-            node += size
+        bounds = pairwise(accumulate(sizes, initial=0))
+        part = BlockDecomposition(125, tuple(tuple(range(lo, hi)) for lo, hi in bounds))
         return ScenarioFile(
             name="quintic_orbits",
             dim=2,
             gram=standard_symplectic(1).gram,
-            cycles=tuple(cycles),
-            incidence=Matrix(r, b, tuple(indicator_rows)),
-            partition=tuple(partition),
+            cycles=tuple(classes[beta] for beta in part.owner),
+            **block_fields(part),
             notes=(
                 f"125-node symmetry-orbit model, {b} orbits of sizes "
                 + ",".join(str(n) for n in sizes)

@@ -47,7 +47,6 @@ the leftmost letter last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 from operator import mul, sub
@@ -150,9 +149,6 @@ class InteractionMatrix:
         benchmark's known-answer check (perfbench/workloads.py) reads
         pkg.reduced.b; package code reads r."""
         return self.r
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.pairings.entries[self.node_class[i]][self.node_class[j]]
 
     @cached_property
     def entries(self) -> Matrix:

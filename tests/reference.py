@@ -9,8 +9,9 @@ the integer kernel's results to equal them exactly, entry by entry.  ``rref``,
 Fraction elimination the package ran before it eliminated on integer rows;
 a subspace here is its canonical basis, a tuple of Fraction vectors.
 
-``dense_grid``, ``commutes_all`` and ``atom_splitting`` read an interaction
-matrix one node entry at a time, so they do not depend on its class form;
+``dense_grid`` reads an interaction matrix one node entry at a time, and
+``commutes_all``, ``atom_splitting`` and ``block_consistency_checks`` read it
+through ``dense_grid``, so they do not depend on its class form;
 the report ``atom_splitting`` returns holds the edges it found, so comparing
 a package report with it compares the package's expanded edges with them.
 
@@ -233,11 +234,13 @@ def dense_grid(pairings: Matrix, node_class: Sequence[int]) -> Matrix:
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:
-    return all(lam.entry(i, j) == 0 for i in range(lam.r) for j in range(lam.r) if i != j)
+    grid = dense_grid(lam.pairings, lam.node_class).entries
+    return all(grid[i][j] == 0 for i in range(lam.r) for j in range(lam.r) if i != j)
 
 
 def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
     """Every nonzero entry (i, j), i < j, is an edge; union-find over nodes."""
+    grid = dense_grid(lam.pairings, lam.node_class).entries
     parent = list(range(lam.r))
 
     def find(x: int) -> int:
@@ -248,7 +251,7 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
     edges = []
     for i in range(lam.r):
         for j in range(i + 1, lam.r):
-            if lam.entry(i, j) != 0:
+            if grid[i][j] != 0:
                 edges.append((i, j))
                 ri, rj = find(i), find(j)
                 parent[max(ri, rj)] = min(ri, rj)
@@ -283,13 +286,15 @@ def block_consistency_checks(
     for b, block in enumerate(part.blocks):
         for k in block:
             owner[k] = b
+    grid = dense_grid(lam.pairings, lam.node_class).entries
+    mu = dense_grid(lam_blk.pairings, lam_blk.node_class).entries
     checks = []
     for i in range(part.r):
         for j in range(part.r):
             if i == j:
                 continue
-            expected = lam_blk.entry(owner[i], owner[j])
-            actual = lam.entry(i, j)
+            expected = mu[owner[i]][owner[j]]
+            actual = grid[i][j]
             tag = " [intra-block]" if owner[i] == owner[j] else ""
             checks.append(
                 EagerCheck(

@@ -126,9 +126,10 @@ def test_criterion_7_quintic_scale():
         assert quotient_dim(125, relation_lattice_from_blocks(pkg.partition)) == 5
         assert pkg.realized.v_geom.dim == 5
         owner = [[k in block for block in pkg.partition.blocks].index(True) for k in range(125)]
+        lam, mu = pkg.interaction.entries.entries, pkg.reduced.entries.entries
         for i in range(125):
             for j in range(125):
-                assert pkg.interaction.entry(i, j) == pkg.reduced.entry(owner[i], owner[j])
+                assert lam[i][j] == mu[owner[i]][owner[j]]
         report = verify_block_structure(pkg)
         assert report.overall
         assert time.monotonic() - start < 10.0

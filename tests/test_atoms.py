@@ -119,8 +119,6 @@ def class_forms(draw, max_classes=5, max_nodes=9):
 def test_class_form_readers_match_nodewise_reference(lam):
     grid = reference.dense_grid(lam.pairings, lam.node_class)
     assert lam.entries == grid
-    assert all(lam.entry(i, j) == grid.entries[i][j]
-               for i in range(lam.r) for j in range(lam.r))
     assert commutes_all(lam) == reference.commutes_all(lam)
     assert atom_splitting(lam) == reference.atom_splitting(lam)
 

@@ -12,6 +12,7 @@ from lightsectors.linalg import (
     quotient_dim,
     vector,
 )
+from lightsectors.gluing import realized_space
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
 from lightsectors.transport import (
     InteractionMatrix,
@@ -61,6 +62,48 @@ def test_decomposition_normalizes_order():
 def test_invalid_partitions_rejected(blocks):
     with pytest.raises(ValueError):
         BlockDecomposition.from_blocks(3, blocks)
+
+
+@pytest.mark.parametrize("r,blocks,message", [
+    (3, ((0,), (), (1, 2)), "empty block in decomposition"),
+    (3, ((1, 0), (2,)), "block members must be sorted ascending"),
+    (3, ((0, 1), (3,)), "node index 3 out of range 0..2"),
+    (3, ((0, 1), (1, 2)), "node index 1 appears in two blocks"),
+    (4, ((0, 2),), "decomposition does not cover nodes [1, 3]"),
+    (3, ((1, 2), (0,)), "blocks must be ordered by least member"),
+    (-1, (), "decomposition does not cover nodes []"),
+])
+def test_invalid_partition_messages(r, blocks, message):
+    with pytest.raises(ValueError) as info:
+        BlockDecomposition(r, blocks)
+    assert str(info.value) == message
+
+
+def test_owner_is_not_compared():
+    part = BlockDecomposition(3, ((0, 2), (1,)))
+    assert part.owner == (0, 1, 0)
+    assert repr(part) == "BlockDecomposition(r=3, blocks=((0, 2), (1,)))"
+    same = BlockDecomposition.from_blocks(3, [(1,), (2, 0)])
+    assert part == same and hash(part) == hash(same)
+
+
+def test_indicator_inverts_blocks_from_indicator_basis():
+    """Seeded partitions of up to 40 nodes: the realized space of the
+    indicator recovers the partition, and owner[k] == b exactly when node k
+    lies in block b."""
+    rng = random.Random(24)
+    for _ in range(150):
+        r = rng.randint(1, 40)
+        owners = [rng.randrange(rng.randint(1, r)) for _ in range(r)]
+        groups: dict[int, list[int]] = {}
+        for node, owner in enumerate(owners):
+            groups.setdefault(owner, []).append(node)
+        part = BlockDecomposition.from_blocks(r, list(groups.values()))
+        assert blocks_from_indicator_basis(realized_space(part.indicator).v_geom) == part
+        assert all((part.owner[k] == b) == (k in block)
+                   for b, block in enumerate(part.blocks) for k in range(r))
+        assert part.indicator.num == tuple(tuple(int(k in block) for block in part.blocks)
+                                           for k in range(r))
 
 
 # -- separation ------------------------------------------------------------
@@ -139,8 +182,8 @@ def test_consistency_passes_on_derived_example():
     report = verify_block_consistency(lam, bc, lam_blk)
     assert report.overall and report.total == 4 * 3
     # Intra-block entries vanish, as do the reduced diagonal entries they equal.
-    assert all(lam.entry(i, j) == 0 for i, j in [(0, 1), (1, 0), (2, 3), (3, 2)])
-    assert lam_blk.entry(0, 0) == lam_blk.entry(1, 1) == 0
+    assert all(lam.entries.entries[i][j] == 0 for i, j in [(0, 1), (1, 0), (2, 3), (3, 2)])
+    assert lam_blk.entries.entries[0][0] == lam_blk.entries.entries[1][1] == 0
 
 
 def test_consistency_fault_injection_names_entry():
@@ -292,10 +335,11 @@ def test_random_separated_configurations_verify():
         lam = pkg.interaction
         part = pkg.partition
         owner = {k: b for b, block in enumerate(part.blocks) for k in block}
+        grid = lam.entries.entries
         for a in range(pkg.r):
             for b in range(pkg.r):
                 if a != b and owner[a] == owner[b]:
-                    assert lam.entry(a, b) == 0
+                    assert grid[a][b] == 0
         report = verify_block_consistency(lam, pkg.block_classes, pkg.reduced)
         assert report.overall
         assert block_commutator_check(pkg.block_classes, pkg.reduced).overall

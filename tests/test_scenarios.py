@@ -60,7 +60,7 @@ def test_a2_scenario_contents():
 def test_a2_coupling_parameter():
     scenario = builtin_scenario("a2", coupling=Fraction(2, 3))
     pkg = to_package(scenario)
-    assert pkg.interaction.entry(0, 1) == Fraction(2, 3)
+    assert pkg.interaction.entries.entries[0][1] == Fraction(2, 3)
     with pytest.raises(ValueError):
         builtin_scenario("a2", coupling=0)
 
@@ -398,28 +398,103 @@ def _two_node(name="t", **fields):
     (_two_node(partition=((1,), (2, 3))), "partition"),
     (_two_node(partition=((1,), (1, 2))), "partition"),
     (_two_node(partition=((1,),)), "partition"),
+    (ScenarioFile(name="t", dim=2, gram=Matrix.zero(2, 3), cycles=((1, 0),)), "gram"),
+    (ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [1, 0]]),
+                  cycles=((1, 0),)), "gram"),
+    (ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
+                  cycles=Matrix.from_rows([[1, 0, 0], [0, 1, 0]])), "cycles"),
+    (_two_node(incidence=Matrix.identity(3)), "incidence"),
+    (ScenarioFile(name="t", dim=-1, gram=Matrix.zero(0, 0), cycles=Matrix.zero(0, 0)), "dim"),
+    (ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
+                  cycles=Matrix.zero(0, 2), incidence=Matrix.zero(0, 3)), "incidence"),
 ], ids=["cycles", "incidence", "name-two-lines", "notes-two-lines", "name-padded",
         "notes-padded", "name-empty", "partition-empty-block", "corrected-class-short",
         "format-version-2", "partition-blocks-unsorted", "partition-members-unsorted",
-        "partition-node-out-of-range", "partition-node-twice", "partition-node-missing"])
+        "partition-node-out-of-range", "partition-node-twice", "partition-node-missing",
+        "gram-not-dim-square", "gram-not-skew", "cycles-not-dim-wide",
+        "incidence-not-r-rows", "dim-negative", "incidence-columns-without-rows"])
 def test_serialize_rejects_rows_of_no_entries(scenario, field):
     # Each of these would not read back: a row is a line of entries, and a
     # name or notes is the rest of one line, stripped; a name is nonempty.
     # An empty block is a blank line, which reading skips; reading rejects a
     # corrected class of another length than r, and any other version.
     # Reading sorts a partition's blocks and members, and rejects one that
-    # does not name each node of 1..r exactly once.
+    # does not name each node of 1..r exactly once.  Reading also rejects a
+    # negative dim, a gram not dim x dim or not skew, cycles not dim wide and
+    # an incidence without r rows; it takes an incidence's width from its
+    # rows, so one with columns and no rows reads back 0 x 0.
     with pytest.raises(ValueError, match=f"field '{field}'"):
         serialize_scenario(scenario)
 
 
+def _is_sorted_partition(blocks, r):
+    """The plain definition: nonempty blocks, members ascending, blocks by
+    least member, and every node of 1..r named exactly once."""
+    return (all(blocks)
+            and all(list(block) == sorted(set(block)) for block in blocks)
+            and [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+            and sorted(k for block in blocks for k in block) == list(range(1, r + 1)))
+
+
+def _random_blocks(rng, r):
+    """A sorted partition of 1..r, then at random shuffled, given a duplicate,
+    a missing, an out-of-range node or an empty block."""
+    owners = [rng.randrange(rng.randint(1, r)) for _ in range(r)]
+    groups: dict[int, list[int]] = {}
+    for node, owner in enumerate(owners, start=1):
+        groups.setdefault(owner, []).append(node)
+    blocks = sorted(groups.values())
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        block = rng.choice(blocks)
+        mutation = rng.randrange(6)
+        if mutation == 0:
+            rng.shuffle(blocks)
+        elif mutation == 1:
+            rng.shuffle(block)
+        elif mutation == 2:
+            block.insert(rng.randint(0, len(block)), rng.randint(1, r))
+        elif mutation == 3:
+            if block:
+                del block[rng.randrange(len(block))]
+        elif mutation == 4:
+            block.insert(rng.randint(0, len(block)), rng.choice((0, -1, r + 1, r + 7)))
+        else:
+            blocks.insert(rng.randint(0, len(blocks)), [])
+    return tuple(map(tuple, blocks))
+
+
+def test_serialize_partition_agrees_with_the_plain_definition():
+    """Seeded: the serializer raises exactly on the tuples that are not a
+    sorted partition of 1..r, and every other tuple reads back equal."""
+    rng = random.Random(20261020)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        r = rng.randint(1, 9)
+        blocks = _random_blocks(rng, r)
+        s = ScenarioFile(name="t", dim=2, gram=Matrix.from_rows([[0, 1], [-1, 0]]),
+                         cycles=((1, 0),) * r, partition=blocks)
+        valid = _is_sorted_partition(blocks, r)
+        outcomes[valid] += 1
+        if valid:
+            assert parse_scenario(serialize_scenario(s)) == s, blocks
+        else:
+            with pytest.raises(ValueError, match="field 'partition'"):
+                serialize_scenario(s)
+    assert min(outcomes.values()) > 100
+
+
 def test_indicator_incidences_are_built_from_int_rows(monkeypatch):
-    """quintic_orbits and modelgen write the 0/1 incidence as integer rows,
+    """Every built-in and modelgen write the 0/1 incidence as integer rows,
     not through from_columns, which makes a Fraction of every cell."""
     def refuse(*_args, **_kwargs):
         raise AssertionError("indicator incidence built through from_columns")
 
     monkeypatch.setattr(Matrix, "from_columns", refuse)
+    expected = {"a1xa1": ((1, 0), (0, 1)), "a2": ((1,), (1,)),
+                "three_node": ((1, 0), (1, 0), (0, 1))}
+    for name, rows in expected.items():
+        s = builtin_scenario(name)
+        assert (s.incidence.num, s.incidence.den) == (rows, 1), name
     s = builtin_scenario("quintic_orbits", orbit_sizes=(70, 20, 15, 10, 10))
     assert s.incidence.num[69:71] == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))
     m = random_block_scenario(random.Random(3)).incidence
@@ -562,7 +637,8 @@ def test_integer_row_pattern_splits_where_split_does():
 
 def test_gram_is_skew_checked_once_per_case(monkeypatch):
     """parse_scenario hands the PairingSpace it checked on to to_package; a
-    hand-built ScenarioFile is checked once, when to_package first reads it."""
+    hand-built ScenarioFile is checked once, when to_package or
+    serialize_scenario first reads it."""
     calls = []
     real = pairing.first_skew_violation
 
@@ -574,13 +650,14 @@ def test_gram_is_skew_checked_once_per_case(monkeypatch):
     rng = random.Random(11)
     built = [builtin_scenario(name) for name in BUILTIN_NAMES]
     built += [random_block_scenario(rng, name=f"draw_{k}") for k in range(5)]
-    texts = [serialize_scenario(s) for s in built]
-    texts.append((DATA / "four_node_blocks.scenario").read_text())
     for s in built:
         calls.clear()
         to_package(s)
         to_package(s)
+        serialize_scenario(s)
         assert len(calls) == 1, s.name
+    texts = [serialize_scenario(s) for s in built]
+    texts.append((DATA / "four_node_blocks.scenario").read_text())
     for text in texts:
         calls.clear()
         to_package(parse_scenario(text))

@@ -192,7 +192,7 @@ def test_interaction_matrix_three_node():
 def test_interaction_matrix_skew_zero_diagonal(cfg):
     lam = interaction_matrix(cfg)
     assert lam.entries.transpose() == -lam.entries
-    assert all(lam.entry(i, i) == 0 for i in range(cfg.r))
+    assert all(lam.entries.entries[i][i] == 0 for i in range(cfg.r))
 
 
 @pytest.mark.parametrize(
