@@ -47,7 +47,7 @@ class AtomSplittingReport:
     def edge_rows(self, base: int = 0) -> list[list[int]]:
         """Each mixing edge (i, j), i < j, as a new list [i + base, j + base],
         ordered by i and then j."""
-        runs = [[j + base for j in cols] for cols in self.partners] if base else self.partners
+        runs = [[j + base for j in cols] for cols in self.partners]
         rows = [[i, j] for i, c in enumerate(self.node_class, base)
                 for cols in (runs[c],) for j in cols[bisect_right(cols, i):]]
         if self.is_split != (not rows):

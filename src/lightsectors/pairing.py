@@ -126,16 +126,14 @@ class CycleConfiguration:
         that read them.  The slots hold every entry of a closed-form
         commutator of two cycles here: with c and m the largest absolute
         entries of C and of the images, a pairing d_a . (g d_b) is at most
-        n c m, so an entry is at most 2 n c^2 m^2.  Each distinct row is
-        packed once, and equal rows share one int; the closed form reads it
-        from transport.PACKED_MIN_DIM on.  Needs a node and n >= 1."""
+        n c m, so an entry is at most 2 n c^2 m^2.  Every row is packed, in
+        one call on first read; the closed form reads it from
+        transport.PACKED_MIN_DIM on.  Needs a node and n >= 1."""
         images = self.gram_images
-        distinct = dict.fromkeys(images)
-        m = abs_max(distinct)
+        m = abs_max(images)
         slots = Slots(max(2 * self.space.dim * abs_max(self.matrix.num) ** 2 * m, 1) * m,
                       self.space.dim)
-        packed = dict(zip(distinct, slots.pack(distinct)))
-        return slots, tuple(map(packed.__getitem__, images))
+        return slots, tuple(slots.pack(images))
 
     def select(self, nodes: Sequence[int]) -> "CycleConfiguration":
         """The configuration of the cycles at nodes (0-based), in that order,

@@ -59,7 +59,9 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class ScenarioFile:
     """Parsed and canonicalized scenario data (partition kept 1-based, as in files);
-    ``cycles`` is the r x dim cycle matrix, converted once if given as rows."""
+    ``cycles`` is the r x dim cycle matrix, converted once if given as rows, and
+    ``partition`` and ``corrected_class`` are converted to tuples if given as
+    lists, as reading them back returns them."""
 
     name: str
     dim: int
@@ -74,6 +76,11 @@ class ScenarioFile:
     def __post_init__(self) -> None:
         if not isinstance(self.cycles, Matrix):
             object.__setattr__(self, "cycles", Matrix.from_rows(self.cycles, cols=self.dim))
+        p = self.partition
+        if p is not None and not (type(p) is tuple and all(type(b) is tuple for b in p)):
+            object.__setattr__(self, "partition", tuple(map(tuple, p)))
+        if self.corrected_class is not None and type(self.corrected_class) is not tuple:
+            object.__setattr__(self, "corrected_class", tuple(self.corrected_class))
 
     @property
     def r(self) -> int:

@@ -27,15 +27,9 @@ den).
 From pairing dimension PACKED_MIN_DIM on, the closed form is formed a
 packed row at a time (linalg.Slots, a Kronecker substitution): row j is the
 one big-int combination -p (delta_a[j] P_b + delta_b[j] P_a) of the packed
-Gram images P_i, the rows g c_i packed once per configuration.  Each
-distinct row (delta_a[j], delta_b[j]) is formed once, and equal rows share
-one tuple.  Packing costs a fixed few microseconds per configuration and
-per pair, so below that dimension the entrywise loop runs.  Measured per
-pair, entrywise against packed (dense classes as in the wide benchmark
-cases, packing amortized over five classes): 4.8 / 5.1 us at n = 6,
-7.1 / 5.8 at n = 8, 22 / 11 at n = 16 and 102 / 34 at n = 38.  On the
-benchmark's property draws, the closed forms of a case take 46 / 47 us at
-n = 6, 81 / 69 at n = 8 and 129 / 90 at n = 12.
+Gram images P_i, the rows g c_i packed once per configuration, and the n
+rows are unpacked in one call.  Packing costs a fixed few microseconds per
+configuration and per pair, so below that dimension the entrywise loop runs.
 
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
@@ -219,7 +213,7 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
     the interaction matrices), independent of pl_operator and of the dense
     matrix product, so the two routes can cross-check each other.  From
     PACKED_MIN_DIM on it reads them packed, from cfg.packed_images, and
-    forms each distinct row (delta_a[j], delta_b[j]) once.
+    unpacks all n rows in one call.
     """
     if not (0 <= a < cfg.r and 0 <= b < cfg.r):
         raise IndexError(f"node indices {a}, {b} out of range for {cfg.r} nodes")
@@ -236,12 +230,10 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
         return tuple(tuple(-p * (y * x + z * w) for y, z in zip(gb, ga))
                      for x, w in zip(da, db)), den
     # Row j is delta_a[j] (-p G delta_b) + delta_b[j] (-p G delta_a) on the
-    # packed images, formed once per distinct (delta_a[j], delta_b[j]).
+    # packed images.
     slots, packed = cfg.packed_images
     qa, qb = -p * packed[a], -p * packed[b]
-    keys = dict.fromkeys(zip(da, db))
-    rows = dict(zip(keys, slots.unpack([x * qb + y * qa for x, y in keys])))
-    return tuple(map(rows.__getitem__, zip(da, db))), den
+    return tuple(slots.unpack([x * qb + y * qa for x, y in zip(da, db)])), den
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

@@ -730,9 +730,8 @@ def test_packed_closed_form_matches_reference(monkeypatch):
     PACKED_MIN_DIM, dimension 0, slots of 1, 2, 4, 8 and more bytes with
     4302-digit entries among the widest, pairs with pairing p = 0 (a cycle
     with itself, with its negative and with zero), and repeated rows.  From
-    PACKED_MIN_DIM on, each distinct row (delta_a[j], delta_b[j]) is formed
-    once, equal rows share one tuple, and no matrix product or operator is
-    used; below it nothing is packed."""
+    PACKED_MIN_DIM on, each pair unpacks its n rows in one call, and no
+    matrix product or operator is used; below it nothing is packed."""
     def refuse(*_):
         raise AssertionError("closed form used the matrix product or an operator")
 
@@ -761,29 +760,26 @@ def test_packed_closed_form_matches_reference(monkeypatch):
                 grid, gden = commutator_closed_form(cfg, i, j)
                 want = reference.commutator_closed_form(space, cycles[i], cycles[j])
                 assert_same_matrix(Matrix(n, n, grid, gden), want)
-                keys = list(zip(cfg.matrix.num[i], cfg.matrix.num[j]))
                 if n < PACKED:
                     assert unpacked == []
                     continue
-                assert unpacked == [(cfg.packed_images[0].width, len(set(keys)))]
-                first = {}
-                for key, row in zip(keys, grid):
-                    assert first.setdefault(key, row) is row
+                assert unpacked == [(cfg.packed_images[0].width, n)]
                 zero_pairings += reference.pair(space, cycles[i], cycles[j]) == 0
                 widths.add(unpacked[0][0])
     assert {1, 2, 4, 8} <= widths and max(widths) > 8
     assert zero_pairings
 
 
-def test_packed_images_pack_each_distinct_row_once(monkeypatch):
+def test_packed_images_pack_all_images_in_one_call_on_first_read(monkeypatch):
     packed_rows, real_pack = [], linalg.Slots.pack
     monkeypatch.setattr(linalg.Slots, "pack",
                         lambda slots, rows: packed_rows.append(len(rows)) or real_pack(slots, rows))
     cfg = CycleConfiguration.from_vectors(
         standard_symplectic(4), [(1, 0, 2, 0, 0, 0, 0, 3), (0, 1, 0, 0, 5, 0, 0, 0)] * 2)
+    assert packed_rows == []
     slots, packed = cfg.packed_images
-    assert packed_rows == [2]
-    assert packed[0] is packed[2] and packed[1] is packed[3] and packed[0] != packed[1]
+    assert packed_rows == [4] and len(packed) == 4
+    assert cfg.packed_images == (slots, packed) and packed_rows == [4]
     assert list(slots.unpack(packed)) == list(cfg.gram_images)
 
 def test_packed_closed_form_reaches_its_slot_bound():

@@ -43,6 +43,17 @@ def test_fixture_file_parses():
     assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 
+@pytest.mark.parametrize("fields", [
+    {"partition": ((1,), [2])},
+    {"partition": [(1,), (2,)]},
+    {"corrected_class": [1, 2]},
+], ids=["partition-inner-list", "partition-outer-list", "corrected-class-list"])
+def test_list_fields_round_trip(fields):
+    # A hand-built file may give these fields as lists; reading returns tuples.
+    s = _two_node(**fields)
+    assert parse_scenario(serialize_scenario(s)) == s
+
+
 def test_random_scenarios_round_trip():
     rng = random.Random(2024)
     for i in range(25):
