@@ -11,6 +11,7 @@ from .linalg import (
     DimensionMismatchError,
     InvariantError,
     Matrix,
+    Slots,
     Subspace,
     Vector,
     column_space,
@@ -33,7 +34,9 @@ from .pairing import (
 from .transport import (
     InteractionMatrix,
     TransportOperator,
+    closed_form_bound,
     commutator,
+    commutator_bound,
     commutator_closed_form,
     commutes_all,
     interaction_matrix,

@@ -90,12 +90,12 @@ def atom_splitting(lam: InteractionMatrix) -> AtomSplittingReport:
         for d in range(c + 1, len(rows)):
             if row[d]:
                 parent[find(c)] = find(d)
-    partners = tuple(tuple(j for j, d in enumerate(node_class) if row[d]) for row in rows)
+    partners = tuple([tuple([j for j, d in enumerate(node_class) if row[d]]) for row in rows])
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(node_class):
         # A node whose class pairs with nothing is its own cluster.
         groups.setdefault(find(c) if partners[c] else -1 - i, []).append(i)
-    clusters = tuple(map(tuple, groups.values()))
+    clusters = tuple([tuple(group) for group in groups.values()])
     # The pairings are skew and every class is held, so a class that pairs
     # with some node gives an edge: there is one iff some run is non-empty.
     return AtomSplittingReport(lam.r, not any(partners), clusters, node_class, partners)

@@ -11,13 +11,14 @@ the collapse from r raw directions to one per block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress, count, permutations, product
+from itertools import combinations, permutations, product
 from typing import Sequence, Union
 
 from .linalg import (
     DimensionMismatchError,
     InvariantError,
     Matrix,
+    Slots,
     Subspace,
     Vector,
     format_ratio,
@@ -25,7 +26,9 @@ from .linalg import (
 from .pairing import CycleConfiguration
 from .transport import (
     InteractionMatrix,
+    closed_form_bound,
     commutator,
+    commutator_bound,
     commutator_closed_form,
     commutes_all,
     interaction_matrix,
@@ -62,7 +65,7 @@ class BlockDecomposition:
         mins = [block[0] for block in self.blocks]
         if mins != sorted(mins):
             raise ValueError("blocks must be ordered by least member")
-        object.__setattr__(self, "owner", tuple(map(owner.__getitem__, range(self.r))))
+        object.__setattr__(self, "owner", tuple([owner[k] for k in range(self.r)]))
 
     @classmethod
     def from_blocks(cls, r: int, blocks: Sequence[Sequence[int]]) -> "BlockDecomposition":
@@ -77,8 +80,8 @@ class BlockDecomposition:
     def indicator(self) -> Matrix:
         """The r x count 0/1 incidence as integer rows, row k the unit row of
         node k's block: the inverse of blocks_from_indicator_basis."""
-        units = [tuple(int(b == c) for c in range(self.count)) for b in range(self.count)]
-        return Matrix(self.r, self.count, tuple(units[b] for b in self.owner))
+        units = [tuple([int(b == c) for c in range(self.count)]) for b in range(self.count)]
+        return Matrix(self.r, self.count, tuple([units[b] for b in self.owner]))
 
 
 @dataclass(frozen=True)
@@ -219,25 +222,30 @@ def verify_block_consistency(
 def block_commutator_check(bc: BlockClasses, lam_blk: InteractionMatrix) -> VerificationReport:
     """Cross-check block transport commutators against the closed form.
 
-    For every block pair the dense commutator of the block operators (every
-    pair from one matrix product) must match the rank-one closed form, and
-    the pairwise-commuting verdict must coincide with all off-diagonal
-    entries of the reduced matrix lam_blk vanishing.  Both routes return an
-    unreduced integer grid over D^2, D = dc^2 dg for the block classes over
-    dc and the Gram matrix over dg, so each pair compares as integer tuples
-    and no Matrix is built; a pair over two denominators is an internal bug.
+    For every block pair the dense commutator of the block operators must
+    match the rank-one closed form, and the pairwise-commuting verdict must
+    coincide with all off-diagonal entries of the reduced matrix lam_blk
+    vanishing.  Both routes return the packed rows of an unreduced integer
+    grid over D^2, D = dc^2 dg for the block classes over dc and the Gram
+    matrix over dg, in one Slots that holds both routes' own bounds, so each
+    pair compares as packed ints, and a commutator vanishes iff its packed
+    rows are 0: no commutator grid or Matrix is built.  A pair over two
+    denominators is an internal bug.
     """
     b = bc.decomposition.count
     if lam_blk.r != b:
         raise DimensionMismatchError(f"reduced matrix of size {lam_blk.r} against {b} blocks")
-    dense = commutator([pl_operator(bc.classes, i) for i in range(b)])
+    cfg = bc.classes
+    ops = [pl_operator(cfg, i) for i in range(b)]
+    slots = Slots(max(commutator_bound(ops), closed_form_bound(cfg)), cfg.space.dim)
+    dense = commutator(ops, slots)
     failures = []
-    for (i, j), (grid, den) in zip(combinations(range(b), 2), dense):
-        closed, closed_den = commutator_closed_form(bc.classes, i, j)
+    for (i, j), (rows, den) in zip(combinations(range(b), 2), dense):
+        closed, closed_den = commutator_closed_form(cfg, i, j, slots)
         if closed_den != den:
             raise InvariantError(f"block commutator ({i + 1},{j + 1}) over {den}, "
                                  f"closed form over {closed_den}")
-        if grid != closed:
+        if rows != closed:
             failures.append(
                 Check(
                     name=f"commutator closed form ({i + 1},{j + 1})",
@@ -245,7 +253,7 @@ def block_commutator_check(bc: BlockClasses, lam_blk: InteractionMatrix) -> Veri
                     actual="disagree",
                 )
             )
-    all_zero = not any(any(map(any, grid)) for grid, _ in dense)
+    all_zero = not any(any(rows) for rows, _ in dense)
     off_diag_zero = commutes_all(lam_blk)
     if all_zero != off_diag_zero:
         failures.append(
@@ -295,7 +303,7 @@ def blocks_from_indicator_basis(
         # Entry x / den is 0 or 1 iff x is 0 or den.
         if any(x and x != basis.den for x in row):
             return NotBlockAdapted("basis vector has entries outside {0,1}", basis.entries[k])
-        support = tuple(compress(count(), row))
+        support = tuple([k for k, x in enumerate(row) if x])
         if covered & set(support):
             return NotBlockAdapted("basis vector supports overlap", basis.entries[k])
         covered.update(support)

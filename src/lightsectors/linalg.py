@@ -25,9 +25,10 @@ bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes past 8), packs a
 row into one signed ``int``, and unpacks many packed rows in one
 ``memoryview`` cast.  The product reads it, with the bound
 max(n·max|a|, 1)·max|b| over every product entry and every entry of B, and
-so does the closed-form commutator of two rank-one transports
-(``transport``), whose rows are combinations of two packed Gram images
-(``CycleConfiguration.packed_images``).  A product multiplies each
+so do both routes to the commutators of rank-one transports
+(``transport``): the dense route's rows are sums of packed operator rows,
+the closed form's combinations of two packed Gram images, and the two are
+compared as packed ints, never unpacked.  A product multiplies each
 distinct row of A once, and equal rows of A share one result row; for each
 of those every a_ik·b_kj term is still formed, so this is the dense product
 in other arithmetic.
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import mul
 from typing import Collection, Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -153,7 +154,7 @@ class Matrix:
             return
         g = gcd(self.den, *chain.from_iterable(self.num))
         if g != 1:
-            num = tuple(tuple(map(floordiv, row, repeat(g))) for row in self.num)
+            num = tuple([tuple([x // g for x in row]) for row in self.num])
             object.__setattr__(self, "num", num)
             object.__setattr__(self, "den", self.den // g)
 
@@ -259,7 +260,9 @@ class Slots:
     """Rows of cols ints, each of absolute value at most bound, as one signed
     int per row: row x packs to Σ_j x_j·2^(8·width·j), with the width the
     module docstring gives.  Sums of multiples of packed rows are packed
-    rows, and unpack reads them back while every slot stays within the bound.
+    rows, and unpack reads them back while every slot stays within the bound;
+    while they do, two packed rows are equal ints exactly when the rows are
+    equal, so they compare without an unpack.
 
     A row of slots is bytes in native order: for 1, 2, 4 and 8 bytes an
     ``array`` packs one and a ``memoryview`` unpacks many at once in C;
@@ -364,7 +367,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
             break
     if d < 0:
         grid, d = [[-x for x in row] for row in grid], -d
-    return Matrix(m.rows, m.cols, tuple(map(tuple, grid)), d), rk
+    return Matrix(m.rows, m.cols, tuple([tuple(row) for row in grid]), d), rk
 
 
 def rank(m: Matrix) -> int:

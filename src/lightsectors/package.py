@@ -141,7 +141,7 @@ class LightSectorPackage:
         node_class = self.interaction.node_class
         classes = range(self.interaction.pairings.rows)
         ops = [pl_operator(self.cycles, node_class.index(c)) for c in classes]
-        return tuple(ops[c] for c in node_class)
+        return tuple([ops[c] for c in node_class])
 
     @cached_property
     def atom(self) -> AtomSplittingReport:

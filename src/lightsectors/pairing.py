@@ -18,8 +18,6 @@ from typing import Sequence
 from .linalg import (
     DimensionMismatchError,
     Matrix,
-    Slots,
-    abs_max,
     cleared,
     first_skew_violation,
     vector,
@@ -116,24 +114,9 @@ class CycleConfiguration:
         and select passes it on; pl_operator forms its own weights, so the two
         commutator routes stay independent."""
         gram = self.space.gram.num
-        images = {c: tuple(sum(map(mul, row, c)) for row in gram)
+        images = {c: tuple([sum(map(mul, row, c)) for row in gram])
                   for c in dict.fromkeys(self.matrix.num)}
-        return tuple(map(images.__getitem__, self.matrix.num))
-
-    @cached_property
-    def packed_images(self) -> tuple[Slots, tuple[int, ...]]:
-        """The rows of gram_images packed into one int each, and the Slots
-        that read them.  The slots hold every entry of a closed-form
-        commutator of two cycles here: with c and m the largest absolute
-        entries of C and of the images, a pairing d_a . (g d_b) is at most
-        n c m, so an entry is at most 2 n c^2 m^2.  Every row is packed, in
-        one call on first read; the closed form reads it from
-        transport.PACKED_MIN_DIM on.  Needs a node and n >= 1."""
-        images = self.gram_images
-        m = abs_max(images)
-        slots = Slots(max(2 * self.space.dim * abs_max(self.matrix.num) ** 2 * m, 1) * m,
-                      self.space.dim)
-        return slots, tuple(slots.pack(images))
+        return tuple([images[c] for c in self.matrix.num])
 
     def select(self, nodes: Sequence[int]) -> "CycleConfiguration":
         """The configuration of the cycles at nodes (0-based), in that order,
@@ -146,8 +129,7 @@ class CycleConfiguration:
         images = [self.gram_images[k] for k in nodes]
         g = c.den // sub.matrix.den
         if g != 1:
-            scaled = {im: tuple(x // g for x in im) for im in images}
-            images = map(scaled.__getitem__, images)
+            images = [tuple([x // g for x in im]) for im in images]
         vars(sub)["gram_images"] = tuple(images)  # seeds the cached_property
         return sub
 

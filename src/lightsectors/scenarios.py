@@ -103,10 +103,10 @@ def _read_row(text: str) -> tuple[tuple[int, ...], int]:
     digits, and its whitespace class is the characters str.split() splits on.
     """
     if _INT_ROW.fullmatch(text):
-        return tuple(map(int, text.split())), 1
+        return tuple([int(t) for t in text.split()]), 1
     parts = [rational_parts(tok) for tok in text.split()]
     den = lcm(*(d for _, d in parts))
-    return tuple(n * (den // d) for n, d in parts), den
+    return tuple([n * (den // d) for n, d in parts]), den
 
 
 def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None) -> Matrix:
@@ -134,9 +134,9 @@ def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None
             what = f"{_ROW_NAMES.get(field, field)} has {n} entries, expected {width}"
             raise ScenarioError(f"ragged {field} rows" if ragged else what, line=ln, field=field)
     den = lcm(*(d for _, d in read.values()))
-    scaled = {text: row if d == den else tuple(x * (den // d) for x in row)
+    scaled = {text: row if d == den else tuple([x * (den // d) for x in row])
               for text, (row, d) in read.items()}
-    return Matrix(len(rows), width or 0, tuple(scaled[text] for _, text in rows), den)
+    return Matrix(len(rows), width or 0, tuple([scaled[text] for _, text in rows]), den)
 
 
 def _uint(text: str, line: int, field: str, what: str) -> int:
@@ -241,7 +241,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         raw_blocks = []
         seen: set[int] = set()
         for ln, text in grids["partition"]:
-            block = tuple(_uint(t, ln, "partition", "partition entry") for t in text.split())
+            block = tuple([_uint(t, ln, "partition", "partition entry") for t in text.split()])
             for k in block:
                 if not 1 <= k <= r:
                     raise ScenarioError(f"not a partition of 1..{r}: node {k} out of range",

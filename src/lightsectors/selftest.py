@@ -16,9 +16,9 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .linalg import Matrix, quotient_dim, rank, vector
+from .linalg import Matrix, Slots, quotient_dim, rank, vector
 from .pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
-from .transport import commutator, commutes_all, interaction_matrix, pl_operator
+from .transport import commutator, commutator_bound, commutes_all, interaction_matrix, pl_operator
 from .atoms import atom_splitting
 from .blocks import BlockSeparationViolation, relation_lattice_from_blocks
 from .package import (AtomVerdict, Classification, LightSectorPackage, TransportVerdict,
@@ -50,7 +50,8 @@ def _check_a1xa1() -> LightSectorPackage:
     _require(pkg.interaction.entries == Matrix.zero(2, 2), "a1xa1 interaction matrix")
     _require(pkg.realized.is_full and pkg.realized.v_geom.dim == 2 and pkg.atom.is_split,
              "a1xa1 realized space and atoms")
-    _require(not any(any(map(any, grid)) for grid, _ in commutator(pkg.transport)),
+    ops = pkg.transport
+    _require(not any(any(rows) for rows, _ in commutator(ops, Slots(commutator_bound(ops), 2))),
              "a1xa1 commutators")
     _require(classify(pkg) == Classification(
         ExtensionVerdict.SPLIT, TransportVerdict.COMMUTING, AtomVerdict.SPLIT, None),
@@ -128,7 +129,8 @@ def _check_criterion_equivalences() -> str:
             cfg = CycleConfiguration.from_vectors(space, combo)
             lam = interaction_matrix(cfg)
             ops = [pl_operator(cfg, i) for i in range(r)]
-            brute = not any(any(map(any, grid)) for grid, _ in commutator(ops))
+            slots = Slots(commutator_bound(ops), space.dim)
+            brute = not any(any(rows) for rows, _ in commutator(ops, slots))
             report = atom_splitting(lam)
             singles = all(len(c) == 1 for c in report.clusters)
             no_edges = not report.mixing_edges

@@ -14,22 +14,20 @@ and each node's class, so lambda_ij = mu_(B(i) B(j)) and its work scales
 with the classes, not with r^2; each mu is a dot product of a class row with
 its configuration's gram_images, so no matrix product runs for it.
 
-The commutators N_i N_j - N_j N_i of a family of b operators come from one
-dense product, commutator(ops), for every pair i < j in row-major order; it
-holds (bn)^2 integers at once.  The closed form of one pair is built from the
-cycles alone, so the two routes cross-check each other.  Both return a pair
-(grid, den): an integer grid over a denominator, not reduced to lowest terms.
-Within one configuration, with D = dc^2 dg for C over dc and G over dg, both
-routes put every pair over D^2, so they compare as integer grids and no
-Matrix is built per pair; a reader that wants one builds Matrix(n, n, grid,
-den).
-
-From pairing dimension PACKED_MIN_DIM on, the closed form is formed a
-packed row at a time (linalg.Slots, a Kronecker substitution): row j is the
-one big-int combination -p (delta_a[j] P_b + delta_b[j] P_a) of the packed
-Gram images P_i, the rows g c_i packed once per configuration, and the n
-rows are unpacked in one call.  Packing costs a fixed few microseconds per
-configuration and per pair, so below that dimension the entrywise loop runs.
+The commutators N_i N_j - N_j N_i come by two independent routes, and
+both return a pair (rows, den): the n rows of an unreduced integer grid,
+each packed into one int in a linalg.Slots (a Kronecker substitution), over
+a denominator.  The dense route, commutator(ops), packs each operator's grid
+rows once and forms packed row r of a pair as one sum of big-int-by-small-int
+products of the grids' entries; the closed form, commutator_closed_form,
+forms row j as the combination -p (delta_a[j] P_b + delta_b[j] P_a) of the
+two packed Gram images.  Equal packed ints mean equal grids only while every
+entry of both fits its slot, so each route states its own entry bound
+(commutator_bound, closed_form_bound), and a caller that compares them packs
+both in one Slots that holds both bounds.  Within one configuration, with
+D = dc^2 dg for C over dc and G over dg, both routes put every pair over
+D^2, so they compare as packed ints and no commutator grid or Matrix is
+built.
 
 Word convention: a word is a sequence of signed 1-based letters, letter -i
 meaning the inverse transport Id - N_i.  The word [a, b] evaluates to the
@@ -42,20 +40,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from operator import mul, sub
+from itertools import combinations
+from operator import mul
 from typing import Sequence
 
-from .linalg import DimensionMismatchError, InvariantError, Matrix, first_skew_violation
+from .linalg import (
+    DimensionMismatchError,
+    InvariantError,
+    Matrix,
+    Slots,
+    abs_max,
+    first_skew_violation,
+)
 from .pairing import CycleConfiguration
 
 # An integer grid, row-major: with a denominator it stands for a rational matrix.
 Grid = tuple[tuple[int, ...], ...]
-
-# From this pairing dimension on, the closed form is formed a packed row at a
-# time (see the module docstring).
-PACKED_MIN_DIM = 8
-
 
 @dataclass(frozen=True)
 class TransportOperator:
@@ -84,7 +84,7 @@ class TransportOperator:
     @property
     def grid(self) -> Grid:
         """N as integers over den, unreduced: entry (j, k) is weights[k] * delta[j]."""
-        return tuple(tuple(w * d for w in self.weights) for d in self.delta)
+        return tuple([tuple([w * d for w in self.weights]) for d in self.delta])
 
     @cached_property
     def n_matrix(self) -> Matrix:
@@ -107,7 +107,7 @@ def pl_operator(cfg: CycleConfiguration, i: int) -> TransportOperator:
     delta = c.num[i]
     # Column k of N is <e_k, delta> delta, and <e_k, delta> = (G delta)[k]:
     # with delta = c_i / dc and G = g / dg that is (g c_i)[k] / (dg dc).
-    weights = tuple(sum(map(mul, row, delta)) for row in g.num)
+    weights = tuple([sum(map(mul, row, delta)) for row in g.num])
     return TransportOperator(delta, weights, c.den * c.den * g.den)
 
 
@@ -163,57 +163,78 @@ def interaction_matrix(cfg: CycleConfiguration) -> InteractionMatrix:
     c = cfg.matrix
     # Keys in order of first occurrence; equal rows have equal images.
     images = dict(zip(c.num, cfg.gram_images))
-    grid = tuple(tuple(sum(map(mul, row, image)) for image in images.values()) for row in images)
+    grid = tuple([tuple([sum(map(mul, row, image)) for image in images.values()])
+                  for row in images])
     pairings = Matrix(len(images), len(images), grid, c.den * c.den * cfg.space.gram.den)
     slot = {row: s for s, row in enumerate(images)}
-    return InteractionMatrix(pairings, tuple(map(slot.__getitem__, c.num)))
+    return InteractionMatrix(pairings, tuple([slot[row] for row in c.num]))
 
 
-def commutator(ops: Sequence[TransportOperator]) -> list[tuple[Grid, int]]:
+def commutator_bound(ops: Sequence[TransportOperator]) -> int:
+    """A bound on every entry of commutator(ops) and of the grids it packs,
+    from the operators alone: an entry of n_i n_j is a sum of n products of
+    grid entries, so an entry of a pair is at most 2 n M_i M_j, M_i the
+    largest absolute entry of op i's grid, max|delta_i| max|weights_i|.
+    Fewer than two operators, or none of positive dimension, give 0."""
+    if len(ops) < 2 or not ops[0].dim:
+        return 0
+    top = sorted(max(map(abs, op.delta)) * max(map(abs, op.weights)) for op in ops)
+    return max(2 * ops[0].dim * top[-2], 1) * top[-1]
+
+
+def commutator(ops: Sequence[TransportOperator], slots: Slots) -> list[tuple[list[int], int]]:
     """N_i N_j - N_j N_i for every pair i < j of ops, in row-major order:
-    (0, 1), (0, 2), ..., (1, 2), ..., each as (grid, den), unreduced.
+    (0, 1), (0, 2), ..., (1, 2), ..., each as (rows, den), unreduced: the n
+    rows packed in slots, over den.
 
-    One dense product serves every pair.  With N_i = n_i / d_i, n_i the
-    unreduced grid delta_i (x) weights_i, the grids n_i stacked (bn x n)
-    times the same grids side by side (n x bn) has block (i, j) equal to
-    n_i n_j, the product N_i N_j over d_i d_j, so pair (i, j) is block
-    (i, j) minus block (j, i) over d_i d_j, for any mix of denominators.
-    The diagonal blocks are formed and discarded, and the product holds
-    (bn)^2 integers at once.  Fewer than two operators give no pairs and no
-    product.
+    With N_i = n_i / d_i, n_i the unreduced grid delta_i (x) weights_i, the
+    pair (i, j) is n_i n_j - n_j n_i over d_i d_j, for any mix of
+    denominators.  Each grid's rows are packed once, P_i[k] row k of n_i,
+    and packed row r of the pair is the one sum
+    sum_k n_i[r][k] P_j[k] - n_j[r][k] P_i[k]: a Kronecker substitution
+    that reads only the operators' grids.  The rows read back exactly while
+    slots holds commutator_bound(ops).  Fewer than two operators give no
+    pairs and pack nothing.
     """
     dims = {op.dim for op in ops}
     if len(dims) > 1:
         raise DimensionMismatchError(f"operators act on dimensions {sorted(dims)}")
-    b = len(ops)
-    if b < 2:
+    if len(ops) < 2:
         return []
-    n = ops[0].dim
     grids = [op.grid for op in ops]
-    stacked = Matrix(b * n, n, tuple(chain.from_iterable(grids)))
-    side = Matrix(n, b * n, tuple(map(tuple, map(chain.from_iterable, zip(*grids)))))
-    prod = (stacked @ side).num
+    packed = [slots.pack(grid) for grid in grids]
     out = []
-    for i, j in combinations(range(b), 2):
-        ij, ji = prod[i * n:(i + 1) * n], prod[j * n:(j + 1) * n]
-        grid = tuple(tuple(map(sub, x[j * n:(j + 1) * n], y[i * n:(i + 1) * n]))
-                     for x, y in zip(ij, ji))
-        out.append((grid, ops[i].den * ops[j].den))
+    for (i, pi), (j, pj) in combinations(enumerate(packed), 2):
+        rows = [sum(map(mul, x, pj)) - sum(map(mul, y, pi)) for x, y in zip(grids[i], grids[j])]
+        out.append((rows, ops[i].den * ops[j].den))
     return out
 
 
-def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Grid, int]:
-    """N_a N_b - N_b N_a of cycles a and b (0-based) as (grid, den) over
-    (dg dc^2)^2, unreduced, evaluated columnwise from the rank-one factored
-    form.
+def closed_form_bound(cfg: CycleConfiguration) -> int:
+    """A bound on every entry of commutator_closed_form(cfg, a, b) and of the
+    images it packs, from the cycles alone: with c and m the largest
+    absolute entries of C and of cfg.gram_images, a pairing d_a . (g d_b) is
+    at most n c m, so an entry is at most 2 n c^2 m^2.  No node, or
+    dimension 0, gives 0."""
+    if not (cfg.r and cfg.space.dim):
+        return 0
+    m = abs_max(cfg.gram_images)
+    return 2 * cfg.space.dim * (abs_max(cfg.matrix.num) * m) ** 2
+
+
+def commutator_closed_form(
+    cfg: CycleConfiguration, a: int, b: int, slots: Slots
+) -> tuple[list[int], int]:
+    """N_a N_b - N_b N_a of cycles a and b (0-based) as (rows, den): the n
+    rows packed in slots, over (dg dc^2)^2, unreduced, evaluated from the
+    rank-one factored form.
 
     Column k is <e_k, delta_b> lambda_ba delta_a - <e_k, delta_a> lambda_ab delta_b
     with lambda_ab = <delta_a, delta_b>.  It reads rows a and b of C and of
     cfg.gram_images (the rows g c_i, formed once per package and shared with
     the interaction matrices), independent of pl_operator and of the dense
-    matrix product, so the two routes can cross-check each other.  From
-    PACKED_MIN_DIM on it reads them packed, from cfg.packed_images, and
-    unpacks all n rows in one call.
+    route, so the two routes can cross-check each other.  The rows read
+    back exactly while slots holds closed_form_bound(cfg).
     """
     if not (0 <= a < cfg.r and 0 <= b < cfg.r):
         raise IndexError(f"node indices {a}, {b} out of range for {cfg.r} nodes")
@@ -222,18 +243,13 @@ def commutator_closed_form(cfg: CycleConfiguration, a: int, b: int) -> tuple[Gri
     # With delta = d / dc and G = g / dg, (G delta)[k] = (g d)[k] / (dg dc)
     # and lambda_ab = p / (dg dc^2) with p = d_a . (g d_b).  As lambda_ba =
     # -lambda_ab, entry (j, k) is -lambda_ab ((G delta_b)[k] delta_a[j] +
-    # (G delta_a)[k] delta_b[j]): an integer over dg^2 dc^4.
+    # (G delta_a)[k] delta_b[j]): an integer over dg^2 dc^4.  Row j is
+    # delta_a[j] (-p P_b) + delta_b[j] (-p P_a) on the packed images P.
     ga, gb = cfg.gram_images[a], cfg.gram_images[b]
     p = sum(map(mul, da, gb))
-    den = (g.den * c.den * c.den) ** 2
-    if len(da) < PACKED_MIN_DIM:
-        return tuple(tuple(-p * (y * x + z * w) for y, z in zip(gb, ga))
-                     for x, w in zip(da, db)), den
-    # Row j is delta_a[j] (-p G delta_b) + delta_b[j] (-p G delta_a) on the
-    # packed images.
-    slots, packed = cfg.packed_images
-    qa, qb = -p * packed[a], -p * packed[b]
-    return tuple(slots.unpack([x * qb + y * qa for x, y in zip(da, db)])), den
+    pa, pb = slots.pack((ga, gb))
+    qa, qb = -p * pa, -p * pb
+    return [x * qb + y * qa for x, y in zip(da, db)], (g.den * c.den * c.den) ** 2
 
 
 def commutes_all(lam: InteractionMatrix) -> bool:

@@ -21,8 +21,11 @@ comparison, passing or not, as an ``EagerCheck``.  They call the package's
 arithmetic through the ``blocks`` module, so a fault patched in there reaches
 both sides; the dense commutators are the exception, formed here by
 ``commutator`` over ``n_matrix`` so that the oracle does not share the
-product under test.  The package's closed form returns an unreduced integer
-grid and its denominator; the oracle compares its value, as a ``Matrix``.
+product under test.  The package's two commutator routes return packed rows
+(``linalg.Slots``) and a denominator; ``commutator_grids`` and
+``closed_form_grid`` read them back as unreduced integer grids.  The oracle
+packs its commutator's value over the closed form's denominator and compares
+packed rows, as the package does.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from lightsectors import blocks
+from lightsectors import blocks, transport
 from lightsectors.atoms import AtomSplittingReport
-from lightsectors.linalg import DimensionMismatchError, Matrix, Vector, format_rational, quotient_dim
+from lightsectors.linalg import (DimensionMismatchError, Matrix, Slots, Vector, format_rational,
+                                 quotient_dim)
 from lightsectors.package import LightSectorPackage
 from lightsectors.pairing import CycleConfiguration, PairingSpace
 from lightsectors.transport import InteractionMatrix
@@ -128,6 +132,27 @@ def n_matrix(delta: Vector, weights: Vector) -> Matrix:
 def commutator(n_a: Matrix, n_b: Matrix) -> Matrix:
     """N_a N_b - N_b N_a of two dense matrices."""
     return sub(matmul(n_a, n_b), matmul(n_b, n_a))
+
+
+def commutator_grids(ops: Sequence[transport.TransportOperator],
+                     slots: Slots | None = None) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """The package's dense commutators of ops, (grid, den) per pair i < j:
+    each pair's packed rows read back from slots, by default slots that
+    hold transport.commutator_bound(ops)."""
+    if slots is None:
+        slots = Slots(transport.commutator_bound(ops), ops[0].dim if ops else 0)
+    return [(tuple(slots.unpack(rows)), den) for rows, den in transport.commutator(ops, slots)]
+
+
+def closed_form_grid(cfg: CycleConfiguration, a: int, b: int,
+                     slots: Slots | None = None) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The package's closed form of cycles a and b as (grid, den): its
+    packed rows read back from slots, by default slots that hold
+    transport.closed_form_bound(cfg)."""
+    if slots is None:
+        slots = Slots(transport.closed_form_bound(cfg), cfg.space.dim)
+    rows, den = blocks.commutator_closed_form(cfg, a, b, slots)
+    return tuple(slots.unpack(rows)), den
 
 
 def commutator_closed_form(space: PairingSpace, delta_a: Vector, delta_b: Vector) -> Matrix:
@@ -312,19 +337,26 @@ def block_commutator_checks(bc: blocks.BlockClasses, lam_blk: InteractionMatrix)
     block_cfg = CycleConfiguration.from_vectors(bc.classes.space, bc.classes.matrix.entries)
     gram = bc.classes.space.gram
     ns = [n_matrix(d, apply(gram, d)) for d in bc.classes.matrix.entries]
+    slots = Slots(transport.closed_form_bound(block_cfg), gram.rows)
     checks = []
     all_zero = True
     for i in range(b):
         for j in range(i + 1, b):
             dense = commutator(ns[i], ns[j])
-            grid, den = blocks.commutator_closed_form(block_cfg, i, j)
-            closed = Matrix(len(grid), len(grid), grid, den)
+            rows, den = blocks.commutator_closed_form(block_cfg, i, j, slots)
+            # Compared as packed rows in one Slots, as the package compares
+            # them: the reference value over the closed form's denominator
+            # is within the closed form's bound, so equal ints are equal
+            # values, and a faulty closed form is judged by its ints alone.
+            scaled = [[x * den for x in row] for row in dense.entries]
+            agree = (all(x.denominator == 1 for row in scaled for x in row)
+                     and slots.pack([[int(x) for x in row] for row in scaled]) == rows)
             checks.append(
                 EagerCheck(
                     name=f"commutator closed form ({i + 1},{j + 1})",
                     expected="matrix and closed form agree",
-                    actual="agree" if dense == closed else "disagree",
-                    passed=dense == closed,
+                    actual="agree" if agree else "disagree",
+                    passed=agree,
                 )
             )
             if not dense.is_zero():

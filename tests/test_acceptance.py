@@ -10,9 +10,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from lightsectors.linalg import Matrix, quotient_dim, vector
+from lightsectors.linalg import Matrix, Slots, quotient_dim, vector
 from lightsectors.pairing import pair
-from lightsectors.transport import commutator, commutator_closed_form
+from lightsectors.transport import (closed_form_bound, commutator, commutator_bound,
+                                   commutator_closed_form)
 from lightsectors.gluing import check_membership
 from lightsectors.blocks import relation_lattice_from_blocks
 from lightsectors.package import verify_block_structure
@@ -59,8 +60,9 @@ def test_criterion_2_coupled_two_node_regression():
         pkg = _check_a2()
 
         d1, d2 = pkg.cycles.matrix.entries
-        dense, = commutator(pkg.transport)
-        comm = Matrix(2, 2, *dense)
+        slots = Slots(max(commutator_bound(pkg.transport), closed_form_bound(pkg.cycles)), 2)
+        (rows, den), = commutator(pkg.transport, slots)
+        comm = Matrix(2, 2, tuple(slots.unpack(rows)), den)
         assert not comm.is_zero()
         space = pkg.space
         lam12 = pair(space, d1, d2)
@@ -72,7 +74,7 @@ def test_criterion_2_coupled_two_node_regression():
                 for x, y in zip(d1, d2)
             )
             assert comm.transpose().entries[k] == expected
-        assert dense == commutator_closed_form(pkg.cycles, 0, 1)
+        assert (rows, den) == commutator_closed_form(pkg.cycles, 0, 1, slots)
 
         assert pkg.realized.v_geom.basis.entries == (vector([1, 1]),)
         for c in (0, 1, 3, Fraction(-7, 2)):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lightsectors.linalg import (
     DimensionMismatchError,
     Matrix,
+    Slots,
     Subspace,
     column_space,
     quotient_dim,
@@ -17,6 +18,7 @@ from lightsectors.pairing import CycleConfiguration, standard_symplectic
 from lightsectors.transport import (
     InteractionMatrix,
     commutator,
+    commutator_bound,
     commutes_all,
     interaction_matrix,
     pl_operator,
@@ -211,7 +213,7 @@ def test_block_commutators_orthogonal_classes_commute():
     # One block pair plus the commutation criterion.
     assert report.overall and report.total == 2
     ops = [pl_operator(bc.classes, i) for i in range(2)]
-    assert not any(map(any, commutator(ops)[0][0]))
+    assert not any(commutator(ops, Slots(commutator_bound(ops), 4))[0][0])
     assert commutes_all(lam_blk)
 
 
@@ -222,7 +224,7 @@ def test_block_commutators_coupled_classes():
     report = block_commutator_check(bc, lam_blk)
     assert report.overall and report.total == 2
     ops = [pl_operator(bc.classes, i) for i in range(2)]
-    assert any(map(any, commutator(ops)[0][0]))
+    assert any(commutator(ops, Slots(commutator_bound(ops), space.dim))[0][0])
     assert not commutes_all(lam_blk)
 
 

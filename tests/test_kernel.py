@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import reference
 from lightsectors import blocks, cli, linalg, pairing, transport
-from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, Subspace, cleared,
+from lightsectors.linalg import (DimensionMismatchError, InvariantError, Matrix, Slots, Subspace, cleared,
                                  column_space, first_skew_violation, format_ratio,
                                  format_rational, kernel, rref, vector)
 from lightsectors.modelgen import random_block_scenario
@@ -33,7 +33,9 @@ from lightsectors.pairing import CycleConfiguration, PairingSpace, pair, standar
 from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.transport import (
     TransportOperator,
+    closed_form_bound,
     commutator,
+    commutator_bound,
     commutator_closed_form,
     interaction_matrix,
 )
@@ -228,9 +230,9 @@ def test_matmul_of_rank_one_grids(scale):
 
 
 def test_matmul_on_a_big_endian_host(monkeypatch):
-    """The packed product and the packed closed form read and write slots in
-    native byte order; on a host where that is big-endian, arrays and
-    memoryviews hold big-endian items, simulated here by swapping bytes
+    """The packed product and both packed commutator routes read and write
+    slots in native byte order; on a host where that is big-endian, arrays
+    and memoryviews hold big-endian items, simulated here by swapping bytes
     around the real ones."""
 
     class BigEndianArray:
@@ -261,14 +263,18 @@ def test_matmul_on_a_big_endian_host(monkeypatch):
         a, b = (Matrix.from_rows([[rng.randint(-big, big) for _ in range(5)] for _ in range(5)])
                 for _ in (0, 1))
         assert_same_matrix(a @ b, reference.matmul(a, b))
-    n = PACKED + 2
+    n = 10
     space = standard_symplectic(n // 2)
     for c, width in zip(CYCLE_MAGNITUDES, (1, 2, 4, 8, 11)):
         cycles = [vector(_pool_row(rng, n, c)) for _ in (0, 1)]
         cfg = CycleConfiguration.from_vectors(space, cycles)
-        assert_same_matrix(Matrix(n, n, *commutator_closed_form(cfg, 0, 1)),
-                           reference.commutator_closed_form(space, *cycles))
-        assert cfg.packed_images[0].width == width
+        ops = [transport.pl_operator(cfg, i) for i in (0, 1)]
+        slots = Slots(max(commutator_bound(ops), closed_form_bound(cfg)), n)
+        assert slots.width == width
+        want = reference.commutator_closed_form(space, *cycles)
+        (dense, den), = reference.commutator_grids(ops, slots)
+        assert_same_matrix(Matrix(n, n, dense, den), want)
+        assert_same_matrix(Matrix(n, n, *reference.closed_form_grid(cfg, 0, 1, slots)), want)
 
 
 @kernel_settings
@@ -468,7 +474,7 @@ def test_commutator_matches_reference(data):
     n = data.draw(st.integers(0, 5))
     family = data.draw(st.lists(operators(n), max_size=4))
     dense = [reference.n_matrix(*f) for _, *f in family]
-    got = commutator([op for op, *_ in family])
+    got = reference.commutator_grids([op for op, *_ in family])
     pairs = list(itertools.combinations(range(len(family)), 2))
     assert len(got) == len(pairs)
     for (grid, den), (i, j) in zip(got, pairs):
@@ -477,25 +483,27 @@ def test_commutator_matches_reference(data):
 
 
 def test_raw_grid_agreement_is_value_agreement():
-    """Both routes put every pair of one configuration over D^2, so their raw
-    integer grids agree exactly when their values do.  On generated block
-    configurations, the dense pair (i, j) is compared with the closed form
-    of every ordered pair (k, l): raw agreement must equal agreement of the
-    reference commutator with the closed form's value, and both verdicts
-    must occur."""
+    """Both routes put every pair of one configuration over D^2 and pack it
+    in one Slots that holds both routes' bounds, so their raw packed rows
+    agree exactly when their values do.  On generated block configurations,
+    the dense pair (i, j) is compared with the closed form of every ordered
+    pair (k, l): raw agreement must equal agreement of the reference
+    commutator with the closed form's value, and both verdicts must occur."""
     rng = random.Random(16)
     verdicts = set()
     for _ in range(25):
         cfg = to_package(random_block_scenario(rng, max_nodes=9, max_genus=3)).block_classes.classes
         n, b = cfg.space.dim, cfg.r
         ns = [reference.n_matrix(d, reference.apply(cfg.space.gram, d)) for d in cfg.matrix.entries]
-        dense = commutator([transport.pl_operator(cfg, i) for i in range(b)])
+        ops = [transport.pl_operator(cfg, i) for i in range(b)]
+        slots = Slots(max(commutator_bound(ops), closed_form_bound(cfg)), n)
+        dense = commutator(ops, slots)
         for (i, j), pair in zip(itertools.combinations(range(b), 2), dense):
             want = reference.commutator(ns[i], ns[j])
             for k, l in itertools.product(range(b), repeat=2):
-                closed = commutator_closed_form(cfg, k, l)
+                closed = commutator_closed_form(cfg, k, l, slots)
                 raw = pair == closed
-                assert raw == (want == Matrix(n, n, *closed))
+                assert raw == (want == Matrix(n, n, tuple(slots.unpack(closed[0])), closed[1]))
                 verdicts.add(raw)
     assert verdicts == {True, False}
 
@@ -513,7 +521,7 @@ def test_mixed_denominator_family_matches_reference():
         family = [transport.pl_operator(cfg, 0) for cfg in cfgs]
         assert len({op.den for op in family}) > 1
         ns = [reference.n_matrix(v, reference.apply(space.gram, v)) for v in cycles]
-        got = commutator(family)
+        got = reference.commutator_grids(family)
         for (grid, den), (i, j) in zip(got, itertools.combinations(range(len(dens)), 2)):
             assert den == family[i].den * family[j].den
             assert_same_matrix(Matrix(4, 4, grid, den), reference.commutator(ns[i], ns[j]))
@@ -528,9 +536,9 @@ def test_denominator_mismatch_is_an_internal_error(monkeypatch, capsys):
     pkg = to_package(parse_scenario(path.read_text()))
     real = blocks.commutator_closed_form
 
-    def doubled(cfg, a, b):
-        grid, den = real(cfg, a, b)
-        return tuple(tuple(2 * x for x in row) for row in grid), 2 * den
+    def doubled(cfg, a, b, slots):
+        rows, den = real(cfg, a, b, slots)
+        return [2 * x for x in rows], 2 * den
 
     monkeypatch.setattr(blocks, "commutator_closed_form", doubled)
     with pytest.raises(InvariantError, match=r"block commutator \(1,2\) over \d+, closed form over"):
@@ -545,7 +553,7 @@ def test_commutator_rejects_mixed_dimensions():
     a, b = TransportOperator((1, 2), (3, -4), 1), TransportOperator((1, 0, 2), (0, 5, 0), 3)
     for family in ([a, b], [b, a], [a, a, b], [b, b, a]):
         with pytest.raises(DimensionMismatchError):
-            commutator(family)
+            commutator(family, Slots(100, 3))
 
 
 def test_commutator_of_fewer_than_two_operators(monkeypatch):
@@ -553,15 +561,17 @@ def test_commutator_of_fewer_than_two_operators(monkeypatch):
         raise AssertionError("a matrix product ran for no pair")
 
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
-    assert commutator([]) == []
-    assert commutator([TransportOperator((1, -2), (3, 4), 5)]) == []
-    assert commutator([TransportOperator((), (), 1)]) == []
+    one = [TransportOperator((1, -2), (3, 4), 5)]
+    assert commutator_bound([]) == commutator_bound(one) == 0
+    assert commutator([], Slots(0, 0)) == []
+    assert commutator(one, Slots(0, 2)) == []
+    assert commutator([TransportOperator((), (), 1)], Slots(0, 0)) == []
 
 
-def test_block_commutator_check_makes_one_product(monkeypatch):
-    """The dense route of the cross-check is one (bn x n)(n x bn) product
-    for any block count b >= 2, and no product for one block.  The only
-    matrices built are its two operands and the product: none per pair."""
+def test_block_commutator_check_builds_no_matrix(monkeypatch):
+    """Both routes of the cross-check compare packed rows: for any block
+    count the check runs no matrix product and builds no Matrix, none per
+    pair and none for the family."""
     rng = random.Random(15)
     pkgs = [to_package(parse_scenario((DATA / "four_node_blocks.scenario").read_text())),
             to_package(builtin_scenario("quintic_orbits"))]
@@ -569,11 +579,10 @@ def test_block_commutator_check_makes_one_product(monkeypatch):
     one_block = blocks.BlockClasses(blocks.BlockDecomposition.from_blocks(2, [(0, 1)]),
                                     CycleConfiguration.from_vectors(standard_symplectic(1),
                                                                     [(1, 1)]))
-    real, real_init, shapes, built = Matrix.__matmul__, Matrix.__post_init__, [], []
+    real_init, built = Matrix.__post_init__, []
 
-    def counted(left, right):
-        shapes.append((left.rows, left.cols, right.cols))
-        return real(left, right)
+    def refuse(*_):
+        raise AssertionError("the commutator check ran a matrix product")
 
     def counted_init(m):
         built.append((m.rows, m.cols))
@@ -581,17 +590,15 @@ def test_block_commutator_check_makes_one_product(monkeypatch):
 
     seen = set()
     for bc in [pkg.block_classes for pkg in pkgs] + [one_block]:
-        b, n = bc.decomposition.count, bc.classes.space.dim
+        b = bc.decomposition.count
         lam_blk = blocks.reduced_matrix(bc)
-        shapes.clear()
         built.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(Matrix, "__matmul__", counted)
+            mp.setattr(Matrix, "__matmul__", refuse)
             mp.setattr(Matrix, "__post_init__", counted_init)
             report = blocks.block_commutator_check(bc, lam_blk)
         assert report.overall and report.total == b * (b - 1) // 2 + 1
-        assert shapes == ([(b * n, n, b * n)] if b >= 2 else [])
-        assert sorted(built) == (sorted([(b * n, n), (n, b * n), (b * n, b * n)]) if b >= 2 else [])
+        assert built == []
         seen.add(b)
     assert {1, 2, 5} <= seen
 
@@ -610,7 +617,7 @@ def test_closed_form_never_multiplies_matrices(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(transport, "pl_operator", refuse)
-    assert_same_matrix(Matrix(3, 3, *commutator_closed_form(cfg, 0, 1)), want)
+    assert_same_matrix(Matrix(3, 3, *reference.closed_form_grid(cfg, 0, 1)), want)
     assert not want.is_zero()
 
 
@@ -627,7 +634,7 @@ def test_gram_images_are_formed_once_per_configuration(data):
     assert [tuple(Fraction(x, scale) for x in row) for row in images] == [
         reference.apply(space.gram, c) for c in cycles]
     for i, j in itertools.permutations(range(3), 2):
-        commutator_closed_form(cfg, i, j)
+        reference.closed_form_grid(cfg, i, j)
     assert cfg.gram_images is images
 
 
@@ -677,7 +684,7 @@ def test_selected_images_divide_by_the_reduced_denominator():
         assert sub.gram_images == fresh.gram_images, nodes
     assert cfg.select([1]).matrix.den == 1 and cfg.select([1]).gram_images == ((0, 0, 0, -1),)
     shared = cfg.select([2, 1]).gram_images
-    assert shared[0] is shared[1]
+    assert shared[0] == shared[1] == (0, 0, 0, -1)
 
 
 @kernel_settings
@@ -687,17 +694,16 @@ def test_closed_form_matches_reference(data):
     cycles = [data.draw(vectors(space.dim)) for _ in (0, 1)]
     cfg = CycleConfiguration.from_vectors(space, cycles)
     i, j = data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
-    assert_same_matrix(Matrix(space.dim, space.dim, *commutator_closed_form(cfg, i, j)),
+    assert_same_matrix(Matrix(space.dim, space.dim, *reference.closed_form_grid(cfg, i, j)),
                        reference.commutator_closed_form(space, cycles[i], cycles[j]))
 
 
 
-# -- packed outer products -------------------------------------------------------
+# -- packed commutators ---------------------------------------------------------
 
-PACKED = transport.PACKED_MIN_DIM
-# Largest cycle entries c that put the packed closed form of a symplectic
+# Largest cycle entries c that put the packed commutators of a symplectic
 # configuration of integer cycles, slot bound 2 n c^4, into 1-, 2-, 4-,
-# 8-byte and wider slots for PACKED <= n <= 2 PACKED.
+# 8-byte and wider slots for 8 <= n <= 16.
 CYCLE_MAGNITUDES = (1, 3, 20, 1000, 10 ** 6, HUGE)
 
 
@@ -726,76 +732,180 @@ def test_slots_round_trip_at_their_edges(width):
 
 
 def test_packed_closed_form_matches_reference(monkeypatch):
-    """The closed form against the reference on dimensions on both sides of
-    PACKED_MIN_DIM, dimension 0, slots of 1, 2, 4, 8 and more bytes with
-    4302-digit entries among the widest, pairs with pairing p = 0 (a cycle
-    with itself, with its negative and with zero), and repeated rows.  From
-    PACKED_MIN_DIM on, each pair unpacks its n rows in one call, and no
-    matrix product or operator is used; below it nothing is packed."""
+    """The closed form against the reference in dimensions 0 to 16, slots of
+    1, 2, 4, 8 and more bytes with 4302-digit entries among the widest,
+    pairs with pairing p = 0 (a cycle with itself, with its negative and
+    with zero), and repeated rows.  Each pair packs its two images in one
+    call and unpacks nothing, and no matrix product or operator is used."""
     def refuse(*_):
         raise AssertionError("closed form used the matrix product or an operator")
 
-    unpacked, real_unpack = [], linalg.Slots.unpack
+    calls, real_pack, real_unpack = [], linalg.Slots.pack, linalg.Slots.unpack
 
-    def spy(slots, packed):  # each unpack as (slot width, number of rows)
-        unpacked.append((slots.width, len(packed)))
-        return real_unpack(slots, packed)
+    def pack(slots, rows):
+        calls.append(("pack", len(rows)))
+        return real_pack(slots, rows)
 
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(transport, "pl_operator", refuse)
-    monkeypatch.setattr(linalg.Slots, "unpack", spy)
+    monkeypatch.setattr(linalg.Slots, "pack", pack)
+    monkeypatch.setattr(linalg.Slots, "unpack", lambda *_: calls.append("unpack"))
     rng = random.Random(23)
     widths, zero_pairings = set(), 0
     for c in CYCLE_MAGNITUDES:
-        dims = (PACKED, 2 * PACKED) if c == HUGE else (0, 2, PACKED - 2, PACKED, PACKED + 2, 2 * PACKED)
-        for n in dims:
+        for n in ((8, 16) if c == HUGE else (0, 2, 6, 8, 10, 16)):
             space = standard_symplectic(n // 2)
             den = 1 if c in (1, HUGE) else rng.choice((1, 2, 6))
             rows = [_pool_row(rng, n, c) for _ in (0, 1)]
             cycles = [vector(Fraction(x, den) for x in row)
                       for row in rows + [[-x for x in rows[0]], [0] * n]]
             cfg = CycleConfiguration.from_vectors(space, cycles)
+            slots = Slots(closed_form_bound(cfg), n)
             for i, j in itertools.product(range(len(cycles)), repeat=2):
-                unpacked.clear()
-                grid, gden = commutator_closed_form(cfg, i, j)
+                calls.clear()
+                packed, gden = commutator_closed_form(cfg, i, j, slots)
+                assert calls == [("pack", 2)]
                 want = reference.commutator_closed_form(space, cycles[i], cycles[j])
-                assert_same_matrix(Matrix(n, n, grid, gden), want)
-                if n < PACKED:
-                    assert unpacked == []
-                    continue
-                assert unpacked == [(cfg.packed_images[0].width, n)]
+                assert_same_matrix(Matrix(n, n, tuple(real_unpack(slots, packed)), gden), want)
                 zero_pairings += reference.pair(space, cycles[i], cycles[j]) == 0
-                widths.add(unpacked[0][0])
+                widths.add(slots.width)
     assert {1, 2, 4, 8} <= widths and max(widths) > 8
     assert zero_pairings
 
 
-def test_packed_images_pack_all_images_in_one_call_on_first_read(monkeypatch):
-    packed_rows, real_pack = [], linalg.Slots.pack
-    monkeypatch.setattr(linalg.Slots, "pack",
-                        lambda slots, rows: packed_rows.append(len(rows)) or real_pack(slots, rows))
-    cfg = CycleConfiguration.from_vectors(
-        standard_symplectic(4), [(1, 0, 2, 0, 0, 0, 0, 3), (0, 1, 0, 0, 5, 0, 0, 0)] * 2)
-    assert packed_rows == []
-    slots, packed = cfg.packed_images
-    assert packed_rows == [4] and len(packed) == 4
-    assert cfg.packed_images == (slots, packed) and packed_rows == [4]
-    assert list(slots.unpack(packed)) == list(cfg.gram_images)
-
 def test_packed_closed_form_reaches_its_slot_bound():
     """delta_a = (c, ..., c) and delta_b = (-c, c, -c, ...) in the symplectic
-    space pair to n c^2, and entry (1, 2) of their closed form is -2 n c^4,
-    the bound packed_images sizes its slots by.  At n = 8 and c = 7 that
+    space pair to n c^2, and entry (1, 2) of their commutator is -2 n c^4,
+    the bound both routes size their slots by.  At n = 8 and c = 7 that
     takes 4-byte slots, where half of it would fit in 2 bytes."""
     n, c = 8, 7
-    assert n >= PACKED
     space = standard_symplectic(n // 2)
     cycles = [vector([c] * n), vector([(-1) ** (j + 1) * c for j in range(n)])]
     cfg = CycleConfiguration.from_vectors(space, cycles)
-    grid, den = commutator_closed_form(cfg, 0, 1)
-    assert grid[0][1] == min(map(min, grid)) == -2 * n * c ** 4
-    assert cfg.packed_images[0].width == 4
+    ops = [transport.pl_operator(cfg, i) for i in (0, 1)]
+    bound = closed_form_bound(cfg)
+    assert bound == commutator_bound(ops) == 2 * n * c ** 4
+    slots = Slots(bound, n)
+    assert slots.width == 4
+    grid, den = reference.closed_form_grid(cfg, 0, 1, slots)
+    assert grid[0][1] == min(map(min, grid)) == -bound
+    assert reference.commutator_grids(ops, slots) == [(grid, den)]
     assert_same_matrix(Matrix(n, n, grid, den), reference.commutator_closed_form(space, *cycles))
+
+
+def _separate_blocks(space, cycles):
+    """Block classes of one node per block, the cycles given."""
+    part = blocks.BlockDecomposition.from_blocks(len(cycles), [(k,) for k in range(len(cycles))])
+    return blocks.BlockClasses(part, CycleConfiguration.from_vectors(space, cycles))
+
+
+def _assert_same_checks(report, checks):
+    assert report.total == len(checks)
+    got = [(f.name, f.expected, f.actual) for f in report.failures]
+    assert got == [(c.name, c.expected, c.actual) for c in checks if not c.passed]
+
+
+def test_block_commutator_check_at_slot_edges(monkeypatch):
+    """The whole cross-check against the eager reference with its one Slots
+    1, 2, 4, 8 and more bytes wide, in dimensions 0 to 16, for 1, 2 and 5
+    blocks: clean, and with the closed form of one pair off by one at the
+    lowest slot of its first row or at the top slot of its last row.  A
+    clean check passes, and a planted fault is reported as that pair's
+    disagreement and nothing else."""
+    widths, real_slots = set(), linalg.Slots
+
+    def spy_slots(bound, cols):
+        slots = real_slots(bound, cols)
+        widths.add(slots.width)
+        return slots
+
+    monkeypatch.setattr(blocks, "Slots", spy_slots)
+    real = blocks.commutator_closed_form
+    rng = random.Random(29)
+    verdicts = set()
+    # 10^6 already takes 11-byte slots; the 4302-digit entries are left to
+    # the two routes' own tests, as the whole check takes seconds with them.
+    for c in CYCLE_MAGNITUDES[:-1]:
+        for n in (0, 2, 8, 16):
+            space = standard_symplectic(n // 2)
+            for b in (1, 2, 5):
+                den = 1 if c == 1 else rng.choice((1, 2, 6))
+                cycles = [vector(Fraction(x, den) for x in _pool_row(rng, n, c)) for _ in range(b)]
+                bc = _separate_blocks(space, cycles)
+                lam_blk = blocks.reduced_matrix(bc)
+                report = blocks.block_commutator_check(bc, lam_blk)
+                assert report.overall
+                _assert_same_checks(report, reference.block_commutator_checks(bc, lam_blk))
+                verdicts.add(lam_blk.pairings.is_zero())
+                n_pairs = b * (b - 1) // 2
+                for row in ({0, n - 1} if n_pairs and n else ()):
+                    bad, calls = rng.randrange(n_pairs), itertools.count()
+
+                    def off_by_one(cfg, i, j, slots):
+                        rows, d = real(cfg, i, j, slots)
+                        if next(calls) % n_pairs == bad:
+                            rows[row] += 1 << 8 * slots.width * row
+                        return rows, d
+
+                    with monkeypatch.context() as mp:
+                        mp.setattr(blocks, "commutator_closed_form", off_by_one)
+                        report = blocks.block_commutator_check(bc, lam_blk)
+                        checks = reference.block_commutator_checks(bc, lam_blk)
+                    pair = list(itertools.combinations(range(1, b + 1), 2))[bad]
+                    assert [f.name for f in report.failures] == [
+                        "commutator closed form (%d,%d)" % pair]
+                    _assert_same_checks(report, checks)
+    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("scaled, scale", [({0}, 2 ** 70), ({0, 1, 2, 3, 4}, 0)],
+                         ids=["dense-past-closed-bound", "dense-bound-zero"])
+def test_each_route_is_packed_within_its_own_bound(monkeypatch, scaled, scale):
+    """Operator weights scaled by 2^70 for block 1 make its pairs' dense
+    entries exceed the closed form's bound; weights scaled by 0 for every
+    block make the dense bound 0 while the closed form's entries stay.  The
+    check sizes its slots from both routes' own bounds, so the dense rows
+    read back exactly as the reference commutators of the scaled
+    operators, the closed form packs without overflow, and each pair whose
+    two routes differ is reported as a disagreement, nothing else."""
+    rng = random.Random(31)
+    n = 8
+    space = standard_symplectic(n // 2)
+    cycles = [vector(_pool_row(rng, n, 1000)) for _ in range(4)] + [vector([0] * n)]
+    bc = _separate_blocks(space, cycles)
+    lam_blk = blocks.reduced_matrix(bc)
+    real_op, real_commutator, seen = blocks.pl_operator, blocks.commutator, []
+
+    def scaled_op(cfg, i):
+        op = real_op(cfg, i)
+        if i not in scaled:
+            return op
+        return TransportOperator(op.delta, tuple(scale * w for w in op.weights), op.den)
+
+    def spy_commutator(ops, slots):
+        seen.append((ops, slots))
+        return real_commutator(ops, slots)
+
+    monkeypatch.setattr(blocks, "pl_operator", scaled_op)
+    monkeypatch.setattr(blocks, "commutator", spy_commutator)
+    report = blocks.block_commutator_check(bc, lam_blk)
+    (ops, slots), = seen
+    ns = [reference.n_matrix(tuple(Fraction(x, op.den) for x in op.delta), vector(op.weights))
+          for op in ops]
+    pairs = list(itertools.combinations(range(5), 2))
+    differ = []
+    for (rows, den), (i, j) in zip(real_commutator(ops, slots), pairs):
+        got = Matrix(n, n, tuple(slots.unpack(rows)), den)
+        assert_same_matrix(got, reference.commutator(ns[i], ns[j]))
+        closed = Matrix(n, n, *reference.closed_form_grid(bc.classes, i, j, slots))
+        if got != closed:
+            differ.append(f"commutator closed form ({i + 1},{j + 1})")
+    assert differ
+    # Zero weights zero every dense commutator, against nonzero pairings.
+    criterion = [] if scale else ["commutation criterion"]
+    assert [f.name for f in report.failures] == differ + criterion
+
 
 # -- elimination ---------------------------------------------------------------
 

@@ -40,20 +40,18 @@ def test_tracer_sees_the_counted_and_traced_calls():
         with tracer.installed():
             pkg = scenarios.to_package(scenarios.parse_scenario(text))
             assert package.verify_block_structure(pkg).overall
-        assert tracer.counts["linalg.matmul.calls"] > 0
         assert tracer.counts["linalg.rref.calls"] > 0
         spans = {name for name, *_ in tracer.spans}
         assert {"transport.commutator", "transport.commutator_closed_form",
                 "transport.interaction_matrix"} <= spans
-        # The dense commutators still go through the counted product.
-        assert any(name == "linalg.matmul" and parent >= 0
-                   and tracer.spans[parent][0] == "transport.commutator"
-                   for name, _, _, parent, _ in tracer.spans)
 
 
-def test_verify_makes_one_counted_product_under_the_commutator():
-    """The interaction matrices are dot products with the shared Gram images,
-    so the verify path's one matrix product is the dense commutator's."""
+def test_verify_makes_no_counted_product_and_nests_the_commutator_spans():
+    """The interaction matrices are dot products with the shared Gram images
+    and both commutator routes compare packed rows, so the verify path makes
+    no counted matrix product; the dense route, the closed form and the
+    block operators are still reached through the names the tracer wraps,
+    under the commutator check."""
     texts = [(DATA / "four_node_blocks.scenario").read_text(),
              scenarios.serialize_scenario(scenarios.builtin_scenario("quintic_orbits"))]
     for text in texts:
@@ -61,6 +59,10 @@ def test_verify_makes_one_counted_product_under_the_commutator():
         with tracer.installed():
             pkg = scenarios.to_package(scenarios.parse_scenario(text))
             assert package.verify_block_structure(pkg).overall
-        assert tracer.counts["linalg.matmul.calls"] == 1
-        products = [parent for name, _, _, parent, _ in tracer.spans if name == "linalg.matmul"]
-        assert [tracer.spans[p][0] for p in products] == ["transport.commutator"]
+        assert tracer.counts["linalg.matmul.calls"] == 0
+        assert not any(name == "linalg.matmul" for name, *_ in tracer.spans)
+        routes = ("transport.commutator", "transport.commutator_closed_form",
+                  "transport.pl_operator")
+        parents = {name: {tracer.spans[parent][0] for n, _, _, parent, _ in tracer.spans
+                          if n == name} for name in routes}
+        assert parents == dict.fromkeys(routes, {"blocks.block_commutator_check"})

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from lightsectors.linalg import (
     DimensionMismatchError,
     InvariantError,
     Matrix,
+    Slots,
     rank,
     vector,
 )
@@ -24,7 +26,9 @@ from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.transport import (
     InteractionMatrix,
     TransportOperator,
+    closed_form_bound,
     commutator,
+    commutator_bound,
     commutator_closed_form,
     commutes_all,
     interaction_matrix,
@@ -106,7 +110,7 @@ def test_pl_operator_index_range():
 @pytest.mark.parametrize("a, b", [(2, 0), (0, 2), (-1, 0), (1, -1)])
 def test_closed_form_index_range(a, b):
     with pytest.raises(IndexError):
-        commutator_closed_form(_a2_config(), a, b)
+        commutator_closed_form(_a2_config(), a, b, Slots(1, 2))
 
 
 def test_rank_one_factor_matches_dense_reference():
@@ -248,19 +252,20 @@ def test_reduced_matrix_is_an_interaction_matrix(name):
 
 def test_commutator_with_self_is_zero():
     op = pl_operator(_a2_config(), 0)
-    (grid, _), = commutator([op, op])
-    assert not any(map(any, grid))
+    (rows, _), = commutator([op, op], Slots(commutator_bound([op, op]), 2))
+    assert not any(rows)
 
 
 def test_commutator_split_pair_is_zero():
     cfg = _a1xa1_config()
-    (grid, _), = commutator([pl_operator(cfg, 0), pl_operator(cfg, 1)])
-    assert not any(map(any, grid))
+    ops = [pl_operator(cfg, 0), pl_operator(cfg, 1)]
+    (rows, _), = commutator(ops, Slots(commutator_bound(ops), 2))
+    assert not any(rows)
 
 
 def test_commutator_coupled_pair_is_nonzero():
     cfg = _a2_config()
-    (grid, den), = commutator([pl_operator(cfg, 0), pl_operator(cfg, 1)])
+    (grid, den), = reference.commutator_grids([pl_operator(cfg, 0), pl_operator(cfg, 1)])
     c = Matrix(2, 2, grid, den)
     assert not c.is_zero()
     # Product oracle, computed by hand from the two nilpotent matrices.
@@ -271,23 +276,23 @@ def test_commutator_dimension_mismatch():
     a = pl_operator(_a2_config(), 0)
     b = pl_operator(_a1xa1_config(), 0)
     with pytest.raises(DimensionMismatchError):
-        commutator([a, b])
+        commutator([a, b], Slots(100, 2))
 
 
 @settings(max_examples=150)
 @given(cfg=cycle_configurations())
 def test_commutator_matches_closed_form(cfg):
     ops = [pl_operator(cfg, i) for i in range(cfg.r)]
-    dense = commutator(ops)
+    slots = Slots(max(commutator_bound(ops), closed_form_bound(cfg)), cfg.space.dim)
+    dense = commutator(ops, slots)
     assert len(dense) == cfg.r * (cfg.r - 1) // 2
-    # One configuration puts both routes over one denominator, so they agree
-    # as raw integer grids, not only in value.
-    for (i, j), (grid, den) in zip(itertools.combinations(range(cfg.r), 2), dense):
-        assert (grid, den) == commutator_closed_form(cfg, i, j)
-        negated = tuple(tuple(-x for x in row) for row in grid)
-        assert (negated, den) == commutator_closed_form(cfg, j, i)
+    # One configuration puts both routes over one denominator, and one Slots
+    # holds both, so they agree as raw packed rows, not only in value.
+    for (i, j), (rows, den) in zip(itertools.combinations(range(cfg.r), 2), dense):
+        assert (rows, den) == commutator_closed_form(cfg, i, j, slots)
+        assert ([-v for v in rows], den) == commutator_closed_form(cfg, j, i, slots)
     for i in range(cfg.r):
-        assert commutator([ops[i], ops[i]])[0] == commutator_closed_form(cfg, i, i)
+        assert commutator([ops[i], ops[i]], slots)[0] == commutator_closed_form(cfg, i, i, slots)
 
 
 @settings(max_examples=100)
@@ -295,7 +300,8 @@ def test_commutator_matches_closed_form(cfg):
 def test_commutes_all_iff_commutators_vanish(cfg):
     lam = interaction_matrix(cfg)
     ops = [pl_operator(cfg, i) for i in range(cfg.r)]
-    brute = not any(any(map(any, grid)) for grid, _ in commutator(ops))
+    slots = Slots(commutator_bound(ops), cfg.space.dim)
+    brute = not any(any(rows) for rows, _ in commutator(ops, slots))
     assert commutes_all(lam) == brute
 
 

@@ -63,7 +63,7 @@ def _with_sections(pkg: LightSectorPackage, **sections) -> LightSectorPackage:
 
 def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
     """The closed form, plus the identity on the calls numbered in bad_calls:
-    its denominator added to each diagonal entry of its grid.
+    its denominator added to each diagonal entry, slot k of packed row k.
 
     Calls are numbered modulo n_pairs, one run's worth: every run of the
     commutator check asks for each block pair once, in the same order.
@@ -71,11 +71,11 @@ def _closed_form_off_at(bad_calls: set[int], n_pairs: int):
     calls = itertools.count()
     real = blocks.commutator_closed_form
 
-    def closed_form(cfg, a, b):
-        grid, den = real(cfg, a, b)
+    def closed_form(cfg, a, b, slots):
+        rows, den = real(cfg, a, b, slots)
         if next(calls) % n_pairs in bad_calls:
-            grid = tuple(row[:k] + (row[k] + den,) + row[k + 1:] for k, row in enumerate(grid))
-        return grid, den
+            rows = [v + (den << 8 * slots.width * k) for k, v in enumerate(rows)]
+        return rows, den
 
     return closed_form
 
