@@ -303,7 +303,7 @@ def blocks_from_indicator_basis(
         # Entry x / den is 0 or 1 iff x is 0 or den.
         if any(x and x != basis.den for x in row):
             return NotBlockAdapted("basis vector has entries outside {0,1}", basis.entries[k])
-        support = tuple([k for k, x in enumerate(row) if x])
+        support = tuple([node for node, x in enumerate(row) if x])
         if covered & set(support):
             return NotBlockAdapted("basis vector supports overlap", basis.entries[k])
         covered.update(support)

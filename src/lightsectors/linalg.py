@@ -16,22 +16,19 @@ built on request, and the readers of ``cleared`` (``apply``, ``pairing.pair``
 and ``Subspace.contains``, which take mixed input).  Rational text has one
 writer, ``format_ratio``; ``format_cells`` applies it to a matrix's int rows.
 
-A product A·B (A m×n, B n×p) is a Kronecker substitution, as FLINT packs
-integer polynomials: row k of B becomes one ``int`` P_k = Σ_j b_kj·2^(w·j),
-and row i of the product is the one sum Σ_k a_ik·P_k, whose w-bit slots are
-the entries.  ``Slots`` is the one packing: it picks the slot width w from
-a bound on every entry it packs or reads back (its bit length plus a sign
-bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes past 8), packs a
-row into one signed ``int``, and unpacks many packed rows in one
-``memoryview`` cast.  The product reads it, with the bound
-max(n·max|a|, 1)·max|b| over every product entry and every entry of B, and
-so do both routes to the commutators of rank-one transports
-(``transport``): the dense route's rows are sums of packed operator rows,
-the closed form's combinations of two packed Gram images, and the two are
-compared as packed ints, never unpacked.  A product multiplies each
-distinct row of A once, and equal rows of A share one result row; for each
-of those every a_ik·b_kj term is still formed, so this is the dense product
-in other arithmetic.
+A product A·B is the plain exact product: entry (i, j) is the integer dot
+product of row i of A with column j of B, over den_A·den_B.  No pipeline stage
+multiplies matrices; ``transport_word`` and ``selftest`` do.
+
+``Slots`` packs the commutator cross-check (``transport``), a Kronecker
+substitution: a row x becomes one ``int`` Σ_j x_j·2^(w·j).  It picks the
+slot width w from a bound on every entry it packs or reads back (its bit
+length plus a sign bit, rounded up to 1, 2, 4 or 8 bytes, or to whole bytes
+past 8), packs a row into one signed ``int``, and unpacks many packed rows
+in one ``memoryview`` cast.  Both routes to the commutators of rank-one
+transports return packed rows: the dense route's are sums of packed
+operator rows, the closed form's combinations of two packed Gram images, and
+``block_commutator_check`` compares the two as packed ints, never unpacked.
 
 Pivoting is deterministic (leftmost nonzero in scan order); identical inputs
 produce bit-identical outputs regardless of platform or scheduling.
@@ -225,7 +222,8 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        grid = _packed_product(self.num, other.num, other.cols)
+        columns = other.transpose().num
+        grid = tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in self.num])
         return Matrix(self.rows, other.cols, grid, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
@@ -310,23 +308,6 @@ class Slots:
             values = [int.from_bytes(data[i:i + width], order, signed=True)
                       for i in range(0, len(data), width)]
         return zip(*[iter(values)] * cols)
-
-
-def _packed_product(
-    a: Sequence[tuple[int, ...]], b: Sequence[Sequence[int]], cols: int
-) -> tuple[tuple[int, ...], ...]:
-    """The integer grid a·b, with b n×cols, by Kronecker substitution (see
-    the module docstring): each row of b packed into Slots, row i of the
-    product the one sum Σ_k a_ik·P_k.  Each distinct row of a is multiplied
-    once, and equal rows share one result tuple.
-    """
-    if not (a and b and cols):  # no entries, or every entry an empty sum
-        return ((0,) * cols,) * len(a)
-    distinct = dict.fromkeys(a)
-    slots = Slots(max(len(b) * abs_max(distinct), 1) * abs_max(b), cols)
-    packed = slots.pack(b)
-    products = dict(zip(distinct, slots.unpack([sum(map(mul, row, packed)) for row in distinct])))
-    return tuple(map(products.__getitem__, a))
 
 
 def first_skew_violation(m: Matrix) -> tuple[int, int] | None:

@@ -17,7 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
-from lightsectors import package, scenarios  # noqa: E402
+from lightsectors import package, report, scenarios  # noqa: E402
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -51,13 +51,15 @@ def test_verify_makes_no_counted_product_and_nests_the_commutator_spans():
     and both commutator routes compare packed rows, so the verify path makes
     no counted matrix product; the dense route, the closed form and the
     block operators are still reached through the names the tracer wraps,
-    under the commutator check."""
+    under the commutator check.  The analysis document and both renders
+    make none either, so no pipeline path multiplies matrices."""
     texts = [(DATA / "four_node_blocks.scenario").read_text(),
              scenarios.serialize_scenario(scenarios.builtin_scenario("quintic_orbits"))]
     for text in texts:
         tracer = tracing.Tracer()
         with tracer.installed():
-            pkg = scenarios.to_package(scenarios.parse_scenario(text))
+            sc = scenarios.parse_scenario(text)
+            pkg = scenarios.to_package(sc)
             assert package.verify_block_structure(pkg).overall
         assert tracer.counts["linalg.matmul.calls"] == 0
         assert not any(name == "linalg.matmul" for name, *_ in tracer.spans)
@@ -66,3 +68,8 @@ def test_verify_makes_no_counted_product_and_nests_the_commutator_spans():
         parents = {name: {tracer.spans[parent][0] for n, _, _, parent, _ in tracer.spans
                           if n == name} for name in routes}
         assert parents == dict.fromkeys(routes, {"blocks.block_commutator_check"})
+        with tracer.installed():
+            doc = report.analysis_document(pkg, sc.name)
+            assert report.render_report(doc, "text") and report.render_report(doc, "machine")
+        assert tracer.counts["report.bytes_out"] > 0
+        assert tracer.counts["linalg.matmul.calls"] == 0

@@ -347,3 +347,37 @@ def test_word_concatenation(cfg, data):
     u = data.draw(st.lists(letters, max_size=4))
     v = data.draw(st.lists(letters, max_size=4))
     assert transport_word(cfg, u + v) == transport_word(cfg, u) @ transport_word(cfg, v)
+
+
+@st.composite
+def fractional_configurations(draw, max_dim=4, max_r=3):
+    """A configuration whose cycle matrix and Gram matrix both have a
+    denominator other than 1: entry (0, 1) of each is ±1/2, ±1/3 or ±1/5."""
+    dim = draw(st.integers(2, max_dim))
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
+    unit_fractions = st.builds(Fraction, st.sampled_from((1, -1)), st.sampled_from((2, 3, 5)))
+    upper = {(i, j): draw(fractions) for i in range(dim) for j in range(i + 1, dim)}
+    upper[0, 1] = draw(unit_fractions)
+    gram = [[upper[i, j] if i < j else -upper[j, i] if i > j else 0 for j in range(dim)]
+            for i in range(dim)]
+    cycles = [[draw(fractions) for _ in range(dim)] for _ in range(draw(st.integers(1, max_r)))]
+    cycles[0][1] = draw(unit_fractions)
+    return CycleConfiguration.from_vectors(PairingSpace(Matrix.from_rows(gram)), cycles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=fractional_configurations(), data=st.data())
+def test_word_matches_the_reference_product(cfg, data):
+    """transport_word against the entrywise Fraction product, left to right,
+    of T_i = Id + N_i and T_i^-1 = Id - N_i, each N_i = delta_i (x) G delta_i
+    built by the reference, so the oracle shares no product with the package."""
+    letters = st.integers(-cfg.r, cfg.r).filter(bool)
+    word = data.draw(st.lists(letters, max_size=6))
+    ident = Matrix.identity(cfg.space.dim)
+    want = ident
+    for letter in word:
+        delta = cfg.matrix.entries[abs(letter) - 1]
+        n = reference.n_matrix(delta, reference.apply(cfg.space.gram, delta))
+        want = reference.matmul(want, (reference.add if letter > 0 else reference.sub)(ident, n))
+    assert cfg.matrix.den > 1 and cfg.space.gram.den > 1
+    assert transport_word(cfg, word) == want
