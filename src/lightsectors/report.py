@@ -6,14 +6,18 @@ identical inputs yield byte-identical output.  Its bytes equal what
 json.dumps writes with an indent of 2 and sorted keys, plus a newline.  A
 small writer produces them without the standard library's pure-Python
 indent encoder, and writes each O(r^2) section whole: a list of plain-int
-rows (mixing_edges, the blocks) through one %d row template per width,
-repeated whole when every row has one width, filled at once and added to
-the output as its own piece, and a list of string rows (the interaction
-matrices, the realized basis) one distinct row at a time, each row written
-once however often it repeats.  Nothing is memoized across sections or calls.
-The document's mixing_edges rows are written in one pass from the atom
-report's per-class runs (AtomSplittingReport.edge_rows), the only place an
-analysis builds the edges; the verify path builds none.
+rows (the blocks) through one %d row template per width, repeated whole
+when every row has one width, filled at once and added to the output as its
+own piece, and a list of string rows (the interaction matrices, the realized
+basis) one distinct row at a time, each row written once however often it
+repeats.  Nothing is memoized across sections or calls.
+The document's mixing_edges is the atom report's EdgeRows
+(AtomSplittingReport.edge_rows(1)), the only place an analysis builds the
+edges; the verify path builds none.  Both formats write an EdgeRows node by
+node from the runs it keeps: one string per node number, one list of them
+per class, and each node's edges one join over the tail of its class's
+list, with no cell formatted or type-checked per edge.  A hand-built or
+JSON-loaded document's plain list of pairs takes the generic paths.
 The text format renders the same data section by section: extension side,
 transport side, atom side, blocks.  All node and block indices in documents
 and text are 1-based; rationals appear in canonical lowest-terms form.
@@ -25,6 +29,7 @@ import json
 from itertools import chain
 from typing import Sequence
 
+from .atoms import EdgeRows
 from .linalg import format_cells, format_rational
 from .blocks import (
     BlockDecomposition,
@@ -221,7 +226,25 @@ def _render_matrix_text(cells: list[list[str]]) -> list[str]:
     return list(map(distinct.__getitem__, keys))
 
 
+def _edge_runs(edges: EdgeRows, head: str, mid: str, tail: str, sep: str) -> str:
+    """sep.join(head + str(i) + mid + str(j) + tail for (i, j) in edges),
+    written node by node from the runs: each node number is formatted once,
+    and each node's edges are one join over the tail of its class's run."""
+    base = edges.base
+    names = [str(n) for n in range(base, base + len(edges.node_class))]
+    runs = [[names[j - base] for j in run] for run in edges.runs]
+    pieces = []
+    for name, c, k in zip(names, edges.node_class, edges.starts):
+        run = runs[c]
+        if k < len(run):
+            first = head + name + mid
+            pieces.append(first + (tail + sep + first).join(run[k:]) + tail)
+    return sep.join(pieces)
+
+
 def _edges_text(edges: Sequence[Sequence[int]]) -> str:
+    if isinstance(edges, EdgeRows):
+        return _edge_runs(edges, "(", ",", ")", " ")
     # One "(%s,%s)" template over the flattened pairs, checked to be pairs.
     if set(map(len, edges)) != {2}:
         raise ValueError("every mixing edge must be a pair of nodes")
@@ -345,6 +368,9 @@ _INT = {int}
 _LIST = {list}
 # json.dumps(x) with its default arguments, without re-reading them per call.
 _encode = json.JSONEncoder().encode
+# json.dumps(s) of a plain str: the function the encoder calls for one when
+# ensure_ascii is on, as it is by default.
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _int_rows(rows: list[list], indent: str) -> str | None:
@@ -379,7 +405,7 @@ def _str_rows(rows: list[list], indent: str) -> str | None:
     deeper = indent + "  "
     head, join, tail = "[\n" + deeper, (",\n" + deeper).join, "\n" + indent + "]"
     for row in distinct:
-        distinct[row] = head + join(map(_encode, row)) + tail
+        distinct[row] = head + join(map(_encode_str, row)) + tail
     return (",\n" + indent).join(map(distinct.__getitem__, keys))
 
 
@@ -387,7 +413,8 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
     """Append obj as json.dumps writes it with an indent of 2 and sorted keys,
     nested at indent; keys are strings, as in every report document.
 
-    A list of plain strs, or of plain ints (bool excluded), is one join.  A
+    An EdgeRows is written node by node from its runs (_edge_runs).  A list
+    of plain strs, or of plain ints (bool excluded), is one join.  A
     list of non-empty lists is written whole when every cell has one type:
     rows of plain ints through one %d row template per width, filled from
     the flattened cells in one step, and rows of plain strs one distinct
@@ -395,8 +422,9 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
     list written whole goes to out as three pieces, so its body is not
     copied into a bracketed string.  Any
     other list, a bool, float or None cell, or an unhashable cell among strs
-    goes item by item.  A plain int is its str, as json writes it; every
-    other scalar and every key goes through the library's encoder.
+    goes item by item.  A plain int is its str, as json writes it, and a
+    plain str in a list written whole goes through the library's string
+    encoder; every other scalar and every key goes through its full encoder.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -415,15 +443,19 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        types = set(map(type, obj))
         body = None
-        if types == _STR:
-            body = sep.join(map(_encode, obj))
-        elif types == _INT:
-            body = sep.join(map(str, obj))
-        elif types == _LIST and all(obj):
-            write_rows = _str_rows if type(obj[0][0]) is str else _int_rows
-            body = write_rows(obj, inner)
+        if isinstance(obj, EdgeRows):
+            deeper = inner + "  "
+            body = _edge_runs(obj, "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]", sep)
+        else:
+            types = set(map(type, obj))
+            if types == _STR:
+                body = sep.join(map(_encode_str, obj))
+            elif types == _INT:
+                body = sep.join(map(str, obj))
+            elif types == _LIST and all(obj):
+                write_rows = _str_rows if type(obj[0][0]) is str else _int_rows
+                body = write_rows(obj, inner)
         if body is not None:
             out += ("[\n" + inner, body, "\n" + indent + "]")
             return

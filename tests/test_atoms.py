@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,12 @@ import reference
 from lightsectors.linalg import InvariantError, Matrix
 from lightsectors.pairing import CycleConfiguration, PairingSpace, standard_symplectic
 from lightsectors.transport import InteractionMatrix, commutes_all, interaction_matrix
-from lightsectors.atoms import AtomSplittingReport, atom_splitting, blockwise_atom_splitting
+from lightsectors.atoms import (
+    AtomSplittingReport,
+    EdgeRows,
+    atom_splitting,
+    blockwise_atom_splitting,
+)
 from lightsectors.scenarios import to_package
 from lightsectors.modelgen import random_block_scenario
 
@@ -130,7 +137,7 @@ def test_edge_rows_match_nodewise_reference_and_check_the_verdict(lam):
     """The 1-based rows the analysis document writes are the reference's
     edges; runs that contradict the verdict raise wherever they are expanded."""
     report = atom_splitting(lam)
-    expected = [[i + 1, j + 1] for i, j in reference.atom_splitting(lam).mixing_edges]
+    expected = tuple([(i + 1, j + 1) for i, j in reference.atom_splitting(lam).mixing_edges])
     assert report.edge_rows(1) == expected
     with pytest.raises(InvariantError):
         AtomSplittingReport(lam.r, not report.is_split, report.clusters,
@@ -147,6 +154,40 @@ def test_edge_rows_match_nodewise_reference_and_check_the_verdict(lam):
         broken.edge_rows(1)
     with pytest.raises(InvariantError):
         broken.mixing_edges
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lam=class_forms(), base=st.sampled_from([0, 1]))
+def test_edge_rows_are_the_reference_pairs_and_their_runs(lam, base):
+    """edge_rows(base) is the reference's pairs shifted by base, as plain
+    int 2-tuples, and each node's edges are the tail of its class's run
+    from its start on: every earlier run entry is at most the node."""
+    report = atom_splitting(lam)
+    rows = report.edge_rows(base)
+    pairs = tuple([(i + base, j + base) for i, j in reference.atom_splitting(lam).mixing_edges])
+    assert type(rows) is EdgeRows and rows == pairs
+    assert all(type(p) is tuple and list(map(type, p)) == [int, int] for p in rows)
+    assert (rows.base, rows.node_class) == (base, report.node_class)
+    assert rows.runs == tuple(tuple(j + base for j in cols) for cols in report.partners)
+    for i, (c, k) in enumerate(zip(rows.node_class, rows.starts), base):
+        assert all(j <= i for j in rows.runs[c][:k])
+        assert all(j > i for j in rows.runs[c][k:])
+    assert report.mixing_edges == report.edge_rows(0)
+
+
+def test_edge_rows_are_immutable_and_copy_whole():
+    lam = InteractionMatrix(Matrix.from_rows([[0, 1], [-1, 0]]), (1, 0, 1))
+    rows = atom_splitting(lam).edge_rows(1)
+    assert rows == ((1, 2), (2, 3))
+    for name in ("base", "runs", "node_class", "starts", "other"):
+        with pytest.raises(AttributeError):
+            setattr(rows, name, None)
+    with pytest.raises(AttributeError):
+        del rows.runs
+    for twin in (copy.copy(rows), copy.deepcopy(rows), pickle.loads(pickle.dumps(rows))):
+        assert type(twin) is EdgeRows and twin == rows
+        assert (twin.base, twin.runs, twin.node_class, twin.starts) == (
+            rows.base, rows.runs, rows.node_class, rows.starts)
 
 
 def test_reports_with_equal_clusters_differ_by_their_edges():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import lightsectors.report as report_module
 import reference
-from lightsectors.atoms import AtomSplittingReport
+from lightsectors.atoms import AtomSplittingReport, EdgeRows, atom_splitting
 from lightsectors.cli import main
-from lightsectors.linalg import format_rational
+from lightsectors.linalg import Matrix, format_rational
 from lightsectors.package import BlockSeparationRequiredError, verify_block_structure
 from lightsectors.report import (
     analysis_document,
@@ -21,6 +21,7 @@ from lightsectors.report import (
     verification_unavailable_document,
 )
 from lightsectors.modelgen import random_block_scenario
+from lightsectors.transport import InteractionMatrix
 from lightsectors.scenarios import (
     BUILTIN_NAMES,
     builtin_scenario,
@@ -31,6 +32,7 @@ from lightsectors.scenarios import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+from test_atoms import class_forms  # noqa: E402
 from workloads import deck  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
@@ -111,6 +113,17 @@ def test_rational_incidence_report_golden_file(fmt, suffix):
     scenario = parse_scenario((DATA / "rational_incidence.scenario").read_text(encoding="utf-8"))
     rendered = render_report(analysis_document(to_package(scenario), scenario.name), fmt)
     golden = (DATA / f"rational_incidence.analysis.golden.{suffix}").read_bytes()
+    assert rendered == golden
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("machine", "json")])
+def test_interleaved_mixing_report_golden_file(fmt, suffix):
+    """Four cycle classes spread over seven nodes out of order: one class
+    pairs with nothing and node 7's partners all lie below it, so the
+    edges are uneven tails of the class runs."""
+    scenario = parse_scenario((DATA / "interleaved_mixing.scenario").read_text(encoding="utf-8"))
+    rendered = render_report(analysis_document(to_package(scenario), scenario.name), fmt)
+    golden = (DATA / f"interleaved_mixing.analysis.golden.{suffix}").read_bytes()
     assert rendered == golden
 
 
@@ -266,20 +279,68 @@ def test_mixing_edge_that_is_not_a_pair_raises(edges):
         render_report(doc, "text")
 
 
+_UNEVEN_RUNS = InteractionMatrix(
+    Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), (0, 2, 1, 0, 1, 2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lam=class_forms())
+@example(lam=InteractionMatrix(Matrix.zero(0, 0), ()))
+@example(lam=InteractionMatrix(Matrix.zero(1, 1), (0,)))
+@example(lam=InteractionMatrix(Matrix.zero(2, 2), (0, 1)))
+# Class 2 pairs with nothing, and node 5's run (nodes 1 and 4) lies below it.
+@example(lam=_UNEVEN_RUNS)
+def test_edge_runs_render_like_plain_rows(lam):
+    """A document holding edge_rows(1) renders, in both formats, to the
+    bytes of the same document with the edges as plain lists, which take
+    the generic paths; its machine bytes are json.dumps's."""
+    doc = _doc("a2")
+    doc["atom"]["mixing_edges"] = atom_splitting(lam).edge_rows(1)
+    plain = _doc("a2")
+    plain["atom"]["mixing_edges"] = [list(edge) for edge in doc["atom"]["mixing_edges"]]
+    for fmt in ("text", "machine"):
+        assert render_report(doc, fmt) == render_report(plain, fmt)
+    assert render_report(doc, "machine") == _json_oracle(doc)
+
+
+def test_split_report_writes_no_edge():
+    doc = _doc("a1xa1")
+    edges = doc["atom"]["mixing_edges"]
+    assert type(edges) is EdgeRows and edges == ()
+    assert _edge_line(render_report(doc, "text").decode()) is None
+    assert json.loads(render_report(doc, "machine"))["atom"]["mixing_edges"] == []
+
+
+def test_uneven_runs_render_every_edge():
+    doc = _doc("a2")
+    doc["atom"]["mixing_edges"] = atom_splitting(_UNEVEN_RUNS).edge_rows(1)
+    line = "mixing edges: (1,3) (1,5) (3,4) (4,5)"
+    assert _edge_line(render_report(doc, "text").decode()) == line
+    machine = json.loads(render_report(doc, "machine"))
+    assert machine["atom"]["mixing_edges"] == [[1, 3], [1, 5], [3, 4], [4, 5]]
+
+
 def test_equal_string_rows_are_written_once(monkeypatch):
     encoded = []
-    real = report_module._encode
 
-    def counted(s):
-        encoded.append(s)
-        return real(s)
+    def counted(name):
+        real = getattr(report_module, name)
 
-    monkeypatch.setattr(report_module, "_encode", counted)
+        def encode(s):
+            encoded.append((name, s))
+            return real(s)
+
+        return encode
+
+    for name in ("_encode", "_encode_str"):
+        monkeypatch.setattr(report_module, name, counted(name))
     row = ["0", "-1/2", "3"]
-    # Shared row objects and equal-content copies alike are one distinct row.
+    # Shared row objects and equal-content copies alike are one distinct row;
+    # the key takes the full encoder and each cell the string encoder.
     doc = {"m": [row] * 40 + [list(row) for _ in range(40)] + [["7"]]}
     assert render_report(doc, "machine") == _json_oracle(doc)
-    assert sorted(encoded) == sorted(["m", *row, "7"])
+    assert sorted(encoded) == sorted([("_encode", "m"),
+                                      *(("_encode_str", cell) for cell in [*row, "7"])])
 
 
 def test_verification_document_render():
