@@ -12,13 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .linalg import (
-    DimensionMismatchError,
-    Matrix,
-    Subspace,
-    Vector,
-    column_space,
-)
+from .linalg import Matrix, Subspace, Vector, column_space
 
 
 class ExtensionVerdict(enum.Enum):
@@ -32,10 +26,6 @@ class RealizedSpace:
     """The realized coefficient subspace of QQ^r."""
 
     v_geom: Subspace
-
-    @property
-    def ambient_r(self) -> int:
-        return self.v_geom.ambient_dim
 
     @property
     def is_full(self) -> bool:
@@ -59,8 +49,4 @@ def classify_extension_side(rs: RealizedSpace) -> ExtensionVerdict:
 
 def check_membership(rs: RealizedSpace, c: Vector) -> bool:
     """Whether the proposed coefficient vector lies in the realized subspace."""
-    if len(c) != rs.ambient_r:
-        raise DimensionMismatchError(
-            f"class vector of length {len(c)} in ambient dimension {rs.ambient_r}"
-        )
     return rs.v_geom.contains(c)

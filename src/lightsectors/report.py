@@ -5,12 +5,11 @@ README); the machine format is its JSON serialization with sorted keys, so
 identical inputs yield byte-identical output.  Its bytes equal what
 json.dumps writes with an indent of 2 and sorted keys, plus a newline.  A
 small writer produces them without the standard library's pure-Python
-indent encoder, and writes each O(r^2) section whole: a list of plain-int
-rows (the blocks) through one %d row template per width, repeated whole
-when every row has one width, filled at once and added to the output as its
-own piece, and a list of string rows (the interaction matrices, the realized
-basis) one distinct row at a time, each row written once however often it
-repeats.  Nothing is memoized across sections or calls.
+indent encoder.  It writes a list of string rows (the interaction matrices,
+the realized basis) whole, one distinct row at a time, each row written
+once however often it repeats, and a list of plain ints as one join, so
+each block of a list of blocks is one join.  Nothing is memoized across
+sections or calls.
 The document's mixing_edges is the atom report's EdgeRows
 (AtomSplittingReport.edge_rows(1)), the only place an analysis builds the
 edges; the verify path builds none.  Both formats write an EdgeRows node by
@@ -202,16 +201,10 @@ def verification_document(
 def verification_unavailable_document(
     scenario_name: str, exc: BlockSeparationRequiredError
 ) -> ReportDocument:
-    return {
-        "report_format": "lightsectors.verification",
-        "report_version": REPORT_VERSION,
-        "scenario": scenario_name,
-        "overall": False,
-        "checks_total": 0,
-        "checks_failed": 0,
-        "failures": [],
-        "not_applicable": str(exc),
-    }
+    doc = verification_document(scenario_name, VerificationReport(0, ()))
+    doc["overall"] = False
+    doc["not_applicable"] = str(exc)
+    return doc
 
 
 def _render_matrix_text(cells: list[list[str]]) -> list[str]:
@@ -245,10 +238,8 @@ def _edge_runs(edges: EdgeRows, head: str, mid: str, tail: str, sep: str) -> str
 def _edges_text(edges: Sequence[Sequence[int]]) -> str:
     if isinstance(edges, EdgeRows):
         return _edge_runs(edges, "(", ",", ")", " ")
-    # One "(%s,%s)" template over the flattened pairs, checked to be pairs.
-    if set(map(len, edges)) != {2}:
-        raise ValueError("every mixing edge must be a pair of nodes")
-    return " ".join(["(%s,%s)"] * len(edges)) % tuple(chain.from_iterable(edges))
+    # Unpacking raises ValueError for a row that is not a pair.
+    return " ".join([f"({i},{j})" for i, j in edges])
 
 
 def _cluster_text(clusters: Sequence[Sequence[int]]) -> str:
@@ -373,28 +364,10 @@ _encode = json.JSONEncoder().encode
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _int_rows(rows: list[list], indent: str) -> str | None:
-    """The rows, each a non-empty list, as json writes them nested at indent
-    and joined by its separator; None when a cell is not a plain int."""
-    cells = tuple(chain.from_iterable(rows))
-    if set(map(type, cells)) != _INT:
-        return None
-    deeper = indent + "  "
-    head, cell_sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + indent + "]"
-    # One %d row template per width, filled for the whole section at once;
-    # %d of a plain int is its str.
-    row_sep = ",\n" + indent
-    widths = set(map(len, rows))
-    template = {w: head + cell_sep.join(["%d"] * w) + tail for w in widths}
-    if len(widths) == 1:  # one width: repeat its template, with no lookup per row
-        (row,) = template.values()
-        return row_sep.join([row] * len(rows)) % cells
-    return row_sep.join(map(template.__getitem__, map(len, rows))) % cells
-
-
 def _str_rows(rows: list[list], indent: str) -> str | None:
-    """As _int_rows, for rows of plain strs: each distinct row is checked and
-    written once.  None when a cell is unhashable or not a plain str."""
+    """The rows, non-empty lists of plain strs, as json writes them nested at
+    indent and joined by its separator, each distinct row checked and written
+    once; None when a cell is unhashable or not a plain str."""
     keys = list(map(tuple, rows))
     try:
         distinct = dict.fromkeys(keys)
@@ -414,17 +387,14 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
     nested at indent; keys are strings, as in every report document.
 
     An EdgeRows is written node by node from its runs (_edge_runs).  A list
-    of plain strs, or of plain ints (bool excluded), is one join.  A
-    list of non-empty lists is written whole when every cell has one type:
-    rows of plain ints through one %d row template per width, filled from
-    the flattened cells in one step, and rows of plain strs one distinct
-    row at a time, each written once and reused wherever it repeats.  A
-    list written whole goes to out as three pieces, so its body is not
-    copied into a bracketed string.  Any
-    other list, a bool, float or None cell, or an unhashable cell among strs
-    goes item by item.  A plain int is its str, as json writes it, and a
-    plain str in a list written whole goes through the library's string
-    encoder; every other scalar and every key goes through its full encoder.
+    of plain ints (bool excluded) is one join.  A list of non-empty lists
+    whose first cell is a str is written whole by _str_rows when every cell
+    is a plain str.  A list written whole goes to out as three pieces, so its
+    body is not copied into a bracketed string.  Any other list goes item by
+    item; a list of int rows is thus one join per row.  A plain int is its
+    str, as json writes it, and a str in a row of _str_rows goes through the
+    library's string encoder; every other scalar and every key goes through
+    its full encoder.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -449,13 +419,10 @@ def _write_json(obj: object, indent: str, out: list[str]) -> None:
             body = _edge_runs(obj, "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]", sep)
         else:
             types = set(map(type, obj))
-            if types == _STR:
-                body = sep.join(map(_encode_str, obj))
-            elif types == _INT:
+            if types == _INT:
                 body = sep.join(map(str, obj))
-            elif types == _LIST and all(obj):
-                write_rows = _str_rows if type(obj[0][0]) is str else _int_rows
-                body = write_rows(obj, inner)
+            elif types == _LIST and all(obj) and type(obj[0][0]) is str:
+                body = _str_rows(obj, inner)
         if body is not None:
             out += ("[\n" + inner, body, "\n" + indent + "]")
             return

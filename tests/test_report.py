@@ -279,6 +279,22 @@ def test_mixing_edge_that_is_not_a_pair_raises(edges):
         render_report(doc, "text")
 
 
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("at", [0, -1])
+def test_loaded_mixing_edges_render_and_reject_a_row_that_is_not_a_pair(width, at):
+    """A JSON-loaded document holds mixing_edges as plain lists: it renders,
+    in both formats, to the bytes of the document it was loaded from, and a
+    1-cell or 3-cell row, first or last, raises ValueError in the text render."""
+    doc = _doc("quintic_orbits")
+    loaded = json.loads(render_report(doc, "machine"))
+    for fmt in ("text", "machine"):
+        assert render_report(loaded, fmt) == render_report(doc, fmt)
+    edges = loaded["atom"]["mixing_edges"]
+    edges[at] = [*edges[at], 7][:width]
+    with pytest.raises(ValueError):
+        render_report(loaded, "text")
+
+
 _UNEVEN_RUNS = InteractionMatrix(
     Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), (0, 2, 1, 0, 1, 2))
 
@@ -429,7 +445,7 @@ _row = st.shared(_str_row, key="row")
 @st.composite
 def _fixed_width_int_rows(draw):
     """Plain-int rows of one width, now and then with one bool, float or None
-    cell, which json writes differently from %d."""
+    cell, which json writes differently from an int's str."""
     width = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(_ints, min_size=width, max_size=width), min_size=1, max_size=5))
     if draw(st.booleans()):
