@@ -126,12 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of finite-node light-sector packages.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # The report options of analyze and verify.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("text", "machine"), default="text")
+    report.add_argument("--out", default=None, help="write the report to this path")
+    report.add_argument("--lax", action="store_true", help="ignore unknown scenario fields")
 
-    p = sub.add_parser("analyze", help="analyze a scenario file")
+    p = sub.add_parser("analyze", parents=[report], help="analyze a scenario file")
     p.add_argument("file", help="scenario file, or a directory with --batch")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--lax", action="store_true", help="ignore unknown scenario fields")
     p.add_argument("--batch", action="store_true",
                    help="treat FILE as a directory of .scenario files (name-sorted); "
                         "the first bad file stops the run with exit 2 and no output")
@@ -146,11 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", default=None, help="write the scenario to this path")
     p.set_defaults(func=_cmd_scenario)
 
-    p = sub.add_parser("verify", help="run the block-structure checks")
+    p = sub.add_parser("verify", parents=[report], help="run the block-structure checks")
     p.add_argument("file")
-    p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--out", default=None)
-    p.add_argument("--lax", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")

@@ -144,7 +144,8 @@ class Matrix:
         if len(self.num) != self.rows:
             raise ValueError("row count does not match entries")
         if any(map(self.cols.__ne__, map(len, self.num))):
-            raise ValueError("ragged matrix rows")
+            k, n = next((k, n) for k, n in enumerate(map(len, self.num), 1) if n != self.cols)
+            raise DimensionMismatchError(f"vector {k} has {n} entries, expected {self.cols}")
         if self.den < 1:
             raise ValueError("matrix denominator must be positive")
         if self.den == 1:
@@ -156,24 +157,20 @@ class Matrix:
             object.__setattr__(self, "den", self.den // g)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[object]], cols: int | None = None) -> "Matrix":
+    def from_rows(cls, rows: Iterable[Iterable[object]], cols: int | None = None) -> "Matrix":
+        """Rows of ints, Fractions or their text, each cols long (with no cols,
+        as long as the first); the constructor's length check names the first
+        row of another length, 1-based, as "vector k"."""
         grid = tuple(tuple(_q(x) for x in row) for row in rows)
         if cols is None:
             cols = len(grid[0]) if grid else 0
-        if any(len(row) != cols for row in grid):
-            raise DimensionMismatchError(f"matrix rows do not all have {cols} entries")
         den = lcm(*(x.denominator for row in grid for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid)
         return cls(len(grid), cols, num, den)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[object]], rows: int | None = None) -> "Matrix":
-        cols = [vector(c) for c in columns]
-        if rows is None:
-            rows = len(cols[0]) if cols else 0
-        if any(len(c) != rows for c in cols):
-            raise DimensionMismatchError(f"matrix columns do not all have {rows} entries")
-        return cls.from_rows([tuple(c[i] for c in cols) for i in range(rows)], cols=len(cols))
+    def from_columns(cls, columns: Iterable[Iterable[object]], rows: int | None = None) -> "Matrix":
+        return cls.from_rows(columns, cols=rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -396,14 +393,8 @@ class Subspace:
         return leads.isdisjoint(rest)
 
     @classmethod
-    def spanned_by(cls, vectors: Sequence[Sequence[object]], ambient_dim: int) -> "Subspace":
-        vecs = [vector(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatchError(
-                    f"spanning vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        return _row_space(Matrix.from_rows(vecs, cols=ambient_dim))
+    def spanned_by(cls, vectors: Iterable[Iterable[object]], ambient_dim: int) -> "Subspace":
+        return _row_space(Matrix.from_rows(vectors, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     DimensionMismatchError,
@@ -100,10 +100,7 @@ class CycleConfiguration:
             raise DimensionMismatchError(f"cycles of length {self.matrix.cols}, expected {self.space.dim}")
 
     @classmethod
-    def from_vectors(cls, space: PairingSpace, cycles: Sequence[Sequence[object]]) -> "CycleConfiguration":
-        for k, c in enumerate(cycles):
-            if len(c) != space.dim:
-                raise DimensionMismatchError(f"cycle {k + 1} has length {len(c)}, expected {space.dim}")
+    def from_vectors(cls, space: PairingSpace, cycles: Iterable[Iterable[object]]) -> "CycleConfiguration":
         return cls(space, Matrix.from_rows(cycles, cols=space.dim))
 
     @cached_property

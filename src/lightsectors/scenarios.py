@@ -31,7 +31,10 @@ from .package import LightSectorPackage, assemble
 
 FORMAT_VERSION = 1
 
-BUILTIN_NAMES = ("a1xa1", "a2", "three_node", "quintic_orbits")
+# The parameters each built-in takes, by builtin_scenario's keyword names.
+_BUILTIN_PARAMS = {"a1xa1": (), "a2": ("coupling",), "three_node": ("coupling",),
+                   "quintic_orbits": ("orbit_sizes", "orbit_classes")}
+BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
 
 _SCALAR_FIELDS = ("format_version", "name", "dim", "corrected_class", "notes")
 _GRID_FIELDS = ("gram", "cycles", "incidence", "partition")
@@ -157,8 +160,9 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
     scalars: dict[str, tuple[int, str]] = {}
     grids: dict[str, list[tuple[int, str]]] = {}
     headers: dict[str, int] = {}  # line of each grid's "key:" line
-    current_grid: str | None = None
-    skipping_unknown = False
+    # The rows of the grid field being read: None after a scalar field, and
+    # a list that is dropped after an unknown field under lax parsing.
+    rows: list[tuple[int, str]] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -168,8 +172,7 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
         m = _FIELD_LINE.match(line) if ":" in line else None
         if m:
             key, rest = m.group(1), m.group(2).strip()
-            skipping_unknown = False
-            current_grid = None
+            rows = None
             if key in _GRID_FIELDS:
                 if key in grids:
                     raise ScenarioError("duplicate field", line=lineno, field=key)
@@ -177,23 +180,20 @@ def parse_scenario(text: str, strict: bool = True) -> ScenarioFile:
                     raise ScenarioError(
                         "grid field takes rows on following lines", line=lineno, field=key
                     )
-                grids[key] = []
+                rows = grids[key] = []
                 headers[key] = lineno
-                current_grid = key
             elif key in _SCALAR_FIELDS:
                 if key in scalars:
                     raise ScenarioError("duplicate field", line=lineno, field=key)
                 scalars[key] = (lineno, rest)
+            elif strict:
+                raise ScenarioError("unknown field", line=lineno, field=key)
             else:
-                if strict:
-                    raise ScenarioError("unknown field", line=lineno, field=key)
-                skipping_unknown = True
+                rows = []
+        elif rows is None:
+            raise ScenarioError(f"unexpected content {line!r}", line=lineno)
         else:
-            if skipping_unknown:
-                continue
-            if current_grid is None:
-                raise ScenarioError(f"unexpected content {line!r}", line=lineno)
-            grids[current_grid].append((lineno, line))
+            rows.append((lineno, line))
 
     for required in ("format_version", "name", "dim", "gram", "cycles"):
         if required not in scalars and required not in grids:
@@ -372,20 +372,31 @@ def builtin_scenario(
     orbit_sizes: Sequence[int] | None = None,
     orbit_classes: Sequence[Sequence[object]] | None = None,
 ) -> ScenarioFile:
-    """Construct one of the shipped model configurations.
+    """Construct one of the shipped model configurations; _BUILTIN_PARAMS
+    names the parameters each takes, and any other given raises ValueError.
 
     a1xa1           two decoupled nodes: zero interaction, full incidence.
     a2              two coupled nodes (coupling defaults to 1, must be nonzero)
                     glued onto the single direction e1+e2.
     three_node      a coupled pair plus one decoupled node, with indicator
-                    incidence for blocks {1,2} and {3}.
+                    incidence for blocks {1,2} and {3}; coupling as for a2.
     quintic_orbits  125 nodes in symmetry orbits (sizes must sum to 125, default
                     five orbits of 25) sharing one class vector per orbit; model
                     data standing in for geometry that is not computed here.
     """
+    if name not in _BUILTIN_PARAMS:
+        raise ValueError(f"unknown builtin scenario {name!r} "
+                         f"(choose from {', '.join(BUILTIN_NAMES)})")
+    given = {"coupling": coupling, "orbit_sizes": orbit_sizes, "orbit_classes": orbit_classes}
+    for param, value in given.items():
+        if value is not None and param not in _BUILTIN_PARAMS[name]:
+            raise ValueError(f"{name} does not take the {param} parameter")
+    # The coupling of a2 and three_node.
+    c = Fraction(1) if coupling is None else Fraction(coupling)
+    if c == 0:
+        raise ValueError(f"{name} coupling must be nonzero")
+
     if name == "a1xa1":
-        if coupling is not None or orbit_sizes is not None or orbit_classes is not None:
-            raise ValueError("a1xa1 takes no parameters")
         return ScenarioFile(
             name="a1xa1",
             dim=4,
@@ -396,11 +407,6 @@ def builtin_scenario(
         )
 
     if name == "a2":
-        if orbit_sizes is not None or orbit_classes is not None:
-            raise ValueError("a2 takes only the coupling parameter")
-        c = Fraction(coupling) if coupling is not None else Fraction(1)
-        if c == 0:
-            raise ValueError("a2 coupling must be nonzero")
         return ScenarioFile(
             name="a2",
             dim=2,
@@ -412,11 +418,6 @@ def builtin_scenario(
         )
 
     if name == "three_node":
-        if orbit_sizes is not None or orbit_classes is not None:
-            raise ValueError("three_node takes only the coupling parameter")
-        c = Fraction(coupling) if coupling is not None else Fraction(1)
-        if c == 0:
-            raise ValueError("three_node coupling must be nonzero")
         return ScenarioFile(
             name="three_node",
             dim=4,
@@ -429,37 +430,31 @@ def builtin_scenario(
             ),
         )
 
-    if name == "quintic_orbits":
-        if coupling is not None:
-            raise ValueError("quintic_orbits does not take a coupling parameter")
-        sizes = tuple(orbit_sizes) if orbit_sizes is not None else (25, 25, 25, 25, 25)
-        if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("orbit sizes must be positive")
-        if sum(sizes) != 125:
-            raise ValueError(f"orbit sizes must sum to 125, got {sum(sizes)}")
-        b = len(sizes)
-        if orbit_classes is None:
-            classes = [(Fraction(1), Fraction(beta)) for beta in range(b)]
-        else:
-            if len(orbit_classes) != b:
-                raise ValueError(
-                    f"{len(orbit_classes)} orbit classes for {b} orbits"
-                )
-            classes = [tuple(Fraction(x) for x in v) for v in orbit_classes]
-            if any(len(v) != 2 for v in classes):
-                raise ValueError("orbit classes must be length-2 vectors")
-        bounds = pairwise(accumulate(sizes, initial=0))
-        part = BlockDecomposition(125, tuple(tuple(range(lo, hi)) for lo, hi in bounds))
-        return ScenarioFile(
-            name="quintic_orbits",
-            dim=2,
-            gram=standard_symplectic(1).gram,
-            cycles=tuple(classes[beta] for beta in part.owner),
-            **block_fields(part),
-            notes=(
-                f"125-node symmetry-orbit model, {b} orbits of sizes "
-                + ",".join(str(n) for n in sizes)
-            ),
-        )
-
-    raise ValueError(f"unknown builtin scenario {name!r} (choose from {', '.join(BUILTIN_NAMES)})")
+    # quintic_orbits
+    sizes = tuple(orbit_sizes) if orbit_sizes is not None else (25, 25, 25, 25, 25)
+    if not sizes or any(n < 1 for n in sizes):
+        raise ValueError("orbit sizes must be positive")
+    if sum(sizes) != 125:
+        raise ValueError(f"orbit sizes must sum to 125, got {sum(sizes)}")
+    b = len(sizes)
+    if orbit_classes is None:
+        classes = [(Fraction(1), Fraction(beta)) for beta in range(b)]
+    else:
+        if len(orbit_classes) != b:
+            raise ValueError(f"{len(orbit_classes)} orbit classes for {b} orbits")
+        classes = [tuple(Fraction(x) for x in v) for v in orbit_classes]
+        if any(len(v) != 2 for v in classes):
+            raise ValueError("orbit classes must be length-2 vectors")
+    bounds = pairwise(accumulate(sizes, initial=0))
+    part = BlockDecomposition(125, tuple(tuple(range(lo, hi)) for lo, hi in bounds))
+    return ScenarioFile(
+        name="quintic_orbits",
+        dim=2,
+        gram=standard_symplectic(1).gram,
+        cycles=tuple(classes[beta] for beta in part.owner),
+        **block_fields(part),
+        notes=(
+            f"125-node symmetry-orbit model, {b} orbits of sizes "
+            + ",".join(str(n) for n in sizes)
+        ),
+    )

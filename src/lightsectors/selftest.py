@@ -16,11 +16,11 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .linalg import Matrix, Slots, quotient_dim, rank, vector
+from .linalg import Matrix, Slots, rank, vector
 from .pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from .transport import commutator, commutator_bound, commutes_all, interaction_matrix, pl_operator
 from .atoms import atom_splitting
-from .blocks import BlockSeparationViolation, relation_lattice_from_blocks
+from .blocks import BlockSeparationViolation
 from .package import (AtomVerdict, Classification, LightSectorPackage, TransportVerdict,
                       classify, verify_block_structure)
 from .gluing import ExtensionVerdict
@@ -113,8 +113,6 @@ def _check_block_structure(rng: random.Random, n_cases: int, **gen_kwargs: int) 
         _require(pkg.separation_holds, "block separation")
         report = verify_block_structure(pkg)
         _require(report.overall, [f.name for f in report.failures])
-        lattice = relation_lattice_from_blocks(pkg.partition)
-        _require(quotient_dim(pkg.r, lattice) == pkg.partition.count, "relation lattice quotient")
     return f"{n_cases} generated block-separated configurations"
 
 

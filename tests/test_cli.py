@@ -185,3 +185,35 @@ def test_batch_names_failing_file_and_stops(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", str(tmp_path), "--batch", "--format", "machine")
     assert code == 2 and out == ""
     assert err == f"error: {missing_gram}: field 'gram': required field missing\n"
+
+
+@pytest.mark.parametrize("verb", ["analyze", "verify"])
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_lax_drops_an_unknown_grid_field(capsys, tmp_path, verb, fmt):
+    """An unknown grid field between gram: and cycles: is dropped under
+    --lax, with the report of the file without it; without --lax it is an
+    input error naming its line."""
+    text = (DATA / "four_node_blocks.scenario").read_text()
+    path = tmp_path / "extra.scenario"
+    path.write_text(text.replace("cycles:", "extra_grid:\n1 2 3\n4 5\ncycles:"))
+    code, expected, _ = run_cli(capsys, verb, str(DATA / "four_node_blocks.scenario"),
+                                "--format", fmt)
+    assert code == 0
+    code, out, err = run_cli(capsys, verb, str(path), "--format", fmt, "--lax")
+    assert (code, out, err) == (0, expected, "")
+    code, out, err = run_cli(capsys, verb, str(path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 8, field 'extra_grid': unknown field\n"
+
+
+def _report_option_lines(capsys, verb):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    return [line for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith(("--format", "--out", "--lax"))]
+
+
+def test_analyze_and_verify_share_the_report_options(capsys):
+    analyze = _report_option_lines(capsys, "analyze")
+    assert len(analyze) == 3
+    assert _report_option_lines(capsys, "verify") == analyze

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightsectors.linalg import (
@@ -327,6 +327,41 @@ def test_from_rows_and_columns_reject_a_size_the_data_disagrees_with():
     assert Matrix.from_rows([], cols=3) == Matrix.zero(0, 3)
     assert Matrix.from_columns([], rows=2) == Matrix.zero(2, 0)
     assert Matrix.from_columns([(1, 2), (3, 4)], rows=2) == Matrix.from_rows([[1, 3], [2, 4]])
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ([(1, 2, 3), (1, 0), (0, 1)], "vector 1 has 3 entries, expected 2"),
+    ([(1, 0), (0, 1), ("1/2", 0, 0)], "vector 3 has 3 entries, expected 2"),
+    ([(1, 0), (1,)], "vector 2 has 1 entries, expected 2"),
+], ids=["first", "last", "short"])
+def test_spanned_by_names_a_vector_of_the_wrong_length(vectors, message):
+    with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+        Subspace.spanned_by(vectors, 2)
+
+
+def test_matrix_names_a_ragged_row():
+    with pytest.raises(DimensionMismatchError, match="^vector 2 has 1 entries, expected 2$"):
+        Matrix(3, 2, ((1, 2), (3,), (4, 5)))
+    with pytest.raises(DimensionMismatchError, match="^vector 1 has 2 entries, expected 3$"):
+        Matrix.from_rows([[1, 2]], cols=3)
+
+
+def test_from_columns_without_rows_names_a_ragged_column():
+    with pytest.raises(DimensionMismatchError, match="^vector 2 has 3 entries, expected 2$"):
+        Matrix.from_columns([(1, 2), (3, 4, 5), (6, 7)])
+    with pytest.raises(DimensionMismatchError, match="^vector 1 has 2 entries, expected 3$"):
+        Matrix.from_columns([(1, 1)], rows=3)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4))))
+@example((2, []))  # no columns: a 2x0 matrix
+@example((0, [[], []]))  # two columns of no entries
+def test_from_columns_is_the_transpose_of_its_columns(shape):
+    n, columns = shape
+    m = Matrix.from_columns(columns, rows=n)
+    assert (m.rows, m.cols) == (n, len(columns))
+    assert m.entries == tuple(tuple(Fraction(c[i]) for c in columns) for i in range(n))
 
 
 def test_matmul_shape_mismatch():

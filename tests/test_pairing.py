@@ -109,3 +109,14 @@ def test_cycle_configuration_flags_trivial_nodes():
 def test_cycle_configuration_length_check():
     with pytest.raises(DimensionMismatchError):
         CycleConfiguration.from_vectors(standard_symplectic(1), [(1, 0, 0)])
+
+
+def test_cycle_of_the_wrong_length_is_named():
+    with pytest.raises(DimensionMismatchError, match="^vector 3 has 3 entries, expected 2$"):
+        CycleConfiguration.from_vectors(standard_symplectic(1), [(1, 0), (0, 1), (1, 1, 0)])
+
+
+def test_cycles_are_read_once():
+    cycles = (vector(v) for v in [(1, 0), (0, 1)])
+    cfg = CycleConfiguration.from_vectors(standard_symplectic(1), cycles)
+    assert cfg.matrix == Matrix.identity(2)

@@ -99,6 +99,42 @@ def test_unexpected_params_rejected():
         builtin_scenario("quintic_orbits", coupling=1)
 
 
+# One value of each parameter that the models taking it accept.
+_PARAM_VALUES = {"coupling": 2, "orbit_sizes": [125], "orbit_classes": [(1, 0)]}
+
+
+@pytest.mark.parametrize("name, param", [
+    ("a1xa1", "coupling"), ("a1xa1", "orbit_sizes"), ("a1xa1", "orbit_classes"),
+    ("a2", "orbit_sizes"), ("a2", "orbit_classes"),
+    ("three_node", "orbit_sizes"), ("three_node", "orbit_classes"),
+    ("quintic_orbits", "coupling"),
+])
+def test_a_parameter_the_model_does_not_take_is_named(name, param):
+    with pytest.raises(ValueError, match=f"^{name} does not take the {param} parameter$"):
+        builtin_scenario(name, **{param: _PARAM_VALUES[param]})
+
+
+@pytest.mark.parametrize("name", ["a2", "three_node"])
+@pytest.mark.parametrize("coupling", [0, "0", Fraction(0)])
+def test_zero_coupling_rejected(name, coupling):
+    with pytest.raises(ValueError, match=f"^{name} coupling must be nonzero$"):
+        builtin_scenario(name, coupling=coupling)
+
+
+@pytest.mark.parametrize("name", ["a3", "", "A2"])
+def test_unknown_builtin_names_the_choices(name):
+    with pytest.raises(ValueError, match=f"^unknown builtin scenario {name!r} "
+                                         r"\(choose from a1xa1, a2, three_node, quintic_orbits\)$"):
+        builtin_scenario(name, coupling=1)
+
+
+def test_taken_parameters_are_accepted():
+    classes = [(1, k) for k in range(5)]
+    assert builtin_scenario("quintic_orbits", orbit_classes=classes) == \
+        builtin_scenario("quintic_orbits")
+    assert builtin_scenario("three_node", coupling="2/3").cycles.entries[1][1] == Fraction(2, 3)
+
+
 # -- parser diagnostics -------------------------------------------------------
 
 
@@ -140,6 +176,31 @@ def test_lax_mode_ignores_unknown_fields():
     text = _minimal_text() + "extra: hello\nmore_grid:\n1 2 3\n"
     scenario = parse_scenario(text, strict=False)
     assert scenario.name == "t"
+
+
+# The minimal text with an unknown grid field between gram: and cycles: (lines 7-9).
+_UNKNOWN_BETWEEN = _minimal_text().replace("cycles:", "extra_grid:\n1 2 3\n4 5\ncycles:")
+
+
+def test_lax_mode_drops_an_unknown_grid_field_between_grids():
+    assert parse_scenario(_UNKNOWN_BETWEEN, strict=False) == parse_scenario(_minimal_text())
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(_UNKNOWN_BETWEEN)
+    assert (info.value.line, info.value.field) == (7, "extra_grid")
+    assert str(info.value) == "line 7, field 'extra_grid': unknown field"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("text, line", [
+    (_minimal_text().replace("dim: 2\n", "dim: 2\n1 0\n"), 4),
+    # After a grid field, the scalar field ends it.
+    (_minimal_text() + "notes: n\n1 0\n", 11),
+], ids=["before-any-grid", "after-a-grid"])
+def test_a_row_after_a_scalar_field_is_unexpected(text, line, strict):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text, strict=strict)
+    assert (info.value.line, info.value.field) == (line, None)
+    assert str(info.value) == f"line {line}: unexpected content '1 0'"
 
 
 def test_parse_rejects_non_skew_gram():
