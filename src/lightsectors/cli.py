@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .linalg import InvariantError, parse_rational
+from .linalg import InvariantError
 from .package import BlockSeparationRequiredError, verify_block_structure
 from .report import (
     analysis_document,
@@ -85,7 +85,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    coupling = parse_rational(args.coupling) if args.coupling is not None else None
     orbit_sizes = None
     if args.orbits is not None:
         tokens = args.orbits.split(",")
@@ -96,7 +95,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                   f"{args.orbits!r}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         orbit_sizes = [int(tok) for tok in tokens]
-    scenario = builtin_scenario(args.name, coupling=coupling, orbit_sizes=orbit_sizes)
+    scenario = builtin_scenario(args.name, coupling=args.coupling, orbit_sizes=orbit_sizes)
     _emit(serialize_scenario(scenario).encode("utf-8"), args.emit)
     return EXIT_OK
 

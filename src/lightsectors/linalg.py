@@ -12,9 +12,13 @@ hashing are value equality.  Sums, products, transposes, zero and skew tests
 and elimination run on the integers, as with FLINT's ``fmpq_mat_mul_cleared``
 and ``fmpz_mat_rref``: ``rref`` is fraction-free, and a ``Subspace`` basis is
 a ``Matrix``.  Fractions appear only at the boundaries: the ``entries`` view,
-built on request, and the readers of ``cleared`` (``apply``, ``pairing.pair``
-and ``Subspace.contains``, which take mixed input).  Rational text has one
-writer, ``format_ratio``; ``format_cells`` applies it to a matrix's int rows.
+built on request, and ``vector``.  Rational input has one reader, ``cleared``:
+a row of cells (``int``, ``Fraction`` or canonical text) as integers over the
+lcm of their denominators, with no ``Fraction`` made.  ``Matrix.from_rows``,
+``apply``, ``pairing.pair``, ``Subspace.contains`` and the scenario reader's
+non-integer rows read through it; ``vector`` is its ``Fraction`` view.
+Rational text has one writer, ``format_ratio``; ``format_cells`` applies it
+to a matrix's int rows.
 
 A product A·B is the plain exact product: entry (i, j) is the integer dot
 product of row i of A with column j of B, over den_A·den_B.  No pipeline stage
@@ -106,27 +110,28 @@ def format_rational(q: Fraction) -> str:
     return format_ratio(q.numerator, q.denominator)
 
 
-def _q(x: object) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _cell(x: object) -> tuple[int, int]:
+    """An int, a Fraction or canonical text as (numerator, denominator)."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
-        return parse_rational(x)
+        return rational_parts(x)
+    if isinstance(x, Fraction):  # last: an ABC check, slow on a miss
+        return x.as_integer_ratio()
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
 def vector(entries: Iterable[object]) -> Vector:
-    """Build an immutable rational vector from ints, Fractions, or strings."""
-    return tuple(_q(x) for x in entries)
+    """Each cell read as cleared reads it, as a Fraction; a Fraction as it is."""
+    return tuple([x if isinstance(x, Fraction) else Fraction(*_cell(x)) for x in entries])
 
 
-def cleared(v: Sequence[Fraction]) -> Cleared:
-    """v over the least common multiple of its denominators."""
-    den = lcm(*(x.denominator for x in v))
-    if den == 1:
-        return tuple(x.numerator for x in v), 1
-    return tuple(x.numerator * (den // x.denominator) for x in v), den
+def cleared(v: Iterable[object]) -> Cleared:
+    """A row of ints, Fractions or their text as integers over the least
+    common multiple of its denominators, with no Fraction made."""
+    nums, dens = tuple(zip(*map(_cell, v))) or ((), ())
+    den = lcm(*dens)
+    return (nums if den == 1 else tuple([n * (den // d) for n, d in zip(nums, dens)])), den
 
 
 @dataclass(frozen=True)
@@ -158,14 +163,14 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]], cols: int | None = None) -> "Matrix":
-        """Rows of ints, Fractions or their text, each cols long (with no cols,
+        """Rows of cells, each read by cleared and cols long (with no cols,
         as long as the first); the constructor's length check names the first
         row of another length, 1-based, as "vector k"."""
-        grid = tuple(tuple(_q(x) for x in row) for row in rows)
+        grid = list(map(cleared, rows))
         if cols is None:
-            cols = len(grid[0]) if grid else 0
-        den = lcm(*(x.denominator for row in grid for x in row))
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid)
+            cols = len(grid[0][0]) if grid else 0
+        den = lcm(*[d for _, d in grid])
+        num = tuple([row if d == den else tuple([x * (den // d) for x in row]) for row, d in grid])
         return cls(len(grid), cols, num, den)
 
     @classmethod
@@ -223,7 +228,7 @@ class Matrix:
         grid = tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in self.num])
         return Matrix(self.rows, other.cols, grid, self.den * other.den)
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v: Sequence[object]) -> Vector:
         """Matrix-vector product, v treated as a column vector."""
         if len(v) != self.cols:
             raise DimensionMismatchError(
@@ -412,14 +417,13 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, v: Sequence[object]) -> bool:
-        vec = vector(v)
-        if len(vec) != self.ambient_dim:
+        ints, _ = cleared(v)
+        if len(ints) != self.ambient_dim:
             raise DimensionMismatchError(
-                f"vector of length {len(vec)} in ambient dimension {self.ambient_dim}"
+                f"vector of length {len(ints)} in ambient dimension {self.ambient_dim}"
             )
         # v is in the span iff v equals the sum of the rows, each times v's
         # entry at the row's pivot; over the two denominators, in integers.
-        ints, _ = cleared(vec)
         residual = [self.basis.den * x for x in ints]
         for row in self.basis.num:
             c = ints[next(compress(count(), row))]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .linalg import DimensionMismatchError, InvariantError, Matrix, Vector, quotient_dim
+from .linalg import DimensionMismatchError, InvariantError, Matrix, Vector, quotient_dim, vector
 from .pairing import CycleConfiguration, PairingSpace
 from .transport import InteractionMatrix, TransportOperator, commutes_all, interaction_matrix, pl_operator
 from .gluing import (
@@ -91,9 +91,10 @@ class LightSectorPackage:
     """The package record: four stored inputs and nine sections derived from them.
 
     Stored are the cycles, the incidence (None: no gluing data), the block
-    partition and the corrected class; their sizes are checked on
-    construction.  Each other section is computed on first read and cached;
-    the user partition, not the incidence blocks, drives the block analysis.
+    partition and the corrected class, read by ``vector`` as a scenario
+    file's cells are; their sizes are checked on construction.  Each other
+    section is computed on first read and cached; the user partition, not
+    the incidence blocks, drives the block analysis.
     """
 
     cycles: CycleConfiguration
@@ -111,6 +112,8 @@ class LightSectorPackage:
             raise DimensionMismatchError(
                 f"partition of {self.partition.r} nodes, configuration has {r}"
             )
+        if self.corrected_class is not None:
+            object.__setattr__(self, "corrected_class", vector(self.corrected_class))
         if self.corrected_class is not None and len(self.corrected_class) != r:
             raise DimensionMismatchError(
                 f"corrected class of length {len(self.corrected_class)}, configuration has {r}"

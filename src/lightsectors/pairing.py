@@ -20,7 +20,6 @@ from .linalg import (
     Matrix,
     cleared,
     first_skew_violation,
-    vector,
 )
 
 
@@ -74,12 +73,11 @@ def standard_symplectic(g: int) -> PairingSpace:
 
 def pair(space: PairingSpace, a: Sequence[object], b: Sequence[object]) -> Fraction:
     """Evaluate the pairing a^T G b exactly."""
-    av, bv = vector(a), vector(b)
-    if len(av) != space.dim or len(bv) != space.dim:
+    (a_ints, da), (b_ints, db) = cleared(a), cleared(b)
+    if len(a_ints) != space.dim or len(b_ints) != space.dim:
         raise DimensionMismatchError(
-            f"vectors of lengths {len(av)}, {len(bv)} in pairing space of dim {space.dim}"
+            f"vectors of lengths {len(a_ints)}, {len(b_ints)} in pairing space of dim {space.dim}"
         )
-    (a_ints, da), (b_ints, db) = cleared(av), cleared(bv)
     gb = (sum(map(mul, row, b_ints)) for row in space.gram.num)
     return Fraction(sum(map(mul, a_ints, gb)), da * db * space.gram.den)
 

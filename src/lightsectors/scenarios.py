@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise
 from math import lcm
 from typing import Sequence
 
-from .linalg import Matrix, Vector, format_cells, format_rational, rational_parts
+from .linalg import Matrix, Vector, cleared, format_cells, format_rational, vector
 from .pairing import CycleConfiguration, NotSkewSymmetricError, PairingSpace, standard_symplectic
 from .blocks import BlockDecomposition
 from .package import LightSectorPackage, assemble
@@ -62,9 +61,9 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class ScenarioFile:
     """Parsed and canonicalized scenario data (partition kept 1-based, as in files);
-    ``cycles`` is the r x dim cycle matrix, converted once if given as rows, and
-    ``partition`` and ``corrected_class`` are converted to tuples if given as
-    lists, as reading them back returns them."""
+    ``cycles`` is the r x dim cycle matrix, converted once if given as rows,
+    ``partition`` is converted to tuples if given as lists, and
+    ``corrected_class`` is read by ``vector``, as a file's cells are."""
 
     name: str
     dim: int
@@ -82,8 +81,8 @@ class ScenarioFile:
         p = self.partition
         if p is not None and not (type(p) is tuple and all(type(b) is tuple for b in p)):
             object.__setattr__(self, "partition", tuple(map(tuple, p)))
-        if self.corrected_class is not None and type(self.corrected_class) is not tuple:
-            object.__setattr__(self, "corrected_class", tuple(self.corrected_class))
+        if self.corrected_class is not None:
+            object.__setattr__(self, "corrected_class", vector(self.corrected_class))
 
     @property
     def r(self) -> int:
@@ -100,16 +99,15 @@ def _read_row(text: str) -> tuple[tuple[int, ...], int]:
     """One row of a rational grid as integers over the lcm of its denominators.
 
     A row of plain integers, the common case, is matched whole and read with
-    int(); any other row, valid or not, is read token by token, so that every
-    error names the same token with the same message.  The row pattern allows
-    only ASCII digits with an optional '-', so int() sees no '+', '_' or other
-    digits, and its whitespace class is the characters str.split() splits on.
+    int(); any other row, valid or not, is read token by token by cleared, so
+    that every error names the same token with the same message.  The row
+    pattern allows only ASCII digits with an optional '-', so int() sees no
+    '+', '_' or other digits, and its whitespace class is the characters
+    str.split() splits on.
     """
     if _INT_ROW.fullmatch(text):
         return tuple([int(t) for t in text.split()]), 1
-    parts = [rational_parts(tok) for tok in text.split()]
-    den = lcm(*(d for _, d in parts))
-    return tuple([n * (den // d) for n, d in parts]), den
+    return cleared(text.split())
 
 
 def _read_grid(rows: list[tuple[int, str]], field: str, width: int | None = None) -> Matrix:
@@ -391,8 +389,8 @@ def builtin_scenario(
     for param, value in given.items():
         if value is not None and param not in _BUILTIN_PARAMS[name]:
             raise ValueError(f"{name} does not take the {param} parameter")
-    # The coupling of a2 and three_node.
-    c = Fraction(1) if coupling is None else Fraction(coupling)
+    # The coupling of a2 and three_node, read as a file's rational cell.
+    (c,) = vector([1 if coupling is None else coupling])
     if c == 0:
         raise ValueError(f"{name} coupling must be nonzero")
 
@@ -413,7 +411,7 @@ def builtin_scenario(
             gram=standard_symplectic(1).gram,
             cycles=((1, 0), (0, c)),
             incidence=block_fields(BlockDecomposition(2, ((0, 1),)))["incidence"],
-            corrected_class=(Fraction(3), Fraction(3)),
+            corrected_class=(3, 3),
             notes=f"interacting two-node model with coupling {format_rational(c)}",
         )
 
@@ -432,19 +430,17 @@ def builtin_scenario(
 
     # quintic_orbits
     sizes = tuple(orbit_sizes) if orbit_sizes is not None else (25, 25, 25, 25, 25)
-    if not sizes or any(n < 1 for n in sizes):
-        raise ValueError("orbit sizes must be positive")
+    bad = next((n for n in sizes if not isinstance(n, int) or n < 1), None)
+    if bad is not None:
+        raise ValueError(f"orbit sizes must be positive integers, got {bad!r}")
     if sum(sizes) != 125:
         raise ValueError(f"orbit sizes must sum to 125, got {sum(sizes)}")
     b = len(sizes)
-    if orbit_classes is None:
-        classes = [(Fraction(1), Fraction(beta)) for beta in range(b)]
-    else:
-        if len(orbit_classes) != b:
-            raise ValueError(f"{len(orbit_classes)} orbit classes for {b} orbits")
-        classes = [tuple(Fraction(x) for x in v) for v in orbit_classes]
-        if any(len(v) != 2 for v in classes):
-            raise ValueError("orbit classes must be length-2 vectors")
+    classes = [(1, beta) for beta in range(b)] if orbit_classes is None else list(orbit_classes)
+    if len(classes) != b:
+        raise ValueError(f"{len(classes)} orbit classes for {b} orbits")
+    if any(len(v) != 2 for v in classes):
+        raise ValueError("orbit classes must be length-2 vectors")
     bounds = pairwise(accumulate(sizes, initial=0))
     part = BlockDecomposition(125, tuple(tuple(range(lo, hi)) for lo, hi in bounds))
     return ScenarioFile(

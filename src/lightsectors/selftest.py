@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .linalg import Matrix, Slots, rank, vector
+from .linalg import Matrix, Slots, rank
 from .pairing import CycleConfiguration, PairingSpace, pair, standard_symplectic
 from .transport import commutator, commutator_bound, commutes_all, interaction_matrix, pl_operator
 from .atoms import atom_splitting
@@ -40,8 +40,7 @@ def _require(ok: object, what: object) -> None:
 
 
 def _random_skew_space(rng: random.Random, dim: int) -> PairingSpace:
-    grid = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
-    a = Matrix.from_rows(grid, cols=dim)
+    a = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
     return PairingSpace(a - a.transpose())
 
 
@@ -94,14 +93,14 @@ def _check_transport_invariants(rng: random.Random, n_cases: int) -> str:
     for _ in range(n_cases):
         dim = rng.randint(1, 8)
         space = _random_skew_space(rng, dim)
-        delta = vector([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
+        delta = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
         cfg = CycleConfiguration.from_vectors(space, (delta,))
         op = pl_operator(cfg, 0)
         n = op.n_matrix
         _require((n @ n).is_zero(), "N^2 = 0")
         _require(rank(n) == op.nilpotent_rank <= 1, "rank N = nilpotent rank <= 1")
         _require(op.t_matrix @ op.inverse() == Matrix.identity(dim), "T T^-1 = Id")
-        alpha = vector([Fraction(rng.randint(-4, 4)) for _ in range(dim)])
+        alpha = [rng.randint(-4, 4) for _ in range(dim)]
         expected = tuple(pair(space, alpha, delta) * d for d in delta)
         _require(n.apply(alpha) == expected, "N(a) = <a, delta> delta")
     return f"{n_cases} random transport operators"
@@ -118,9 +117,7 @@ def _check_block_structure(rng: random.Random, n_cases: int, **gen_kwargs: int) 
 
 def _check_criterion_equivalences() -> str:
     space = standard_symplectic(1)
-    pool = [
-        vector(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1), (2, -1)]
-    ]
+    pool = [(0, 0), (1, 0), (0, 1), (1, 1), (2, -1)]
     count = 0
     for r in range(5):
         for combo in itertools.product(pool, repeat=r):

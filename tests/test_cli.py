@@ -103,6 +103,24 @@ def test_scenario_invalid_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["a2", "three_node"])
+@pytest.mark.parametrize("coupling, message", [
+    ("0", "{name} coupling must be nonzero"),
+    ("1/0", "zero denominator in rational '1/0'"),
+    ("1.5", "malformed rational '1.5'"),
+])
+def test_scenario_coupling_is_read_by_the_file_rule(capsys, name, coupling, message):
+    code, out, err = run_cli(capsys, "scenario", name, "--coupling", coupling)
+    assert (code, out, err) == (2, "", f"error: {message.format(name=name)}\n")
+
+
+@pytest.mark.parametrize("name", ["a1xa1", "quintic_orbits"])
+@pytest.mark.parametrize("coupling", ["2", "1/0", "1.5"])
+def test_scenario_coupling_refused_first_by_a_model_without_one(capsys, name, coupling):
+    code, out, err = run_cli(capsys, "scenario", name, "--coupling", coupling)
+    assert (code, out, err) == (2, "", f"error: {name} does not take the coupling parameter\n")
+
+
 @pytest.mark.parametrize("orbits, bad", [
     ("2_5,25,25,25,25", "2_5"),
     ("+25,25,25,25,25", "+25"),
