@@ -14,7 +14,8 @@ and ``fmpz_mat_rref``: ``rref`` is fraction-free, and a ``Subspace`` basis is
 a ``Matrix``.  Fractions appear only at the boundaries: the ``entries`` view,
 built on request, and ``vector``.  Rational input has one reader, ``cleared``:
 a row of cells (``int``, ``Fraction`` or canonical text) as integers over the
-lcm of their denominators, with no ``Fraction`` made.  ``Matrix.from_rows``,
+lcm of their denominators, with no ``Fraction`` made; a ``str`` is refused as
+a row, not read one character at a time.  ``Matrix.from_rows``,
 ``apply``, ``pairing.pair``, ``Subspace.contains`` and the scenario reader's
 non-integer rows read through it; ``vector`` is its ``Fraction`` view.
 Rational text has one writer, ``format_ratio``; ``format_cells`` applies it
@@ -121,15 +122,23 @@ def _cell(x: object) -> tuple[int, int]:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def _row(v: Iterable[object]) -> Iterable[object]:
+    """v itself; a str is one cell's text, never a row of its characters."""
+    if isinstance(v, str):
+        raise TypeError(f"cannot interpret {v!r} as a row of rationals")
+    return v
+
+
 def vector(entries: Iterable[object]) -> Vector:
     """Each cell read as cleared reads it, as a Fraction; a Fraction as it is."""
-    return tuple([x if isinstance(x, Fraction) else Fraction(*_cell(x)) for x in entries])
+    return tuple([x if isinstance(x, Fraction) else Fraction(*_cell(x)) for x in _row(entries)])
 
 
 def cleared(v: Iterable[object]) -> Cleared:
     """A row of ints, Fractions or their text as integers over the least
-    common multiple of its denominators, with no Fraction made."""
-    nums, dens = tuple(zip(*map(_cell, v))) or ((), ())
+    common multiple of its denominators, with no Fraction made.  A str is
+    refused as a row."""
+    nums, dens = tuple(zip(*map(_cell, _row(v)))) or ((), ())
     den = lcm(*dens)
     return (nums if den == 1 else tuple([n * (den // d) for n, d in zip(nums, dens)])), den
 

@@ -18,8 +18,11 @@ The commutators N_i N_j - N_j N_i come by two independent routes, and
 both return a pair (rows, den): the n rows of an unreduced integer grid,
 each packed into one int in a linalg.Slots (a Kronecker substitution), over
 a denominator.  The dense route, commutator(ops), packs each operator's grid
-rows once and forms packed row r of a pair as one sum of big-int-by-small-int
-products of the grids' entries; the closed form, commutator_closed_form,
+rows once and forms packed row r of a pair from sums of big-int-by-small-int
+products of the grids' entries, one sum per distinct grid row up to sign:
+within the bound the packed ints key the rows, equal ints for equal rows and
+-p for the negated row, so a repeated or negated row reads its sum back
+exactly.  The closed form, commutator_closed_form,
 forms row j as the combination -p (delta_a[j] P_b + delta_b[j] P_a) of the
 two packed Gram images.  Equal packed ints mean equal grids only while every
 entry of both fits its slot, so each route states its own entry bound
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .linalg import (
@@ -190,11 +193,23 @@ def commutator(ops: Sequence[TransportOperator], slots: Slots) -> list[tuple[lis
     With N_i = n_i / d_i, n_i the unreduced grid delta_i (x) weights_i, the
     pair (i, j) is n_i n_j - n_j n_i over d_i d_j, for any mix of
     denominators.  Each grid's rows are packed once, P_i[k] row k of n_i,
-    and packed row r of the pair is the one sum
-    sum_k n_i[r][k] P_j[k] - n_j[r][k] P_i[k]: a Kronecker substitution
-    that reads only the operators' grids.  The rows read back exactly while
-    slots holds commutator_bound(ops).  Fewer than two operators give no
-    pairs and pack nothing.
+    and packed row r of the pair is
+    sum_k n_i[r][k] P_j[k] - sum_k n_j[r][k] P_i[k]: a Kronecker
+    substitution that reads only the operators' grids.  The rows read back
+    exactly while slots holds commutator_bound(ops).
+
+    Rows delta[r] weights repeat wherever delta does, up to sign, so each
+    sum is formed once per distinct row.  The packed ints are the keys:
+    the bound covers every grid entry, so within it P_i[r] = P_i[s]
+    exactly when rows r and s are equal, and -P_i[r] is the packed form of
+    the negated row.  Each operator keeps one row per key.  For a pair
+    (i, j) the sum s of a kept row of n_i against P_j is read at its key
+    as s and at the negated key as -s, and a kept row whose key is already
+    read, as its negation's or as 0 (a zero row), forms no sum; likewise
+    for n_j against P_i.
+    Packed row r is left[P_i[r]] - right[P_j[r]], the same int the
+    row-by-row sum gives.  Fewer than two operators give no pairs and pack
+    nothing.
     """
     dims = {op.dim for op in ops}
     if len(dims) > 1:
@@ -203,9 +218,21 @@ def commutator(ops: Sequence[TransportOperator], slots: Slots) -> list[tuple[lis
         return []
     grids = [op.grid for op in ops]
     packed = [slots.pack(grid) for grid in grids]
+    # Equal packed ints are equal rows: one row per key.
+    kept = [dict(zip(keys, grid)) for keys, grid in zip(packed, grids)]
+
+    def row_sums(keep, other):
+        sums = {0: 0}
+        for p, x in keep.items():
+            if p not in sums:  # else a zero row, or a negated row read at p
+                s = sum(map(mul, x, other))
+                sums[p], sums[-p] = s, -s
+        return sums
+
     out = []
     for (i, pi), (j, pj) in combinations(enumerate(packed), 2):
-        rows = [sum(map(mul, x, pj)) - sum(map(mul, y, pi)) for x, y in zip(grids[i], grids[j])]
+        left, right = row_sums(kept[i], pj), row_sums(kept[j], pi)
+        rows = list(map(sub, map(left.__getitem__, pi), map(right.__getitem__, pj)))
         out.append((rows, ops[i].den * ops[j].den))
     return out
 

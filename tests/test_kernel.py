@@ -890,6 +890,80 @@ def test_each_route_is_packed_within_its_own_bound(monkeypatch, scaled, scale):
     assert [f.name for f in report.failures] == differ + criterion
 
 
+def _repeating_families():
+    """Families of 2 and 5 operators in dimension 10 whose grids repeat,
+    negate and zero rows: each delta is a _pool_row, each cycle over a
+    denominator drawn from 1, 2 and 6, one configuration per cycle, so the
+    operators' denominators mix.  Slots hold commutator_bound and come 1, 2,
+    4, 8 and 11 bytes wide.  Yields (ops, the cycles, slots)."""
+    rng = random.Random(37)
+    n = 10
+    space = standard_symplectic(n // 2)
+    for c in CYCLE_MAGNITUDES[:-1]:
+        for b in (2, 5):
+            dens = [rng.choice((1, 2, 6)) for _ in range(b)]
+            cycles = [vector(Fraction(x, d) for x in _pool_row(rng, n, c)) for d in dens]
+            ops = [transport.pl_operator(CycleConfiguration.from_vectors(space, [v]), 0) for v in cycles]
+            yield ops, cycles, Slots(commutator_bound(ops), n)
+
+
+def _kept_rows(grid):
+    """The distinct nonzero rows of a grid up to sign."""
+    return {max(row, tuple(-x for x in row)) for row in grid if any(row)}
+
+
+def test_shared_row_sums_match_reference():
+    """Rows that repeat, negate or vanish within a grid share one packed
+    sum; every pair still equals the reference commutator exactly, over
+    d_i d_j, at every slot width."""
+    space = standard_symplectic(5)
+    widths, dens, seen = set(), set(), set()
+    for ops, cycles, slots in _repeating_families():
+        widths.add(slots.width)
+        dens |= {op.den for op in ops}
+        for grid in (op.grid for op in ops):
+            rows = set(grid)
+            if len(rows) < len(grid):
+                seen.add("repeated")
+            if (0,) * len(grid) in rows:
+                seen.add("zero")
+            if any(any(x) and tuple(-v for v in x) in rows for x in rows):
+                seen.add("negated")
+        ns = [reference.n_matrix(v, reference.apply(space.gram, v)) for v in cycles]
+        got = commutator(ops, slots)
+        pairs = list(itertools.combinations(range(len(ops)), 2))
+        assert len(got) == len(pairs)
+        for (rows, den), (i, j) in zip(got, pairs):
+            assert den == ops[i].den * ops[j].den
+            n = ops[i].dim
+            assert_same_matrix(Matrix(n, n, tuple(slots.unpack(rows)), den),
+                               reference.commutator(ns[i], ns[j]))
+    assert widths == {1, 2, 4, 8, 11}
+    assert seen == {"repeated", "zero", "negated"} and len(dens) > 1
+
+
+def test_one_row_sum_per_kept_row_per_pair(monkeypatch):
+    """Per pair (i, j) the dense route forms one row sum for each nonzero
+    row of n_i and of n_j that is distinct up to sign, not one per grid
+    row."""
+    calls = itertools.count()
+
+    def counted(*args):
+        next(calls)
+        return sum(*args)
+
+    monkeypatch.setattr(transport, "sum", counted, raising=False)
+    fewer = False
+    for ops, _, slots in _repeating_families():
+        kept = [len(_kept_rows(op.grid)) for op in ops]
+        start = next(calls)
+        commutator(ops, slots)
+        want = sum(kept[i] + kept[j] for i, j in itertools.combinations(range(len(ops)), 2))
+        assert next(calls) - start - 1 == want
+        fewer |= want < len(ops) * (len(ops) - 1) * ops[0].dim
+    assert fewer
+
+
 # -- elimination ---------------------------------------------------------------
 
 @st.composite

@@ -1,6 +1,7 @@
 """One rule for every rational cell a caller hands in: an int, a Fraction or
 canonical text, read at every entry point by linalg's one cell reader."""
 
+import dataclasses
 import json
 import operator
 import re
@@ -8,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from lightsectors.linalg import Matrix
+from lightsectors.linalg import Matrix, Subspace, vector
 from lightsectors.package import assemble
-from lightsectors.pairing import standard_symplectic
+from lightsectors.pairing import pair, standard_symplectic
 from lightsectors.report import analysis_document, render_report
 from lightsectors.scenarios import (
     ScenarioFile,
@@ -58,6 +59,26 @@ def test_every_entry_point_reads_a_cell_by_one_rule(entry, cell, outcome):
         error, message = outcome
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             read(cell)
+
+
+# Each entry point handed a str where a row goes: the text of one cell, never
+# a row of its characters ("12" is not the row (1, 2)).
+STRING_ROWS = {
+    "Matrix.from_rows": lambda: Matrix.from_rows(["12"]),
+    "vector": lambda: vector("12"),
+    "pair": lambda: pair(standard_symplectic(1), "12", "34"),
+    "Subspace.contains": lambda: Subspace.full(2).contains("12"),
+    "builtin_scenario(orbit_classes)": lambda: builtin_scenario("quintic_orbits", orbit_classes=["12"] * 5),
+    "replace(corrected_class)": lambda: dataclasses.replace(builtin_scenario("a2"), corrected_class="33"),
+}
+
+
+@pytest.mark.parametrize("entry", STRING_ROWS)
+def test_a_str_is_refused_as_a_row(entry):
+    text = "33" if entry == "replace(corrected_class)" else "12"
+    message = f"cannot interpret {text!r} as a row of rationals"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        STRING_ROWS[entry]()
 
 
 def test_hand_built_text_corrected_class_round_trips_and_renders():

@@ -13,20 +13,23 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from lightsectors import blocks
+from lightsectors import blocks, transport
 from lightsectors.atoms import atom_splitting
 from lightsectors.linalg import Matrix
 from lightsectors.modelgen import random_block_scenario
 from lightsectors.package import LightSectorPackage, verify_block_structure
-from lightsectors.scenarios import builtin_scenario, to_package
+from lightsectors.scenarios import builtin_scenario, parse_scenario, to_package
 from lightsectors.pairing import CycleConfiguration, standard_symplectic
 from lightsectors.transport import InteractionMatrix, interaction_matrix
+
+DATA = Path(__file__).parent / "data"
 
 oracle_settings = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -191,3 +194,19 @@ def test_reduced_numerators_over_another_denominator_fail():
     report = blocks.verify_block_consistency(lam, bc, scaled)
     assert not report.overall
     assert_same_record(report, reference.block_consistency_checks(lam, bc, scaled))
+
+
+def test_block_heavy_fixture_matches_eager_reference():
+    """The (r, dim, b) = (33, 38, 9) fixture: 36 block pairs whose operator
+    grids repeat and negate rows.  Its report records every comparison the
+    eager reference makes, 1097, and passes, with both coupled and
+    commuting block pairs among them."""
+    pkg = to_package(parse_scenario((DATA / "block_heavy.scenario").read_text()))
+    assert (pkg.r, pkg.space.dim, pkg.partition.count) == (33, 38, 9)
+    cfg = pkg.block_classes.classes
+    for op in (transport.pl_operator(cfg, i) for i in range(cfg.r)):
+        assert len({max(row, tuple(-x for x in row)) for row in op.grid}) <= 3
+    assert 0 in pkg.reduced.pairings.num[0][1:] and not pkg.reduced.pairings.is_zero()
+    report = verify_block_structure(pkg)
+    assert report.overall and report.total == 1097
+    assert_same_record(report, reference.block_structure_checks(pkg))
